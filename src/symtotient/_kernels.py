@@ -1,291 +1,77 @@
-"""Hot enumeration loops over the tuple spaces Z_m^k.
+"""Hot enumeration loops over the tuple spaces Z_m^k: one chunked-numpy engine.
 
-Two interchangeable backends compute identical counts: numba-compiled
-kernels (the default whenever numba imports) and a chunked pure-numpy
-path.  Setting SYMTOTIENT_JIT=0 forces the numpy path; the numba
-implementations stay importable for benchmarking either way.
+Tuple indices are decoded into base-m digits a chunk at a time.  The three
+symmetric-sum kernels share one scan, the e_j recurrence run columnwise
+over a chunk, and differ only in how they reduce each chunk.
 
-All kernel arithmetic is int64.  Callers must keep the tuple space m**k
-under the enumeration budget (<= 2**31 tuples), which also bounds every
-intermediate product below 2**63: the symmetric-sum recurrence and the
-linear form reduce mod m at each step, so values never exceed m**2 + m.
-
-The numba counting kernels partition the space by the leading coordinate
-and combine partial counts by addition, so parallel and sequential runs
-agree exactly.  Histogram kernels run sequentially (they are only used on
-small moduli).
+All arithmetic is int64.  Every kernel refuses with ValueError, before it
+allocates anything, a call whose tuple count m**k or largest intermediate
+value would reach 2**63.  The scan reduces mod m at each step, so its
+values stay below m**2 + m; a quadratic form's row sums stay below k*p**2.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("SYMTOTIENT_JIT", "").strip().lower()
-_JIT_WANTED = _flag not in {"0", "off", "false", "no"}
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and _JIT_WANTED
+_CHUNK = 1 << 14  # 128 KiB per int64 row: small enough to stay in cache
+_INT64_LIMIT = 1 << 63
 
 
 def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel backend (the chunked-numpy engine is the only one)."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend: decode tuple indices in chunks, run the DP columnwise
-# ---------------------------------------------------------------------------
-
-_CHUNK = 1 << 16
-
-
-def _np_scan_chunk(idx, m, k, jmax, coeffs):
-    """Per tuple index: elementary symmetric values e_0..e_jmax mod m of its
-    base-m digits, plus (optionally) the linear form sum(coeffs[i]*x_i) mod m."""
-    c = np.zeros((jmax + 1, idx.shape[0]), dtype=np.int64)
-    c[0] = 1
-    lin = np.zeros(idx.shape[0], dtype=np.int64) if coeffs is not None else None
-    t = idx
-    for pos in range(1, k + 1):
-        v = t % m
-        t = t // m
-        if coeffs is not None:
-            lin = (lin + coeffs[pos - 1] * v) % m
-        for j in range(min(jmax, pos), 0, -1):
-            c[j] = (c[j] + c[j - 1] * v) % m
-    return c, lin
+def _check_int64(m, k, peak):
+    # m >= 2 with k >= 63 is over the limit without computing m**k
+    if (m > 1 and k >= 63) or m**k >= _INT64_LIMIT or peak >= _INT64_LIMIT:
+        raise ValueError(
+            f"Z_{m}^{k} is too large for the int64 kernels (m**k and {peak} must be < 2**63)"
+        )
 
 
-def _np_count_sym_zeros(m, k, js):
-    jmax = int(js.max())
+def _scan(m, k, js, coeffs=None):
+    """Walk Z_m^k a chunk of tuple indices at a time.  Per chunk, yield the
+    rows e_j mod m (j in js, ascending) of the tuples' base-m digits, and
+    the linear form sum(coeffs[i] * x_i) mod m (None without coeffs)."""
+    js = sorted(js)
+    jmax = max(js, default=0)
     space = m**k
-    total = 0
     for start in range(0, space, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        c, _ = _np_scan_chunk(idx, m, k, jmax, None)
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for j in js:
-            ok &= c[j] == 0
-        total += int(np.count_nonzero(ok))
-    return total
-
-
-def _np_count_sym_units(m, k, js, joint):
-    jmax = int(js.max())
-    space = m**k
-    total = 0
-    for start in range(0, space, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        c, _ = _np_scan_chunk(idx, m, k, jmax, None)
-        if joint:
-            g = np.full(idx.shape[0], m, dtype=np.int64)
-            for j in js:
-                g = np.gcd(g, c[j])
-            ok = g == 1
-        else:
-            ok = np.ones(idx.shape[0], dtype=bool)
-            for j in js:
-                ok &= np.gcd(c[j], m) == 1
-        total += int(np.count_nonzero(ok))
-    return total
-
-
-def _np_lincong_histogram(m, k, coeffs, js):
-    jmax = int(js.max()) if js.shape[0] else 0
-    space = m**k
-    hist = np.zeros(m, dtype=np.int64)
-    for start in range(0, space, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        c, lin = _np_scan_chunk(idx, m, k, jmax, coeffs)
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for j in js:
-            ok &= np.gcd(c[j], m) == 1
-        hist += np.bincount(lin[ok], minlength=m)
-    return hist
-
-
-def _np_quadform_histogram(p, k, mat):
-    space = p**k
-    hist = np.zeros(p, dtype=np.int64)
-    for start in range(0, space, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        x = np.empty((idx.shape[0], k), dtype=np.int64)
-        t = idx
+        t = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
+        c = np.zeros((jmax + 1, t.shape[0]), dtype=np.int64)
+        c[0] = 1
+        lin = None if coeffs is None else np.zeros_like(t)
         for pos in range(k):
-            x[:, pos] = t % p
-            t = t // p
-        vals = np.einsum("ij,jk,ik->i", x, mat, x) % p
-        hist += np.bincount(vals, minlength=p)
-    return hist
+            t, v = np.divmod(t, m)
+            if lin is not None:
+                lin = (lin + coeffs[pos] * v) % m
+            for j in range(min(jmax, pos + 1), 0, -1):
+                c[j] = (c[j] + c[j - 1] * v) % m
+        yield [c[j] for j in js], lin
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gcd64(a, b):
-        while b:
-            a, b = b, a % b
-        return a
-
-    @njit(parallel=True, cache=True)
-    def _nb_count_sym_zeros(m, k, js):
-        jmax = 0
-        for j in js:
-            if j > jmax:
-                jmax = j
-        sub = 1
-        for _ in range(k - 1):
-            sub *= m
-        total = 0
-        for lead in prange(m):
-            c = np.empty(jmax + 1, np.int64)
-            local = 0
-            for t in range(sub):
-                for j in range(jmax + 1):
-                    c[j] = 0
-                c[0] = 1
-                if jmax >= 1:
-                    c[1] = lead
-                tt = t
-                for pos in range(2, k + 1):
-                    v = tt % m
-                    tt //= m
-                    hi = jmax if jmax < pos else pos
-                    for j in range(hi, 0, -1):
-                        c[j] = (c[j] + c[j - 1] * v) % m
-                ok = True
-                for j in js:
-                    if c[j] != 0:
-                        ok = False
-                        break
-                if ok:
-                    local += 1
-            total += local
-        return total
-
-    @njit(parallel=True, cache=True)
-    def _nb_count_sym_units(m, k, js, joint):
-        jmax = 0
-        for j in js:
-            if j > jmax:
-                jmax = j
-        sub = 1
-        for _ in range(k - 1):
-            sub *= m
-        total = 0
-        for lead in prange(m):
-            c = np.empty(jmax + 1, np.int64)
-            local = 0
-            for t in range(sub):
-                for j in range(jmax + 1):
-                    c[j] = 0
-                c[0] = 1
-                if jmax >= 1:
-                    c[1] = lead
-                tt = t
-                for pos in range(2, k + 1):
-                    v = tt % m
-                    tt //= m
-                    hi = jmax if jmax < pos else pos
-                    for j in range(hi, 0, -1):
-                        c[j] = (c[j] + c[j - 1] * v) % m
-                if joint:
-                    g = m
-                    for j in js:
-                        g = _gcd64(g, c[j])
-                        if g == 1:
-                            break
-                    ok = g == 1
-                else:
-                    ok = True
-                    for j in js:
-                        if _gcd64(c[j], m) != 1:
-                            ok = False
-                            break
-                if ok:
-                    local += 1
-            total += local
-        return total
-
-    @njit(cache=True)
-    def _nb_lincong_histogram(m, k, coeffs, js):
-        jmax = 0
-        for j in js:
-            if j > jmax:
-                jmax = j
-        space = 1
-        for _ in range(k):
-            space *= m
-        hist = np.zeros(m, np.int64)
-        c = np.empty(jmax + 1, np.int64)
-        for t in range(space):
-            for j in range(jmax + 1):
-                c[j] = 0
-            c[0] = 1
-            lin = 0
-            tt = t
-            for pos in range(1, k + 1):
-                v = tt % m
-                tt //= m
-                lin = (lin + coeffs[pos - 1] * v) % m
-                hi = jmax if jmax < pos else pos
-                for j in range(hi, 0, -1):
-                    c[j] = (c[j] + c[j - 1] * v) % m
-            ok = True
-            for j in js:
-                if _gcd64(c[j], m) != 1:
-                    ok = False
-                    break
-            if ok:
-                hist[lin] += 1
-        return hist
-
-    @njit(cache=True)
-    def _nb_quadform_histogram(p, k, mat):
-        space = 1
-        for _ in range(k):
-            space *= p
-        hist = np.zeros(p, np.int64)
-        x = np.empty(k, np.int64)
-        for t in range(space):
-            tt = t
-            for i in range(k):
-                x[i] = tt % p
-                tt //= p
-            val = 0
-            for i in range(k):
-                row = 0
-                for j in range(k):
-                    row += mat[i, j] * x[j]
-                val = (val + (row % p) * x[i]) % p
-            hist[val] += 1
-        return hist
-
-
-# ---------------------------------------------------------------------------
-# dispatch wrappers
-# ---------------------------------------------------------------------------
-
-def _as_indices(js):
-    return np.asarray(sorted(js), dtype=np.int64)
+def _unit_mask(rows, m, joint):
+    """Per column: gcd(rows..., m) == 1 (joint), or every row a unit mod m."""
+    if joint:
+        acc = np.gcd(rows[0], m)  # gcd with m first: smaller inputs for the rest
+        for row in rows[1:]:
+            np.gcd(acc, row, out=acc)
+        return acc == 1
+    acc = rows[0].copy()  # a product is a unit iff each factor is; values < m**2
+    for row in rows[1:]:
+        acc *= row
+        acc %= m
+    return np.gcd(acc, m, out=acc) == 1
 
 
 def count_sym_zeros(m: int, k: int, js) -> int:
     """Tuples in Z_m^k with e_j = 0 (mod m) for every j in js (js nonempty)."""
-    arr = _as_indices(js)
-    if USING_NUMBA:
-        return int(_nb_count_sym_zeros(m, k, arr))
-    return _np_count_sym_zeros(m, k, arr)
+    _check_int64(m, k, m * m + m)
+    total = 0
+    for rows, _ in _scan(m, k, js):
+        # every e_j is in [0, m), so they are all zero exactly when their sum is
+        total += rows[0].shape[0] - int(np.count_nonzero(sum(rows[1:], rows[0])))
+    return total
 
 
 def count_sym_units(m: int, k: int, js, joint: bool) -> int:
@@ -294,25 +80,36 @@ def count_sym_units(m: int, k: int, js, joint: bool) -> int:
     joint=True tests gcd(e_j1, ..., e_jr, m) == 1; joint=False tests each
     gcd(e_j, m) == 1 separately.
     """
-    arr = _as_indices(js)
-    if USING_NUMBA:
-        return int(_nb_count_sym_units(m, k, arr, joint))
-    return _np_count_sym_units(m, k, arr, bool(joint))
+    _check_int64(m, k, m * m + m)
+    return sum(int(np.count_nonzero(_unit_mask(rows, m, joint))) for rows, _ in _scan(m, k, js))
 
 
 def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     """Histogram over b of tuples with sum(coeffs[i]*x_i) = b (mod m), restricted
     to tuples where every e_j (j in js) is a unit mod m.  js may be empty."""
-    arr = _as_indices(js)
+    _check_int64(m, k, m * m + m)
     cf = np.asarray([c % m for c in coeffs], dtype=np.int64)
-    if USING_NUMBA:
-        return _nb_lincong_histogram(m, k, cf, arr)
-    return _np_lincong_histogram(m, k, cf, arr)
+    hist = np.zeros(m, dtype=np.int64)
+    for rows, lin in _scan(m, k, js, cf):
+        if rows:
+            lin = lin[_unit_mask(rows, m, joint=False)]
+        hist += np.bincount(lin, minlength=m)
+    return hist
 
 
 def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
     """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p)."""
+    _check_int64(p, k, k * p * p)
     mat = np.asarray(matrix, dtype=np.int64) % p
-    if USING_NUMBA:
-        return _nb_quadform_histogram(p, k, mat)
-    return _np_quadform_histogram(p, k, mat)
+    space = p**k
+    hist = np.zeros(p, dtype=np.int64)
+    for start in range(0, space, _CHUNK):
+        t = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
+        x = np.empty((k, t.shape[0]), dtype=np.int64)  # one row per coordinate
+        for pos in range(k):
+            t, x[pos] = np.divmod(t, p)
+        # x^T A x = sum_i x_i (A x)_i; reducing (A x)_i mod p first keeps
+        # every term below p**2 and the sum below k*p**2
+        ax = mat @ x % p
+        hist += np.bincount((ax * x).sum(axis=0) % p, minlength=p)
+    return hist

@@ -16,16 +16,24 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Effective tuple cap: explicit argument, else SYMTOTIENT_BUDGET, else default."""
+    """Effective tuple cap: explicit argument, else SYMTOTIENT_BUDGET, else default.
+
+    A SYMTOTIENT_BUDGET that is not a finite number raises ValueError.
+    """
     if budget is not None:
         return int(budget)
     raw = os.environ.get(ENV_VAR, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            return int(float(raw))
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        # scientific notation such as 2e7; inf and nan fail to convert
+        return int(float(raw))
+    except (ValueError, OverflowError):
+        raise ValueError(f"{ENV_VAR} must be a finite number of tuples, got {raw!r}") from None
 
 
 def check_budget(space: int, budget: int | None, what: str) -> int:

@@ -11,6 +11,7 @@ byte-identical streams.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -230,27 +231,19 @@ def _cmd_table(args, out) -> int:
             values = [p for p in values if is_prime(p)]
         axes.append(values)
 
-    def rows():
-        def rec(prefix, remaining):
-            if not remaining:
-                yield prefix
-                return
-            for val in remaining[0]:
-                yield from rec(prefix + (val,), remaining[1:])
-
-        yield from rec((), axes)
-
-    header = ["quantity", *[f"param:{name}" for name in param_names], "value", "method"]
+    # evaluate every point first, so an invalid one fails before any output
+    records = [
+        OutputRecord(args.quantity, list(zip(param_names, point)), fn(*point), "closed-form")
+        for point in itertools.product(*axes)
+    ]
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for point in rows():
-            rec = OutputRecord(args.quantity, list(zip(param_names, point)), fn(*point), "closed-form")
+        writer.writerow(["quantity", *[f"param:{name}" for name in param_names], "value", "method"])
+    for rec in records:
+        if args.format == "csv":
             writer.writerow(rec.csv_row())
-    else:
-        for point in rows():
-            rec = OutputRecord(args.quantity, list(zip(param_names, point)), fn(*point), "closed-form")
-            print(json.dumps(rec.json_obj(), sort_keys=False), file=out)
+        else:
+            print(json.dumps(rec.json_obj()), file=out)
     return EXIT_OK
 
 

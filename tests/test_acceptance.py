@@ -3,8 +3,7 @@
 The sweeps themselves live in symtotient.verify so the CLI `verify`
 command and this module run identical grids.  Every check is an exact
 integer equality unless a tolerance is stated; timing bounds are asserted
-where the criterion states one (kernels are pre-warmed by the session
-fixture, so JIT compilation is not billed to any single criterion).
+where the criterion states one.
 """
 
 import subprocess

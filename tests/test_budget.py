@@ -43,3 +43,21 @@ def test_env_budget_reaches_enumeration(monkeypatch):
         count_zeros_bruteforce(SymSystem(2, {2}), 5)
     monkeypatch.delenv("SYMTOTIENT_BUDGET")
     assert count_zeros_bruteforce(SymSystem(2, {2}), 5) == 9
+
+
+@pytest.mark.parametrize("raw", ["abc", "inf", "-inf", "nan"])
+def test_env_var_not_a_finite_number(monkeypatch, raw):
+    monkeypatch.setenv("SYMTOTIENT_BUDGET", raw)
+    with pytest.raises(ValueError, match="SYMTOTIENT_BUDGET"):
+        resolve_budget()
+
+
+@pytest.mark.parametrize("raw", ["abc", "inf"])
+def test_bad_env_var_cli_exits_2(monkeypatch, capsys, raw):
+    from symtotient.cli import main
+
+    monkeypatch.setenv("SYMTOTIENT_BUDGET", raw)
+    code = main(["zeros", "--p", "5", "--k", "2", "--J", "2", "--method", "brute"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: SYMTOTIENT_BUDGET")

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from symtotient.cli import main, parse_indices, parse_range
 
 
@@ -161,6 +163,17 @@ class TestTableCommand:
         )
         assert code == 0
         assert out.splitlines() == ["quantity,param:n,value,method"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_invalid_point_writes_nothing(self, capsys, fmt):
+        # k=1 has no e_2; the whole grid is checked before the header goes out
+        code, out, err = run_cli(
+            capsys, "table", "--quantity", "N_e2", "--k-range", "1..2",
+            "--p-range", "3..5", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
     def test_missing_range_flag(self, capsys):
         code, _, err = run_cli(capsys, "table", "--quantity", "N_e2", "--k-range", "2..3")

@@ -1,10 +1,9 @@
-"""Backend equivalence: numba kernels, the numpy fallback, and a pure-Python
-itertools oracle must produce identical counts."""
+"""The chunked-numpy kernels against a pure-Python itertools oracle, and the
+int64 bounds the kernels enforce."""
 
 import math
 from itertools import product
 
-import numpy as np
 import pytest
 
 from symtotient import _kernels
@@ -119,39 +118,28 @@ def test_quadform_histogram_matches_oracle(p, k, mat):
     assert int(got.sum()) == p**k
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendsAgree:
-    """The two backend implementations, called directly, must agree bit for bit."""
+def test_quadform_histogram_above_2_21():
+    # x * a * x reaches p**3 > 2**63 here; the histogram must still be exact
+    p, a = 2_100_001, 2_100_000
+    expected = [0] * p
+    for x in range(p):
+        expected[a * x * x % p] += 1
+    assert _kernels.quadform_histogram(p, 1, [[a]]).tolist() == expected
 
-    def test_count_zeros(self):
-        for m, k, js in CASES:
-            arr = np.asarray(js, dtype=np.int64)
-            assert _kernels._nb_count_sym_zeros(m, k, arr) == _kernels._np_count_sym_zeros(
-                m, k, arr
-            )
 
-    def test_count_units(self):
-        for m, k, js in CASES:
-            arr = np.asarray(js, dtype=np.int64)
-            for joint in (True, False):
-                assert _kernels._nb_count_sym_units(
-                    m, k, arr, joint
-                ) == _kernels._np_count_sym_units(m, k, arr, joint)
-
-    def test_lincong_histogram(self):
-        for m, k, js in CASES:
-            arr = np.asarray(js, dtype=np.int64)
-            coeffs = np.asarray([(i % m) + 1 if m > 1 else 0 for i in range(k)], dtype=np.int64)
-            nb = _kernels._nb_lincong_histogram(m, k, coeffs, arr)
-            np_ = _kernels._np_lincong_histogram(m, k, coeffs, arr)
-            assert nb.tolist() == np_.tolist()
-
-    def test_quadform_histogram(self):
-        rng = np.random.default_rng(7)
-        for p in (3, 5, 11):
-            for k in (1, 2, 3):
-                mat = rng.integers(0, p, size=(k, k))
-                mat = (mat + mat.T) % p
-                nb = _kernels._nb_quadform_histogram(p, k, mat.astype(np.int64))
-                np_ = _kernels._np_quadform_histogram(p, k, mat.astype(np.int64))
-                assert nb.tolist() == np_.tolist()
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _kernels.count_sym_zeros(2**32, 2, [1]),  # m**k = 2**64
+        lambda: _kernels.count_sym_zeros(2, 63, [1]),  # m**k = 2**63
+        lambda: _kernels.count_sym_units(3, 40, [1, 2], True),
+        lambda: _kernels.lincong_histogram(2**32, 1, [1], [1]),  # m**2 + m > 2**63
+        lambda: _kernels.quadform_histogram(2**31, 2, [[1, 0], [0, 1]]),  # k*p**2 = 2**63
+    ],
+    ids=["zeros_m2^32_k2", "zeros_m2_k63", "units_m3_k40", "lincong_m2^32_k1", "quadform_p2^31_k2"],
+)
+def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
+    # with numpy gone from the module, any allocation would raise another error
+    monkeypatch.setattr(_kernels, "np", None)
+    with pytest.raises(ValueError, match="int64"):
+        call()
