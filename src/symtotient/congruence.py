@@ -20,7 +20,7 @@ from . import _kernels
 from .arith import euler_phi, factorize, is_prime, ramanujan_sum
 from .budget import check_budget
 from .symfield import SymSystem
-from .totient import IntegralityError, TotientSpec, phi
+from .totient import IntegralityError, TotientSpec, phi, unit_fiber_histogram
 
 
 @dataclass(frozen=True)
@@ -150,16 +150,12 @@ def g4_closed(m: int, n: int) -> int:
     return out
 
 
-def _unit_rhs_count(n: int, k: int, J, budget: int | None = None) -> int:
-    prob = CongruenceProblem((1,) * k, 1 % n, n, SymSystem(k, frozenset(J), "individual"))
-    return count_unit_rhs(prob, budget=budget)
-
-
 def generalized_ramanujan(m: int, n: int, k: int, J, budget: int | None = None) -> int:
     """The Ramanujan-type sum induced by the constrained solution set:
     g_k(1, n) * c(m, n), where g_k(1, n) counts unit-RHS solutions of the
     all-ones linear form under the constraints J."""
-    return _unit_rhs_count(n, k, J, budget=budget) * ramanujan_sum(m, n)
+    prob = CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
+    return count_unit_rhs(prob, budget=budget) * ramanujan_sum(m, n)
 
 
 def generalized_ramanujan_direct(
@@ -172,9 +168,7 @@ def generalized_ramanujan_direct(
     nearest integer and refuses (IntegralityError) if the value strays by
     tol or more before rounding.
     """
-    J = frozenset(J)
-    check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
-    hist = _kernels.lincong_histogram(n, k, [1] * k, sorted(J))
+    hist = unit_fiber_histogram(n, k, J, budget=budget)
     total = sum(
         int(c) * cmath.exp(2j * cmath.pi * m * a / n)
         for a, c in enumerate(hist)

@@ -5,13 +5,11 @@ Two totients are attached to an index set J on k variables and a modulus n:
     joint       count of tuples with gcd(e_j1, ..., e_jr, n) = 1
     individual  count of tuples with every gcd(e_j, n) = 1
 
-Both are multiplicative, so evaluation runs prime power by prime power
-with exact integer factors p^(k(a-1)) * (p^k - N), where N is a zero count
-from the closed-form dispatcher (brute force over F_p^k when no closed
-form applies).  The two totients convert into each other by an
-alternating sum over subsets of J; that bridge is how the individual
-mode is evaluated.  Brute-force oracles over Z_n^k and the Menon-identity
-sides live here as well.
+Both are multiplicative: the factor at p^a is p^(k(a-1)) times a count of
+tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
+(individual).  That count comes from closed zero counts when every count
+it needs closes, and otherwise from one enumeration of F_p^k.
+Brute-force oracles over Z_n^k and the Menon-identity sides live here too.
 
 Conventions: the value is 0 for empty J and 1 for n = 1.
 """
@@ -24,7 +22,7 @@ from itertools import combinations
 from . import _kernels
 from .arith import dirichlet_convolve_mu, divisors, euler_phi, factorize
 from .budget import check_budget
-from .symfield import SymSystem, closed_count_e1e2, closed_count_e2, count_zeros
+from .symfield import SymSystem, closed_count_e1e2, closed_count_e2, count_zeros_closed
 
 
 class IntegralityError(RuntimeError):
@@ -47,9 +45,22 @@ class TotientSpec:
         system = SymSystem(self.k, self.J, self.mode)  # validates k, J, mode
         object.__setattr__(self, "J", system.J)
 
-    @property
-    def system(self) -> SymSystem:
-        return SymSystem(self.k, self.J, self.mode)
+
+def _local_units(k: int, J, p: int, joint: bool, budget: int | None) -> int:
+    """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
+    zero: from closed zero counts when all close, else one pass over F_p^k."""
+    subsets = [J] if joint else [
+        frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
+    ]
+    zeros = [count_zeros_closed(sub, k, p) for sub in subsets]
+    if None not in zeros:
+        return sum(
+            (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z) for sub, z in zip(subsets, zeros)
+        )
+    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
+    if joint or len(J) == 1:  # one term: the zeros kernel is the faster pass
+        return p**k - _kernels.count_sym_zeros(p, k, sorted(J))
+    return _kernels.count_sym_units(p, k, sorted(J), joint=False)
 
 
 def _require_mode(spec: TotientSpec, mode: str) -> None:
@@ -57,61 +68,52 @@ def _require_mode(spec: TotientSpec, mode: str) -> None:
         raise ValueError(f"expected a mode={mode!r} spec, got mode={spec.mode!r}")
 
 
+def _product_form(spec: TotientSpec, mode: str, budget: int | None) -> int:
+    _require_mode(spec, mode)
+    if not spec.J:
+        return 0
+    out = 1
+    for p, a in factorize(spec.n):
+        out *= p ** (spec.k * (a - 1)) * _local_units(spec.k, spec.J, p, mode == "joint", budget)
+    return out
+
+
+def _enumerate(spec: TotientSpec, mode: str, budget: int | None) -> int:
+    _require_mode(spec, mode)
+    if not spec.J:
+        return 0
+    check_budget(spec.n**spec.k, budget, f"enumerating Z_{spec.n}^{spec.k}")
+    return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=mode == "joint")
+
+
 def varphi(spec: TotientSpec, budget: int | None = None) -> int:
     """Joint-gcd totient by its product form.
 
     Per prime power p^a dividing n the factor is p^(k(a-1)) * (p^k - N_J(p)),
-    with N_J(p) the simultaneous zero count in F_p^k.  No division ever
-    leaves the integers.
+    with N_J(p) the simultaneous zero count in F_p^k: closed when a formula
+    applies, else from one enumeration of F_p^k.
     """
-    _require_mode(spec, "joint")
-    if not spec.J:
-        return 0
-    out = 1
-    for p, a in factorize(spec.n):
-        n_p = count_zeros(SymSystem(spec.k, spec.J), p, budget=budget)
-        out *= p ** (spec.k * (a - 1)) * (p**spec.k - n_p)
-    return out
+    return _product_form(spec, "joint", budget)
 
 
 def phi(spec: TotientSpec, budget: int | None = None) -> int:
-    """Individual-gcd totient via the inclusion-exclusion bridge.
+    """Individual-gcd totient by its product form.
 
-    Per prime power the value is the alternating sum of the joint factors
-    over all nonempty subsets of J; multiplicativity then glues the primes.
+    Per prime power p^a dividing n the factor is p^(k(a-1)) times the number
+    of x in F_p^k with no e_j(x) zero: the alternating sum of p^k - N_S(p)
+    over the nonempty S in J when every N_S(p) closes, else one enumeration.
     """
-    _require_mode(spec, "individual")
-    if not spec.J:
-        return 0
-    J = sorted(spec.J)
-    out = 1
-    for p, a in factorize(spec.n):
-        lift = p ** (spec.k * (a - 1))
-        factor = 0
-        for r in range(1, len(J) + 1):
-            for sub in combinations(J, r):
-                n_p = count_zeros(SymSystem(spec.k, frozenset(sub)), p, budget=budget)
-                factor += (-1) ** (r + 1) * lift * (p**spec.k - n_p)
-        out *= factor
-    return out
+    return _product_form(spec, "individual", budget)
 
 
 def varphi_bruteforce(spec: TotientSpec, budget: int | None = None) -> int:
     """Joint-gcd totient by literal enumeration of Z_n^k."""
-    _require_mode(spec, "joint")
-    if not spec.J:
-        return 0
-    check_budget(spec.n**spec.k, budget, f"enumerating Z_{spec.n}^{spec.k}")
-    return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=True)
+    return _enumerate(spec, "joint", budget)
 
 
 def phi_bruteforce(spec: TotientSpec, budget: int | None = None) -> int:
     """Individual-gcd totient by literal enumeration of Z_n^k."""
-    _require_mode(spec, "individual")
-    if not spec.J:
-        return 0
-    check_budget(spec.n**spec.k, budget, f"enumerating Z_{spec.n}^{spec.k}")
-    return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=False)
+    return _enumerate(spec, "individual", budget)
 
 
 def closed_phi_12(k: int, n: int) -> int:
@@ -173,8 +175,9 @@ def unit_fiber_histogram(n: int, k: int, J, budget: int | None = None):
     """Histogram over a of tuples with e_1 = a (mod n) whose e_j are all units
     mod n (j in J).  One pass serves the Menon sum, fiber-uniformity checks,
     and exponential sums."""
+    J = TotientSpec(k, J, "individual", n).J  # validates n, k and J
     check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
-    return _kernels.lincong_histogram(n, k, [1] * k, sorted(frozenset(J)))
+    return _kernels.lincong_histogram(n, k, [1] * k, sorted(J))
 
 
 def menon_lhs(n: int, k: int, J, f, budget: int | None = None) -> int:

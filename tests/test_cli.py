@@ -119,6 +119,23 @@ class TestRamanujanCommand:
         assert "value=0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ramanujan", "--m", "1", "--n", "0", "--k", "2", "--J", "2", "--method", "brute"),
+        ("ramanujan", "--m", "1", "--n", "0", "--k", "2", "--J", "2", "--method", "closed"),
+        ("ramanujan", "--m", "1", "--n", "9", "--k", "2", "--J", "3", "--method", "brute"),
+        ("ramanujan", "--m", "1", "--n", "9", "--k", "2", "--J", "0", "--method", "brute"),
+        ("menon", "--n", "0", "--k", "1", "--J", "1"),
+    ],
+)
+def test_invalid_histogram_input_exits_2_before_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 class TestTableCommand:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run_cli(

@@ -226,6 +226,17 @@ class TestGeneralizedRamanujan:
                         direct = generalized_ramanujan_direct(m, n, k, J)
                         assert closed == direct
 
+    @pytest.mark.parametrize("n, k, J", [(0, 2, {2}), (9, 2, {3}), (9, 2, {0}), (9, 0, {1})])
+    def test_invalid_input_refused(self, n, k, J):
+        with pytest.raises(ValueError):
+            generalized_ramanujan_direct(1, n, k, J)
+        with pytest.raises(ValueError):
+            generalized_ramanujan(1, n, k, J)
+
+    def test_direct_validation_precedes_budget(self):
+        with pytest.raises(ValueError):
+            generalized_ramanujan_direct(1, 10**6, 3, {4}, budget=10)
+
     def test_direct_against_literal_tuple_sum(self):
         # literal defining sum: over tuples with unit e_j (j in J) and unit e_1
         n, k, J = 9, 2, {2}

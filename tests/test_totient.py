@@ -4,8 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
+from symtotient import _kernels
 from symtotient.arith import divisor_count, euler_phi, identity, jordan_totient, one
 from symtotient.budget import BudgetExceededError
+from symtotient.symfield import SymSystem, count_zeros_bruteforce
 from symtotient.totient import (
     IntegralityError,
     TotientSpec,
@@ -17,6 +19,7 @@ from symtotient.totient import (
     phi,
     phi_bruteforce,
     toth_phi_1k,
+    unit_fiber_histogram,
     varphi,
     varphi_bruteforce,
 )
@@ -153,15 +156,59 @@ class TestBridgeConsistency:
 
 
 class TestPerPrimeFallback:
+    # at k = 4 and odd p, {3} has no closed zero count; {1, 3}, {2, 3} and
+    # {1, 2, 3} mix subsets that close ({1}, {2}, {1, 2}) with ones that do
+    # not, so the product form falls back to one F_p^4 enumeration per prime
+    UNCLOSED_J = ({3}, {1, 3}, {2, 3}, {1, 2, 3})
+
     def test_undispatchable_J_matches_oracle(self):
-        # J = {3} at k = 4 has no closed form at odd primes, so the product
-        # form falls back to F_p enumeration per prime; the Z_n oracle must
-        # still agree
-        for n in (5, 10, 15):
-            sj = TotientSpec(4, {3}, "joint", n)
-            si = TotientSpec(4, {3}, "individual", n)
-            assert varphi(sj) == varphi_bruteforce(sj)
-            assert phi(si) == phi_bruteforce(si)
+        for J in self.UNCLOSED_J:
+            # the pure-Python oracle where Z_n^4 is small, the Z_n^4 kernel
+            # pass otherwise; 2 always closes, 9 and 25 are prime squares
+            for n in (2, 4, 5, 6, 9, 10, 12, 15, 18, 25):
+                sj = TotientSpec(4, J, "joint", n)
+                si = TotientSpec(4, J, "individual", n)
+                if n <= 9:
+                    assert varphi(sj) == brute_totient(4, J, n, joint=True)
+                    assert phi(si) == brute_totient(4, J, n, joint=False)
+                else:
+                    assert varphi(sj) == varphi_bruteforce(sj)
+                    assert phi(si) == phi_bruteforce(si)
+
+    def test_prime_factor_matches_subset_zero_counts(self):
+        # the inclusion-exclusion route over count_zeros_bruteforce runs on
+        # the zeros kernel, independent of the units kernel phi uses here
+        for J in self.UNCLOSED_J:
+            subsets = [frozenset(c) for r in range(1, len(J) + 1) for c in combinations(J, r)]
+            for p in (3, 5, 7):
+                zeros = {S: count_zeros_bruteforce(SymSystem(4, S), p) for S in subsets}
+                expected = sum((-1) ** (len(S) + 1) * (p**4 - zeros[S]) for S in subsets)
+                assert phi(TotientSpec(4, J, "individual", p)) == expected
+                assert varphi(TotientSpec(4, J, "joint", p)) == p**4 - zeros[frozenset(J)]
+
+    @pytest.mark.parametrize(
+        "spec, value, kernel_calls",
+        [
+            # 105 = 3 * 5 * 7 and {3} has no closed count at k = 6: one pass per prime
+            (TotientSpec(6, frozenset(range(1, 7)), "individual", 105), 785268000, 3),
+            # every subset of {1, 2} closes: no enumeration at all
+            (TotientSpec(2, {1, 2}, "individual", 45), closed_phi_12(2, 45), 0),
+        ],
+    )
+    def test_at_most_one_enumeration_per_prime(self, monkeypatch, spec, value, kernel_calls):
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("count_sym_units", "count_sym_zeros"):
+            monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
+        assert phi(spec) == value
+        assert len(calls) == kernel_calls
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
@@ -276,6 +323,19 @@ class TestMenon:
             for k, J in ((1, {1}), (2, {1, 2}), (3, {1, 2, 3})):
                 for f in (identity, one, divisor_count):
                     assert menon_lhs(n, k, J, f) == menon_rhs(n, k, J, f)
+
+
+class TestUnitFiberHistogram:
+    @pytest.mark.parametrize("n, k, J", [(0, 1, {1}), (9, 2, {3}), (9, 2, {0}), (9, 0, {1})])
+    def test_invalid_input_refused(self, n, k, J):
+        with pytest.raises(ValueError):
+            unit_fiber_histogram(n, k, J)
+        with pytest.raises(ValueError):
+            menon_lhs(n, k, J | {1}, identity)
+
+    def test_validation_precedes_budget(self):
+        with pytest.raises(ValueError):
+            unit_fiber_histogram(10**6, 3, {4}, budget=10)
 
 
 class TestIntegralityGuard:
