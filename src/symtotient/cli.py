@@ -30,7 +30,7 @@ from .arith import (
     moebius,
     one,
 )
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, resolve_budget
 from .symfield import (
     SymSystem,
     closed_count_e1e2,
@@ -329,6 +329,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved before any output, so a bad budget fails every command
+        args.budget = resolve_budget(args.budget)
         return args.fn(args, sys.stdout)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

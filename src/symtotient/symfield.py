@@ -11,6 +11,7 @@ inclusion-exclusion recurrence over zeroed coordinates.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import _kernels
 from .arith import binom_mod2, is_prime, nu, quadratic_character
@@ -170,7 +171,7 @@ def closed_count_el_mod2(l: int, k: int) -> int:
     return count_zeros_mod2({l}, k)
 
 
-def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = None) -> int:
+def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = None) -> int | None:
     """Zeros of {e_j : j in J} + {e_k} from counts on fewer variables.
 
     e_k = 0 means some coordinate vanishes; inclusion-exclusion over the
@@ -182,8 +183,10 @@ def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = No
     (those polynomials vanish identically once j coordinates are zero),
     and the empty count N_0 is 1.
 
-    base_counter(J', m) supplies N_m(J', p) for 1 <= m < k; by default the
-    closed-form dispatcher with brute-force fallback.
+    base_counter(J', m) supplies N_m(J', p) for 1 <= m < k, asked for
+    m = k-1 down to 1; by default the closed-form dispatcher with
+    brute-force fallback.  A base_counter that returns None for some base
+    (no count known) makes the result None.
     """
     J = frozenset(int(j) for j in J)
     if k in J:
@@ -195,19 +198,13 @@ def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = No
         def base_counter(Jm, m):
             return count_zeros(SymSystem(m, Jm), p, budget=budget)
 
-    total = 0
-    for j in range(1, k + 1):
-        m = k - j
-        if m == 0:
-            inner = 1
-        else:
-            inner = base_counter(frozenset(x for x in J if x <= m), m)
+    total = (-1) ** (k + 1)  # the j = k term: C(k, k) N_0 = 1
+    for j in range(1, k):
+        inner = base_counter(frozenset(x for x in J if x <= k - j), k - j)
+        if inner is None:
+            return None
         total += (-1) ** (j + 1) * math.comb(k, j) * inner
     return total
-
-
-class _NoClosedForm(Exception):
-    pass
 
 
 def count_zeros_closed(J, k: int, p: int) -> int | None:
@@ -233,16 +230,8 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     if J == frozenset({1, 2}):
         return closed_count_e1e2(k, p)
     if k in J:
-        def strict_base(Jm, m):
-            inner = count_zeros_closed(Jm, m, p)
-            if inner is None:
-                raise _NoClosedForm
-            return inner
-
-        try:
-            return extend_with_ek(J - {k}, k, p, base_counter=strict_base)
-        except _NoClosedForm:
-            return None
+        # the recurrence over closed bases only: None at the first base without one
+        return extend_with_ek(J - {k}, k, p, base_counter=partial(count_zeros_closed, p=p))
     return None
 
 

@@ -3,10 +3,12 @@
 Each cell checks one theorem-level identity over a fixed parameter grid.
 The manifest maps cell names to suites so the CLI and the acceptance
 tests run the very same sweeps; adding a theorem is one manifest entry.
-Grid points whose tuple space exceeds the active budget are reported as
-skipped with a reason, never silently dropped.
+Every budget-bound oracle call goes through `CellResult.attempt`, the one
+place where a grid point whose tuple space exceeds the active budget
+becomes a skip with a reason; no point is silently dropped.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -53,9 +55,14 @@ class CellResult:
         self.skipped += 1
         self.skips.append(label)
 
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
+    def attempt(self, label: str, fn):
+        """fn(), or None after recording the skip "<label> over budget" when
+        fn's enumeration exceeds the budget."""
+        try:
+            return fn()
+        except BudgetExceededError:
+            self.skip(f"{label} over budget")
+            return None
 
     def summary(self) -> str:
         total = self.passed + self.failed
@@ -74,51 +81,48 @@ def _e2_grid():
                 yield k, p
 
 
+def _closed_vs_enumeration(name: str, J, closed, budget) -> CellResult:
+    res = CellResult(name)
+    for k, p in _e2_grid():
+        label = f"k={k} p={p}"
+        brute = res.attempt(
+            label, lambda: count_zeros_bruteforce(SymSystem(k, J), p, budget=budget)
+        )
+        if brute is None:
+            continue
+        res.check(closed(k, p) == brute, label)
+    return res
+
+
 def cell_e2(budget=None) -> CellResult:
     """Closed e_2 count == enumeration over every in-cap (k, p), odd p <= 31,
     2 <= k <= 6; the grid contains the degenerate cells (4,3) and (6,5)."""
-    res = CellResult("e2")
-    for k, p in _e2_grid():
-        try:
-            brute = count_zeros_bruteforce(SymSystem(k, {2}), p, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"k={k} p={p} over budget")
-            continue
-        res.check(closed_count_e2(k, p) == brute, f"k={k} p={p}")
-    return res
+    return _closed_vs_enumeration("e2", {2}, closed_count_e2, budget)
 
 
 def cell_e1e2(budget=None) -> CellResult:
     """Closed (e_1, e_2) count == enumeration over the same grid."""
-    res = CellResult("e1e2")
-    for k, p in _e2_grid():
-        try:
-            brute = count_zeros_bruteforce(SymSystem(k, {1, 2}), p, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"k={k} p={p} over budget")
-            continue
-        res.check(closed_count_e1e2(k, p) == brute, f"k={k} p={p}")
-    return res
+    return _closed_vs_enumeration("e1e2", {1, 2}, closed_count_e1e2, budget)
 
 
 def cell_p2_closed(budget=None) -> CellResult:
     """All sieved-binomial closed forms at p = 2 against enumeration, k <= 20."""
     res = CellResult("p2-closed")
+
+    def brute(J, k):
+        return count_zeros_bruteforce(SymSystem(k, J), 2, budget=budget)
+
     for k in range(2, 21):
-        try:
-            b2 = count_zeros_bruteforce(SymSystem(k, {2}), 2, budget=budget)
-            b12 = count_zeros_bruteforce(SymSystem(k, {1, 2}), 2, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"k={k} over budget")
+        pair = res.attempt(f"k={k}", lambda: (brute({2}, k), brute({1, 2}, k)))
+        if pair is None:
             continue
+        b2, b12 = pair
         res.check(closed_count_e2(k, 2) == b2, f"e2 k={k}")
         res.check(closed_count_e1e2(k, 2) == b12, f"e1e2 k={k}")
     for k in range(1, 21):
         for l in range(1, min(4, k) + 1):
-            try:
-                bl = count_zeros_bruteforce(SymSystem(k, {l}), 2, budget=budget)
-            except BudgetExceededError:
-                res.skip(f"el l={l} k={k} over budget")
+            bl = res.attempt(f"el l={l} k={k}", lambda: brute({l}, k))
+            if bl is None:
                 continue
             res.check(closed_count_el_mod2(l, k) == bl, f"el l={l} k={k}")
     res.check(closed_count_e2(3, 2) == 4, "spot N_3(e2,2)=4")
@@ -126,21 +130,13 @@ def cell_p2_closed(budget=None) -> CellResult:
     return res
 
 
-def _stated_sum_e2_ek(k: int, p: int) -> int:
-    # the theorem-stated sum for J = {2, k}: truncated alternating sum plus
-    # the boundary term (-1)^k (kp - 1)
+def _stated_sum_ek(closed, boundary: int, k: int, p: int) -> int:
+    # the theorem-stated sum for J = {2, k} (closed e_2 counts, boundary
+    # kp - 1) or J = {1, 2, k} (closed (e_1, e_2) counts, boundary k - 1):
+    # the truncated alternating sum plus the boundary term (-1)^k boundary
     return sum(
-        (-1) ** (j + 1) * math.comb(k, j) * closed_count_e2(k - j, p)
-        for j in range(1, k - 1)
-    ) + (-1) ** k * (k * p - 1)
-
-
-def _stated_sum_e1e2_ek(k: int, p: int) -> int:
-    # the analogue for J = {1, 2, k}: boundary term (-1)^k (k - 1)
-    return sum(
-        (-1) ** (j + 1) * math.comb(k, j) * closed_count_e1e2(k - j, p)
-        for j in range(1, k - 1)
-    ) + (-1) ** k * (k - 1)
+        (-1) ** (j + 1) * math.comb(k, j) * closed(k - j, p) for j in range(1, k - 1)
+    ) + (-1) ** k * boundary
 
 
 def cell_recurrence(budget=None) -> CellResult:
@@ -152,20 +148,22 @@ def cell_recurrence(budget=None) -> CellResult:
         for k in (3, 4, 5):
             for J in ({1}, {2}, {1, 2}):
                 ext = extend_with_ek(J, k, p, budget=budget)
-                try:
-                    brute = count_zeros_bruteforce(
-                        SymSystem(k, frozenset(J) | {k}), p, budget=budget
-                    )
-                except BudgetExceededError:
-                    res.skip(f"J={sorted(J)} k={k} p={p} over budget")
+                label = f"J={sorted(J)} k={k} p={p}"
+                brute = res.attempt(
+                    label,
+                    lambda: count_zeros_bruteforce(SymSystem(k, J | {k}), p, budget=budget),
+                )
+                if brute is None:
                     continue
-                res.check(ext == brute, f"J={sorted(J)} k={k} p={p}")
+                res.check(ext == brute, label)
             res.check(
-                extend_with_ek({2}, k, p, budget=budget) == _stated_sum_e2_ek(k, p),
+                extend_with_ek({2}, k, p, budget=budget)
+                == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
                 f"boundary(kp-1) k={k} p={p}",
             )
             res.check(
-                extend_with_ek({1, 2}, k, p, budget=budget) == _stated_sum_e1e2_ek(k, p),
+                extend_with_ek({1, 2}, k, p, budget=budget)
+                == _stated_sum_ek(closed_count_e1e2, k - 1, k, p),
                 f"boundary(k-1) k={k} p={p}",
             )
     return res
@@ -203,10 +201,10 @@ def cell_quadform(budget=None) -> CellResult:
             samples += [_random_degenerate(rng, k, p) for _ in range(10)]
             for idx, rows in enumerate(samples):
                 form = QuadraticForm(p, rows)
-                try:
-                    hist = quadform_value_histogram(form, budget=budget)
-                except BudgetExceededError:
-                    res.skip(f"k={k} p={p} over budget")
+                hist = res.attempt(
+                    f"k={k} p={p}", lambda: quadform_value_histogram(form, budget=budget)
+                )
+                if hist is None:
                     break
                 counts = [quad_form_count(form, b) for b in range(p)]
                 res.check(
@@ -217,11 +215,11 @@ def cell_quadform(budget=None) -> CellResult:
 
 
 def _nonempty_subsets(k: int):
-    full = list(range(1, k + 1))
-    out = []
-    for mask in range(1, 1 << k):
-        out.append(frozenset(j for j in full if mask >> (j - 1) & 1))
-    return out
+    return [
+        frozenset(J)
+        for size in range(1, k + 1)
+        for J in itertools.combinations(range(1, k + 1), size)
+    ]
 
 
 def cell_product_forms(budget=None) -> CellResult:
@@ -234,12 +232,16 @@ def cell_product_forms(budget=None) -> CellResult:
             for J in subsets:
                 sj = tt.TotientSpec(k, J, "joint", n)
                 si = tt.TotientSpec(k, J, "individual", n)
-                try:
-                    bj = tt.varphi_bruteforce(sj, budget=budget)
-                    bi = tt.phi_bruteforce(si, budget=budget)
-                except BudgetExceededError:
-                    res.skip(f"n={n} k={k} over budget")
+                pair = res.attempt(
+                    f"n={n} k={k}",
+                    lambda: (
+                        tt.varphi_bruteforce(sj, budget=budget),
+                        tt.phi_bruteforce(si, budget=budget),
+                    ),
+                )
+                if pair is None:
                     continue
+                bj, bi = pair
                 res.check(tt.varphi(sj, budget=budget) == bj, f"joint n={n} k={k} J={sorted(J)}")
                 res.check(tt.phi(si, budget=budget) == bi, f"indiv n={n} k={k} J={sorted(J)}")
     return res
@@ -254,18 +256,22 @@ def cell_relation(budget=None) -> CellResult:
     for p in (3, 5):
         for a in (1, 2):
             n = p**a
-            try:
-                joint = {
-                    J: tt.varphi_bruteforce(tt.TotientSpec(k, J, "joint", n), budget=budget)
-                    for J in subsets
-                }
-                indiv = {
-                    J: tt.phi_bruteforce(tt.TotientSpec(k, J, "individual", n), budget=budget)
-                    for J in subsets
-                }
-            except BudgetExceededError:
-                res.skip(f"n={n} over budget")
+            both = res.attempt(
+                f"n={n}",
+                lambda: (
+                    {
+                        J: tt.varphi_bruteforce(tt.TotientSpec(k, J, "joint", n), budget=budget)
+                        for J in subsets
+                    },
+                    {
+                        J: tt.phi_bruteforce(tt.TotientSpec(k, J, "individual", n), budget=budget)
+                        for J in subsets
+                    },
+                ),
+            )
+            if both is None:
                 continue
+            joint, indiv = both
             full = frozenset({1, 2, 3})
             alt_joint = sum((-1) ** (len(J) + 1) * joint[J] for J in subsets)
             alt_indiv = sum((-1) ** (len(J) + 1) * indiv[J] for J in subsets)
@@ -303,10 +309,8 @@ def cell_phi12(budget=None) -> CellResult:
     for k in (2, 3):
         for n in range(1, 41):
             spec = tt.TotientSpec(k, {1, 2}, "individual", n)
-            try:
-                brute = tt.phi_bruteforce(spec, budget=budget)
-            except BudgetExceededError:
-                res.skip(f"k={k} n={n} over budget")
+            brute = res.attempt(f"k={k} n={n}", lambda: tt.phi_bruteforce(spec, budget=budget))
+            if brute is None:
                 continue
             res.check(tt.closed_phi_12(k, n) == brute, f"k={k} n={n}")
     res.check(tt.closed_phi_12(2, 9) == 18, "spot phi_12(2,9)=18")
@@ -318,10 +322,8 @@ def cell_phi123(budget=None) -> CellResult:
     res = CellResult("phi123")
     for n in range(1, 41):
         spec = tt.TotientSpec(3, {1, 2, 3}, "individual", n)
-        try:
-            brute = tt.phi_bruteforce(spec, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"n={n} over budget")
+        brute = res.attempt(f"n={n}", lambda: tt.phi_bruteforce(spec, budget=budget))
+        if brute is None:
             continue
         res.check(tt.closed_phi_123(n) == brute, f"n={n}")
     res.check(tt.closed_phi_123(5) == 40, "spot phi_123(5)=40")
@@ -339,10 +341,8 @@ def cell_menon(budget=None) -> CellResult:
     for k, J in ((1, frozenset({1})), (2, frozenset({1, 2})), (3, frozenset({1, 2, 3}))):
         for n in range(1, 41):
             for fname, f in MENON_WEIGHTS:
-                try:
-                    lhs = tt.menon_lhs(n, k, J, f, budget=budget)
-                except BudgetExceededError:
-                    res.skip(f"n={n} k={k} over budget")
+                lhs = res.attempt(f"n={n} k={k}", lambda: tt.menon_lhs(n, k, J, f, budget=budget))
+                if lhs is None:
                     continue
                 rhs = tt.menon_rhs(n, k, J, f, budget=budget)
                 res.check(lhs == rhs, f"n={n} k={k} f={fname}")
@@ -371,10 +371,10 @@ def cell_congruence_classes(budget=None) -> CellResult:
                 prob = cg.CongruenceProblem(
                     (1,) * k, 0, n, SymSystem(k, J, "individual")
                 )
-                try:
-                    hist = cg.solution_histogram(prob, budget=budget)
-                except BudgetExceededError:
-                    res.skip(f"n={n} k={k} over budget")
+                hist = res.attempt(
+                    f"n={n} k={k}", lambda: cg.solution_histogram(prob, budget=budget)
+                )
+                if hist is None:
                     continue
                 classes_ok = all(
                     int(hist[b]) == int(hist[math.gcd(b, n) % n]) for b in range(n)
@@ -396,28 +396,18 @@ def cell_g3_g4(budget=None) -> CellResult:
     g3 for every n <= 50 and every unit m; g4 for odd n <= 27, plus the
     even-n zero checked by enumeration at n in {2, 4, 6}."""
     res = CellResult("g3-g4")
-    for n in range(1, 51):
-        prob = cg.CongruenceProblem((1, 1, 1), 0, n, SymSystem(3, {2, 3}, "individual"))
-        try:
-            hist = cg.solution_histogram(prob, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"g3 n={n} over budget")
-            continue
-        units = [m for m in range(n) if math.gcd(m, n) == 1]
-        res.check(
-            all(cg.g3_closed(m, n) == int(hist[m]) for m in units), f"g3 n={n}"
-        )
-    for n in list(range(1, 28, 2)) + [2, 4, 6]:
-        prob = cg.CongruenceProblem((1, 1, 1, 1), 0, n, SymSystem(4, {3, 4}, "individual"))
-        try:
-            hist = cg.solution_histogram(prob, budget=budget)
-        except BudgetExceededError:
-            res.skip(f"g4 n={n} over budget")
-            continue
-        units = [m for m in range(n) if math.gcd(m, n) == 1]
-        res.check(
-            all(cg.g4_closed(m, n) == int(hist[m]) for m in units), f"g4 n={n}"
-        )
+    families = (
+        ("g3", 3, {2, 3}, cg.g3_closed, range(1, 51)),
+        ("g4", 4, {3, 4}, cg.g4_closed, [*range(1, 28, 2), 2, 4, 6]),
+    )
+    for name, k, J, closed, ns in families:
+        for n in ns:
+            prob = cg.CongruenceProblem((1,) * k, 0, n, SymSystem(k, J, "individual"))
+            hist = res.attempt(f"{name} n={n}", lambda: cg.solution_histogram(prob, budget=budget))
+            if hist is None:
+                continue
+            units = [m for m in range(n) if math.gcd(m, n) == 1]
+            res.check(all(closed(m, n) == int(hist[m]) for m in units), f"{name} n={n}")
     for n in range(2, 51, 2):
         res.check(cg.g4_closed(1, n) == 0, f"g4 even n={n}")
     res.check(cg.g3_closed(1, 5) == 10, "spot g3(1,5)=10")
@@ -432,14 +422,15 @@ def cell_ramanujan(budget=None) -> CellResult:
     for k in (2, 3):
         for J in (frozenset({2}), frozenset({1, 2})):
             for n in range(1, 21):
-                try:
-                    ok = all(
+                ok = res.attempt(
+                    f"n={n} k={k}",
+                    lambda: all(
                         cg.generalized_ramanujan(m, n, k, J, budget=budget)
                         == cg.generalized_ramanujan_direct(m, n, k, J, budget=budget)
                         for m in range(n)
-                    )
-                except BudgetExceededError:
-                    res.skip(f"n={n} k={k} over budget")
+                    ),
+                )
+                if ok is None:
                     continue
                 res.check(ok, f"n={n} k={k} J={sorted(J)}")
     return res

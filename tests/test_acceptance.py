@@ -9,6 +9,7 @@ where the criterion states one.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from symtotient import verify
 from symtotient.arith import identity, jordan_totient
@@ -137,5 +138,8 @@ def test_criterion_15_verify_all_under_ten_minutes():
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "failed=0" in proc.stdout
+    # every cell, label and check count: a shrunken grid or a lost cell fails here
+    golden = Path(__file__).parent / "golden" / "verify_all.txt"
+    assert proc.stdout == golden.read_text()
     assert elapsed < 600
     report("criterion-15 verify --suite all", elapsed=elapsed)

@@ -61,3 +61,32 @@ def test_bad_env_var_cli_exits_2(monkeypatch, capsys, raw):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: SYMTOTIENT_BUDGET")
+
+
+def test_zero_is_valid(monkeypatch):
+    monkeypatch.setenv("SYMTOTIENT_BUDGET", "0")
+    assert resolve_budget() == 0
+    assert resolve_budget(0) == 0
+
+
+def test_negative_explicit_budget_refused(monkeypatch):
+    monkeypatch.delenv("SYMTOTIENT_BUDGET", raising=False)
+    with pytest.raises(ValueError, match="^budget must be a nonnegative"):
+        resolve_budget(-7)
+    with pytest.raises(ValueError, match="^budget must be a nonnegative"):
+        resolve_budget(-0.5)
+
+
+@pytest.mark.parametrize("raw", ["-5", "-1e3", "-0.5"])
+def test_negative_env_var_refused(monkeypatch, raw):
+    monkeypatch.setenv("SYMTOTIENT_BUDGET", raw)
+    with pytest.raises(ValueError, match="^SYMTOTIENT_BUDGET must be a nonnegative"):
+        resolve_budget()
+
+
+def test_negative_budget_refused_before_enumeration(monkeypatch):
+    from symtotient.symfield import SymSystem, count_zeros_bruteforce
+
+    monkeypatch.delenv("SYMTOTIENT_BUDGET", raising=False)
+    with pytest.raises(ValueError, match="budget"):
+        count_zeros_bruteforce(SymSystem(2, {2}), 5, budget=-1)

@@ -136,6 +136,29 @@ def test_invalid_histogram_input_exits_2_before_output(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        (None, ("totient", "--n", "10", "--k", "2", "--J", "1,2", "--budget", "-7")),
+        ("abc", ("totient", "--n", "10", "--k", "2", "--J", "1,2")),
+        ("abc", ("table", "--quantity", "euler_phi", "--n-range", "1..3")),
+        (None, ("totient", "--n", "10", "--k", "2", "--J", "1", "--method", "brute",
+                "--budget", "-1")),
+        ("-5", ("verify", "--suite", "totient")),
+    ],
+)
+def test_invalid_budget_exits_2_before_output(monkeypatch, capsys, env, argv):
+    if env is None:
+        monkeypatch.delenv("SYMTOTIENT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SYMTOTIENT_BUDGET", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err.lower()
+
+
 class TestTableCommand:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run_cli(
@@ -204,6 +227,38 @@ class TestTableCommand:
         assert first == second
 
 
+# `verify --suite S --budget 100`: which points skip, and under which label
+TINY_BUDGET_OUTPUT = {
+    "symfield": """\
+e2: 5/5 ok, 38 skipped (k=5 p=3 over budget)
+e1e2: 5/5 ok, 38 skipped (k=5 p=3 over budget)
+p2-closed: 30/30 ok, 70 skipped (k=7 over budget)
+recurrence: 39/39 ok, 21 skipped (J=[1] k=5 p=3 over budget)
+quadform: 450/450 ok, 7 skipped (k=3 p=5 over budget)
+degenerate-e2: 5/5 ok
+suite=symfield cells=6 checks-passed=534 failed=0 skipped=174 backend=numpy
+""",
+    "totient": """\
+product-forms: 216/216 ok, 442 skipped (n=11 k=2 over budget)
+relation: 2/2 ok, 3 skipped (n=9 over budget)
+jordan: 5/5 ok
+phi12: 16/16 ok, 66 skipped (k=2 n=11 over budget)
+phi123: 6/6 ok, 36 skipped (n=5 over budget)
+suite=totient cells=5 checks-passed=245 failed=0 skipped=547 backend=numpy
+""",
+    "menon": """\
+menon: 163/163 ok, 198 skipped (n=11 k=2 over budget)
+suite=menon cells=1 checks-passed=163 failed=0 skipped=198 backend=numpy
+""",
+    "congruence": """\
+congruence-classes: 240/240 ok, 190 skipped (n=11 k=2 over budget)
+g3-g4: 34/34 ok, 60 skipped (g3 n=5 over budget)
+ramanujan: 28/28 ok, 52 skipped (n=11 k=2 over budget)
+suite=congruence cells=3 checks-passed=302 failed=0 skipped=302 backend=numpy
+""",
+}
+
+
 class TestVerifyCommand:
     def test_menon_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "menon")
@@ -214,6 +269,13 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "congruence", "--budget", "100")
         assert code == 0
         assert "skipped" in out
+
+    @pytest.mark.parametrize("suite, expected", TINY_BUDGET_OUTPUT.items())
+    def test_tiny_budget_output_pinned(self, monkeypatch, capsys, suite, expected):
+        monkeypatch.delenv("SYMTOTIENT_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--budget", "100")
+        assert code == 0
+        assert out == expected
 
     def test_tiny_budget_fails_strict(self, capsys):
         code, _, _ = run_cli(

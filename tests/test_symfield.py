@@ -209,6 +209,17 @@ class TestExtendWithEk:
         assert extend_with_ek({2}, 3, 3, base_counter=oracle_base) == 7
         assert (frozenset({2}), 2) in calls and (frozenset(), 1) in calls
 
+    def test_base_without_count_gives_none(self):
+        # bases are asked for m = k-1 down to 1; the first None ends the sum
+        calls = []
+
+        def partial_base(J, m):
+            calls.append(m)
+            return None if m == 3 else brute_zeros(J, m, 3)
+
+        assert extend_with_ek({1}, 5, 3, base_counter=partial_base) is None
+        assert calls == [4, 3]
+
 
 class TestDispatch:
     def test_closed_paths(self):
@@ -221,6 +232,8 @@ class TestDispatch:
     def test_no_closed_form_returns_none(self):
         assert count_zeros_closed({3}, 5, 7) is None
         assert count_zeros_closed({2, 4}, 5, 7) is None
+        # e_5 appended over {3}, whose base N_4({3}) has no closed form
+        assert count_zeros_closed({3, 5}, 5, 7) is None
 
     def test_count_zeros_falls_back_to_bruteforce(self):
         got = count_zeros(SymSystem(4, {3}), 5)
