@@ -4,6 +4,11 @@ Subcommands evaluate single quantities (totient, zeros, congruence, menon,
 ramanujan), stream tables over parameter ranges (table), or run the full
 closed-form-versus-oracle sweeps (verify).
 
+totient, zeros, congruence and ramanujan pair a closed route with an
+enumeration oracle (--method closed|brute|both); their method= label is
+closed-form, per-prime-enumeration (the closed route enumerated F_p^k for
+some prime p), brute-force, or both (the two routes ran and agreed).
+
 Exit codes: 0 success, 2 disagreement or invalid input, 3 enumeration
 budget exceeded.  Output is deterministic: identical invocations produce
 byte-identical streams.
@@ -16,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import congruence as cg
 from . import totient as tt
@@ -91,84 +97,86 @@ def parse_range(text: str) -> range:
     return range(val, val + 1)
 
 
-def _emit_comparison(name, params, closed_val, brute_val, method, out):
-    """Shared closed/brute/both reporting; returns the exit status."""
-    if method == "closed":
-        print(OutputRecord(name, params, closed_val, "closed-form").line(), file=out)
-        return EXIT_OK
-    if method == "brute":
-        print(OutputRecord(name, params, brute_val, "brute-force").line(), file=out)
-        return EXIT_OK
-    if closed_val != brute_val:
-        print(OutputRecord(name, params, closed_val, "closed-form").line(), file=out)
-        print(OutputRecord(name, params, brute_val, "brute-force").line(), file=out)
-        print(
-            f"error: closed-form and brute-force disagree: {closed_val} != {brute_val}",
-            file=sys.stderr,
-        )
+def _jtext(J) -> str:
+    return ",".join(str(j) for j in sorted(J))
+
+
+def _compare(name, routes, args, out) -> int:
+    """Run the closed route unless --method brute, then the brute route unless
+    --method closed, print their records and return the exit status.
+    routes(args) validates the input and returns (params, closed, brute): the
+    printed parameters and the two routes as functions of the budget.  The
+    closed route is probed at budget 0 (closed forms only) first; if that
+    needs an enumeration, it reruns at the real budget and is labelled
+    per-prime-enumeration.  The probe stops at its first budget check, before
+    any tuple is enumerated.
+    """
+    params, closed, brute = routes(args)
+    values = {}
+    if args.method != "brute":
+        try:
+            values["closed-form"] = closed(0)
+        except BudgetExceededError:
+            values["per-prime-enumeration"] = closed(args.budget)
+    if args.method != "closed":
+        values["brute-force"] = brute(args.budget)
+    if len(values) == 2 and len(set(values.values())) == 1:
+        values = {"both": values["brute-force"]}
+    for method, value in values.items():
+        print(OutputRecord(name, params, value, method).line(), file=out)
+    if len(values) == 2:
+        closed_val, brute_val = values.values()
+        print(f"error: closed-form and brute-force disagree: {closed_val} != {brute_val}",
+              file=sys.stderr)
         return EXIT_DISAGREE
-    print(OutputRecord(name, params, closed_val, "both").line(), file=out)
     return EXIT_OK
 
 
-def _cmd_totient(args, out) -> int:
-    J = parse_indices(args.J, args.k)
-    spec = TotientSpec(args.k, J, args.mode, args.n)
-    closed_fn = tt.varphi if args.mode == "joint" else tt.phi
-    brute_fn = tt.varphi_bruteforce if args.mode == "joint" else tt.phi_bruteforce
-    params = [
-        ("n", args.n),
-        ("k", args.k),
-        ("J", ",".join(str(j) for j in sorted(J))),
-        ("mode", args.mode),
-    ]
-    closed_val = closed_fn(spec, budget=args.budget) if args.method != "brute" else None
-    brute_val = brute_fn(spec, budget=args.budget) if args.method != "closed" else None
-    return _emit_comparison("totient", params, closed_val, brute_val, args.method, out)
+def _totient_routes(args):
+    spec = TotientSpec(args.k, parse_indices(args.J, args.k), args.mode, args.n)
+    joint = args.mode == "joint"
+    params = [("n", args.n), ("k", args.k), ("J", _jtext(spec.J)), ("mode", args.mode)]
+    closed = partial(tt.varphi if joint else tt.phi, spec)
+    return params, closed, partial(tt.varphi_bruteforce if joint else tt.phi_bruteforce, spec)
 
 
-def _cmd_zeros(args, out) -> int:
-    J = parse_indices(args.J, args.k)
-    system = SymSystem(args.k, J)
-    params = [("p", args.p), ("k", args.k), ("J", ",".join(str(j) for j in sorted(J)))]
-    closed_val = brute_val = None
-    if args.method != "brute":
-        closed_val = count_zeros_closed(J, args.k, args.p)
-        if closed_val is None:
-            print(
-                f"error: no closed form for J={sorted(J)} at k={args.k}; use --method brute",
-                file=sys.stderr,
+def _zeros_routes(args):
+    system = SymSystem(args.k, parse_indices(args.J, args.k))
+
+    def closed(budget):
+        value = count_zeros_closed(system.J, system.k, args.p)
+        if value is None:
+            raise ValueError(
+                f"no closed form for J={sorted(system.J)} at k={system.k}; use --method brute"
             )
-            return EXIT_DISAGREE
-    if args.method != "closed":
-        brute_val = count_zeros_bruteforce(system, args.p, budget=args.budget)
-    return _emit_comparison("zeros", params, closed_val, brute_val, args.method, out)
+        return value
+
+    params = [("p", args.p), ("k", args.k), ("J", _jtext(system.J))]
+    return params, closed, partial(count_zeros_bruteforce, system, args.p)
 
 
-def _cmd_congruence(args, out) -> int:
+def _congruence_routes(args):
     coeffs = tuple(int(part) for part in args.coeffs.split(","))
-    k = len(coeffs)
-    J = parse_indices(args.J, k)
-    prob = cg.CongruenceProblem(coeffs, args.b, args.n, SymSystem(k, J, "individual"))
-    params = [
-        ("n", args.n),
-        ("b", args.b),
-        ("coeffs", args.coeffs),
-        ("J", ",".join(str(j) for j in sorted(J))),
-    ]
-    closed_val = brute_val = None
-    if args.method != "brute":
+    J = parse_indices(args.J, len(coeffs))
+    prob = cg.CongruenceProblem(coeffs, args.b, args.n, SymSystem(len(coeffs), J, "individual"))
+
+    def closed(budget):
         if math.gcd(prob.b, prob.n) != 1:
-            print(
-                f"error: the closed form needs gcd(b, n) = 1 (got b={prob.b}, n={prob.n}); "
-                "use --method brute",
-                file=sys.stderr,
+            raise ValueError(
+                f"the closed form needs gcd(b, n) = 1 (got b={prob.b}, n={prob.n}); "
+                "use --method brute"
             )
-            return EXIT_DISAGREE
-        closed_val = cg.count_unit_rhs(prob, budget=args.budget)
-    if args.method != "closed":
-        brute_val = cg.count_bruteforce(prob, budget=args.budget)
-    return _emit_comparison("congruence", params, closed_val, brute_val, args.method, out)
+        return cg.count_unit_rhs(prob, budget=budget)
+
+    params = [("n", args.n), ("b", args.b), ("coeffs", args.coeffs), ("J", _jtext(J))]
+    return params, closed, partial(cg.count_bruteforce, prob)
+
+
+def _ramanujan_routes(args):
+    query = (args.m, args.n, args.k, parse_indices(args.J, args.k))
+    params = [("m", args.m), ("n", args.n), ("k", args.k), ("J", _jtext(query[3]))]
+    closed = partial(cg.generalized_ramanujan, *query)
+    return params, closed, partial(cg.generalized_ramanujan_direct, *query)
 
 
 _WEIGHTS = {"id": identity, "one": one, "tau": divisor_count}
@@ -179,28 +187,11 @@ def _cmd_menon(args, out) -> int:
     f = _WEIGHTS[args.f]
     lhs = tt.menon_lhs(args.n, args.k, J, f, budget=args.budget)
     rhs = tt.menon_rhs(args.n, args.k, J, f, budget=args.budget)
-    jtext = ",".join(str(j) for j in sorted(J))
-    print(f"menon n={args.n} k={args.k} J={jtext} f={args.f} lhs={lhs} rhs={rhs}", file=out)
+    print(f"menon n={args.n} k={args.k} J={_jtext(J)} f={args.f} lhs={lhs} rhs={rhs}", file=out)
     if lhs != rhs:
         print(f"error: Menon identity violated: {lhs} != {rhs}", file=sys.stderr)
         return EXIT_DISAGREE
     return EXIT_OK
-
-
-def _cmd_ramanujan(args, out) -> int:
-    J = parse_indices(args.J, args.k)
-    params = [
-        ("m", args.m),
-        ("n", args.n),
-        ("k", args.k),
-        ("J", ",".join(str(j) for j in sorted(J))),
-    ]
-    closed_val = brute_val = None
-    if args.method != "brute":
-        closed_val = cg.generalized_ramanujan(args.m, args.n, args.k, J, budget=args.budget)
-    if args.method != "closed":
-        brute_val = cg.generalized_ramanujan_direct(args.m, args.n, args.k, J, budget=args.budget)
-    return _emit_comparison("ramanujan", params, closed_val, brute_val, args.method, out)
 
 
 # table quantities: name -> (parameter names in column order, evaluator)
@@ -272,31 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn=None, routes=None, **kwargs):
+        """A subcommand; given routes, a two-route command run by _compare."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
         p.add_argument("--budget", type=int, default=None, help="tuple cap for enumerations")
+        if routes is not None:
+            fn = partial(_compare, name, routes)
+            p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
+        p.set_defaults(fn=fn)
         return p
 
-    p = add("totient", _cmd_totient, help="evaluate a generalized totient")
+    p = add("totient", routes=_totient_routes, help="evaluate a generalized totient")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--J", required=True, help='constraint indices, e.g. "1,2" or "1..k"')
     p.add_argument("--mode", choices=("joint", "individual"), default="joint")
-    p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
 
-    p = add("zeros", _cmd_zeros, help="count simultaneous zeros over a prime field")
+    p = add("zeros", routes=_zeros_routes, help="count simultaneous zeros over a prime field")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--J", required=True)
-    p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
 
-    p = add("congruence", _cmd_congruence, help="count restricted linear congruence solutions")
+    p = add(
+        "congruence", routes=_congruence_routes, help="count restricted linear congruence solutions"
+    )
     p.add_argument("--coeffs", required=True, help='comma list, e.g. "1,1,1,1"')
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--J", required=True)
-    p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
 
     p = add("menon", _cmd_menon, help="evaluate both sides of the Menon identity")
     p.add_argument("--n", type=int, required=True)
@@ -304,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True)
     p.add_argument("--f", choices=sorted(_WEIGHTS), default="id")
 
-    p = add("ramanujan", _cmd_ramanujan, help="evaluate the generalized Ramanujan sum")
+    p = add("ramanujan", routes=_ramanujan_routes, help="evaluate the generalized Ramanujan sum")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--J", required=True)
-    p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
 
     p = add("table", _cmd_table, help="stream a table of values over parameter ranges")
     p.add_argument("--quantity", choices=sorted(TABLE_QUANTITIES), required=True)
@@ -326,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # resolved before any output, so a bad budget fails every command
         args.budget = resolve_budget(args.budget)

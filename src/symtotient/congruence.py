@@ -22,6 +22,8 @@ from .budget import check_budget
 from .symfield import SymSystem
 from .totient import IntegralityError, TotientSpec, phi, unit_fiber_histogram
 
+_INTEGRALITY_TOL = 1e-6  # the largest stray of the direct sum from an integer
+
 
 @dataclass(frozen=True)
 class CongruenceProblem:
@@ -158,25 +160,24 @@ def generalized_ramanujan(m: int, n: int, k: int, J, budget: int | None = None) 
     return count_unit_rhs(prob, budget=budget) * ramanujan_sum(m, n)
 
 
-def generalized_ramanujan_direct(
-    m: int, n: int, k: int, J, budget: int | None = None, tol: float = 1e-6
-) -> int:
+def generalized_ramanujan_direct(m: int, n: int, k: int, J, budget: int | None = None) -> int:
     """The same sum from its definition: sum of e^(2*pi*i*m*e_1(x)/n) over the
     constrained tuples whose e_1 is itself a unit mod n, by enumeration.
 
-    This is the one floating-point path in the library; it rounds to the
-    nearest integer and refuses (IntegralityError) if the value strays by
-    tol or more before rounding.
+    This is the one floating-point path in the library.  The phase m*a is
+    reduced mod n exactly before the float division; the sum is rounded to
+    the nearest integer and refused (IntegralityError) if it strays by 1e-6
+    or more before rounding.
     """
     hist = unit_fiber_histogram(n, k, J, budget=budget)
     total = sum(
-        int(c) * cmath.exp(2j * cmath.pi * m * a / n)
+        int(c) * cmath.exp(2j * cmath.pi * (m * a % n) / n)
         for a, c in enumerate(hist)
         if c and math.gcd(a, n) == 1
     )
     nearest = round(total.real)
-    if abs(total - nearest) >= tol:
+    if abs(total - nearest) >= _INTEGRALITY_TOL:
         raise IntegralityError(
-            f"exponential sum {total} is not within {tol} of an integer"
+            f"exponential sum {total} is not within {_INTEGRALITY_TOL} of an integer"
         )
     return int(nearest)

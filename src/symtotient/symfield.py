@@ -20,6 +20,15 @@ from .budget import check_budget
 MODES = ("joint", "individual")
 
 
+def _check_indices(J, k: int) -> None:
+    """Refuse an arity below 1 or an index outside [1, k]."""
+    if k < 1:
+        raise ValueError(f"arity k must be >= 1, got {k}")
+    for j in J:
+        if not 1 <= j <= k:
+            raise ValueError(f"index {j} outside [1, {k}]")
+
+
 @dataclass(frozen=True)
 class SymSystem:
     """Constraints on k variables through the symmetric polynomials e_j, j in J.
@@ -34,13 +43,9 @@ class SymSystem:
     mode: str = "joint"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"arity k must be >= 1, got {self.k}")
         J = frozenset(int(j) for j in self.J)
         object.__setattr__(self, "J", J)
-        for j in J:
-            if not 1 <= j <= self.k:
-                raise ValueError(f"index {j} outside [1, {self.k}]")
+        _check_indices(J, self.k)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -112,6 +117,7 @@ def count_zeros_mod2(J, k: int) -> int:
     tuple is a zero of the system iff no j in J is a submask of w.
     """
     J = frozenset(J)
+    _check_indices(J, k)
     total = 0
     for w in range(k + 1):
         if all(binom_mod2(w, j) == 0 for j in J):
@@ -166,8 +172,6 @@ def closed_count_e1e2(k: int, p: int) -> int:
 def closed_count_el_mod2(l: int, k: int) -> int:
     """Zeros of e_l in F_2^k: the binomial sum over weights w with l not a
     submask of w."""
-    if not 1 <= l <= k:
-        raise ValueError(f"index {l} outside [1, {k}]")
     return count_zeros_mod2({l}, k)
 
 
@@ -212,9 +216,11 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
 
     Dispatch: any J at p = 2 (submask sums); empty J; the full set
     {1,...,k}; {1}; {2}; {1,2}; and any J containing k whose recurrence
-    bases are themselves dispatchable.
+    bases are themselves dispatchable.  An arity below 1 or an index outside
+    [1, k] raises ValueError.
     """
     J = frozenset(int(j) for j in J)
+    _check_indices(J, k)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:

@@ -1,17 +1,21 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-The sweeps themselves live in symtotient.verify so the CLI `verify`
-command and this module run identical grids.  Every check is an exact
+The sweeps themselves live in symtotient.verify.  A module-scoped fixture
+runs them once, through the CLI's `verify --suite all --strict`, and
+records each manifest cell's result and seconds: criteria 1-14 check their
+cell's record and criterion 15 the whole run.  Every check is an exact
 integer equality unless a tolerance is stated; timing bounds are asserted
 where the criterion states one.
 """
 
-import subprocess
-import sys
+import contextlib
+import io
 import time
 from pathlib import Path
 
-from symtotient import verify
+import pytest
+
+from symtotient import cli, verify
 from symtotient.arith import identity, jordan_totient
 from symtotient.congruence import g3_closed, g4_closed
 from symtotient.symfield import SymSystem, closed_count_e2, count_zeros_bruteforce
@@ -27,17 +31,43 @@ def report(name: str, res: verify.CellResult | None = None, elapsed: float | Non
     print(f"{name}: PASS{note}")
 
 
-def run_cell(cell):
+@pytest.fixture(scope="module")
+def sweep():
+    """One run of `verify --suite all --strict`: (exit code, stdout, seconds,
+    {cell name: (CellResult, seconds)})."""
+    cells = {}
+
+    def recorded(name, cell):
+        def run(budget=None):
+            t0 = time.perf_counter()
+            res = cell(budget=budget)
+            cells[name] = (res, time.perf_counter() - t0)
+            return res
+
+        return run
+
+    manifest = verify.MANIFEST
+    verify.MANIFEST = tuple((suite, name, recorded(name, cell)) for suite, name, cell in manifest)
+    out = io.StringIO()
     t0 = time.perf_counter()
-    res = cell()
-    elapsed = time.perf_counter() - t0
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--suite", "all", "--strict"])
+    finally:
+        verify.MANIFEST = manifest
+    return code, out.getvalue(), time.perf_counter() - t0, cells
+
+
+def run_cell(sweep, name):
+    *_, cells = sweep
+    res, elapsed = cells[name]
     assert res.failed == 0, res.failures[:10]
     assert res.skipped == 0, res.skips[:10]
     return res, elapsed
 
 
-def test_criterion_01_e2_closed_form_sweep():
-    res, elapsed = run_cell(verify.cell_e2)
+def test_criterion_01_e2_closed_form_sweep(sweep):
+    res, elapsed = run_cell(sweep, "e2")
     # the grid must include degenerate cells (k = 1 mod p)
     grid = set(verify._e2_grid())
     assert {(4, 3), (6, 5)} <= grid
@@ -45,101 +75,95 @@ def test_criterion_01_e2_closed_form_sweep():
     report("criterion-01 e2 sweep", res, elapsed)
 
 
-def test_criterion_02_e1e2_closed_form_sweep():
-    res, elapsed = run_cell(verify.cell_e1e2)
+def test_criterion_02_e1e2_closed_form_sweep(sweep):
+    res, elapsed = run_cell(sweep, "e1e2")
     assert elapsed < 120
     report("criterion-02 e1e2 sweep", res, elapsed)
 
 
-def test_criterion_03_p2_closed_forms():
+def test_criterion_03_p2_closed_forms(sweep):
+    res, elapsed = run_cell(sweep, "p2-closed")
     t0 = time.perf_counter()
-    res, _ = run_cell(verify.cell_p2_closed)
-    elapsed = time.perf_counter() - t0
     assert closed_count_e2(3, 2) == 4
     assert count_zeros_bruteforce(SymSystem(3, {3}), 2) == 7
+    elapsed += time.perf_counter() - t0
     assert elapsed < 10
     report("criterion-03 p=2 closed forms", res, elapsed)
 
 
-def test_criterion_04_append_ek_recurrence():
-    res, elapsed = run_cell(verify.cell_recurrence)
+def test_criterion_04_append_ek_recurrence(sweep):
+    res, elapsed = run_cell(sweep, "recurrence")
     report("criterion-04 append-e_k recurrence", res, elapsed)
 
 
-def test_criterion_05_quadratic_forms():
-    res, elapsed = run_cell(verify.cell_quadform)
+def test_criterion_05_quadratic_forms(sweep):
+    res, elapsed = run_cell(sweep, "quadform")
     report("criterion-05 quadratic forms", res, elapsed)
 
 
-def test_criterion_06_product_forms():
-    res, elapsed = run_cell(verify.cell_product_forms)
+def test_criterion_06_product_forms(sweep):
+    res, elapsed = run_cell(sweep, "product-forms")
     assert elapsed < 180
     report("criterion-06 product forms", res, elapsed)
 
 
-def test_criterion_07_totient_relation():
-    res, elapsed = run_cell(verify.cell_relation)
+def test_criterion_07_totient_relation(sweep):
+    res, elapsed = run_cell(sweep, "relation")
     report("criterion-07 totient relation", res, elapsed)
 
 
-def test_criterion_08_jordan_corollary():
+def test_criterion_08_jordan_corollary(sweep):
+    res, elapsed = run_cell(sweep, "jordan")
     t0 = time.perf_counter()
-    res, _ = run_cell(verify.cell_jordan)
-    elapsed = time.perf_counter() - t0
     assert varphi(TotientSpec(2, {1, 2}, "joint", 6)) == jordan_totient(2, 6) == 24
+    elapsed += time.perf_counter() - t0
     assert elapsed < 5
     report("criterion-08 Jordan corollary", res, elapsed)
 
 
-def test_criterion_09_phi12_and_toth():
-    res, elapsed = run_cell(verify.cell_phi12)
+def test_criterion_09_phi12_and_toth(sweep):
+    res, elapsed = run_cell(sweep, "phi12")
     assert closed_phi_12(2, 9) == 18
     report("criterion-09 phi_12 and the {1,k} product", res, elapsed)
 
 
-def test_criterion_10_phi123():
-    res, elapsed = run_cell(verify.cell_phi123)
+def test_criterion_10_phi123(sweep):
+    res, elapsed = run_cell(sweep, "phi123")
     assert closed_phi_123(5) == 40
     assert closed_phi_123(2) == 1
     report("criterion-10 phi_123", res, elapsed)
 
 
-def test_criterion_11_menon_identity():
-    res, elapsed = run_cell(verify.cell_menon)
+def test_criterion_11_menon_identity(sweep):
+    res, elapsed = run_cell(sweep, "menon")
     assert menon_lhs(6, 1, {1}, identity) == 8
     report("criterion-11 Menon identity", res, elapsed)
 
 
-def test_criterion_12_congruence_classes():
-    res, elapsed = run_cell(verify.cell_congruence_classes)
+def test_criterion_12_congruence_classes(sweep):
+    res, elapsed = run_cell(sweep, "congruence-classes")
     report("criterion-12 congruence class invariance", res, elapsed)
 
 
-def test_criterion_13_g3_g4():
-    res, elapsed = run_cell(verify.cell_g3_g4)
+def test_criterion_13_g3_g4(sweep):
+    res, elapsed = run_cell(sweep, "g3-g4")
     assert g3_closed(1, 5) == 10
     assert g4_closed(1, 3) == 5
     report("criterion-13 g3/g4 closed products", res, elapsed)
 
 
-def test_criterion_14_generalized_ramanujan():
-    res, elapsed = run_cell(verify.cell_ramanujan)
+def test_criterion_14_generalized_ramanujan(sweep):
+    res, elapsed = run_cell(sweep, "ramanujan")
     report("criterion-14 generalized Ramanujan sums", res, elapsed)
 
 
-def test_criterion_15_verify_all_under_ten_minutes():
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "symtotient", "verify", "--suite", "all", "--strict"],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    elapsed = time.perf_counter() - t0
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "failed=0" in proc.stdout
+def test_criterion_15_verify_all_under_ten_minutes(sweep):
+    code, out, elapsed, cells = sweep
+    assert code == 0, out
+    assert "failed=0" in out
     # every cell, label and check count: a shrunken grid or a lost cell fails here
     golden = Path(__file__).parent / "golden" / "verify_all.txt"
-    assert proc.stdout == golden.read_text()
+    assert out == golden.read_text()
+    assert list(cells) == [name for _, name, _ in verify.MANIFEST]
     assert elapsed < 600
     report("criterion-15 verify --suite all", elapsed=elapsed)

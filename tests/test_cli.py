@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
+from symtotient import _kernels, totient
 from symtotient.cli import main, parse_indices, parse_range
 
 
@@ -117,6 +120,131 @@ class TestRamanujanCommand:
         )
         assert code == 0
         assert "value=0" in out
+
+
+# Every two-route command under each --method, the two closed-route
+# refusals and three budget refusals: (argv, exit code, stdout, stderr).
+# Rows whose closed route enumerates F_p^k say so: per-prime-enumeration.
+_OVER = (
+    "over the enumeration budget of {}; "
+    "raise it via SYMTOTIENT_BUDGET or an explicit budget argument"
+)
+TWO_ROUTE_OUTPUT = [
+    ("totient --n 9 --k 2 --J 1,2 --mode individual --method closed", 0,
+     "totient n=9 k=2 J=1,2 mode=individual value=18 method=closed-form\n", ""),
+    ("totient --n 9 --k 2 --J 1,2 --mode individual --method brute", 0,
+     "totient n=9 k=2 J=1,2 mode=individual value=18 method=brute-force\n", ""),
+    ("totient --n 9 --k 2 --J 1,2 --mode individual --method both", 0,
+     "totient n=9 k=2 J=1,2 mode=individual value=18 method=both\n", ""),
+    ("totient --n 12 --k 3 --J 2 --method closed", 0,
+     "totient n=12 k=3 J=2 mode=joint value=576 method=closed-form\n", ""),
+    ("totient --n 12 --k 3 --J 2 --method brute", 0,
+     "totient n=12 k=3 J=2 mode=joint value=576 method=brute-force\n", ""),
+    ("totient --n 12 --k 3 --J 2 --method both", 0,
+     "totient n=12 k=3 J=2 mode=joint value=576 method=both\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --method closed", 0,
+     "totient n=35 k=4 J=1,3 mode=joint value=1282536 method=per-prime-enumeration\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --method brute", 0,
+     "totient n=35 k=4 J=1,3 mode=joint value=1282536 method=brute-force\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --method both", 0,
+     "totient n=35 k=4 J=1,3 mode=joint value=1282536 method=both\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --mode individual --method closed", 0,
+     "totient n=35 k=4 J=1,3 mode=individual value=696168 method=per-prime-enumeration\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --mode individual --method brute", 0,
+     "totient n=35 k=4 J=1,3 mode=individual value=696168 method=brute-force\n", ""),
+    ("totient --n 35 --k 4 --J 1,3 --mode individual --method both", 0,
+     "totient n=35 k=4 J=1,3 mode=individual value=696168 method=both\n", ""),
+    ("zeros --p 3 --k 3 --J 2,3 --method closed", 0,
+     "zeros p=3 k=3 J=2,3 value=7 method=closed-form\n", ""),
+    ("zeros --p 3 --k 3 --J 2,3 --method brute", 0,
+     "zeros p=3 k=3 J=2,3 value=7 method=brute-force\n", ""),
+    ("zeros --p 3 --k 3 --J 2,3 --method both", 0,
+     "zeros p=3 k=3 J=2,3 value=7 method=both\n", ""),
+    ("zeros --p 7 --k 5 --J 3 --method closed", 2,
+     "", "error: no closed form for J=[3] at k=5; use --method brute\n"),
+    ("zeros --p 7 --k 5 --J 3 --method brute", 0,
+     "zeros p=7 k=5 J=3 value=2191 method=brute-force\n", ""),
+    ("zeros --p 7 --k 5 --J 3 --method both", 2,
+     "", "error: no closed form for J=[3] at k=5; use --method brute\n"),
+    ("congruence --n 3 --b 1 --coeffs 1,1,1,1 --J 3,4 --method closed", 0,
+     "congruence n=3 b=1 coeffs=1,1,1,1 J=3,4 value=5 method=per-prime-enumeration\n", ""),
+    ("congruence --n 3 --b 1 --coeffs 1,1,1,1 --J 3,4 --method brute", 0,
+     "congruence n=3 b=1 coeffs=1,1,1,1 J=3,4 value=5 method=brute-force\n", ""),
+    ("congruence --n 3 --b 1 --coeffs 1,1,1,1 --J 3,4 --method both", 0,
+     "congruence n=3 b=1 coeffs=1,1,1,1 J=3,4 value=5 method=both\n", ""),
+    ("congruence --n 10 --b 3 --coeffs 2,3,7 --J 1,2 --method closed", 0,
+     "congruence n=10 b=3 coeffs=2,3,7 J=1,2 value=0 method=per-prime-enumeration\n", ""),
+    ("congruence --n 10 --b 3 --coeffs 2,3,7 --J 1,2 --method brute", 0,
+     "congruence n=10 b=3 coeffs=2,3,7 J=1,2 value=0 method=brute-force\n", ""),
+    ("congruence --n 10 --b 3 --coeffs 2,3,7 --J 1,2 --method both", 0,
+     "congruence n=10 b=3 coeffs=2,3,7 J=1,2 value=0 method=both\n", ""),
+    ("congruence --n 9 --b 3 --coeffs 1,1 --J 2 --method closed", 2,
+     "", "error: the closed form needs gcd(b, n) = 1 (got b=3, n=9); use --method brute\n"),
+    ("congruence --n 9 --b 3 --coeffs 1,1 --J 2 --method brute", 0,
+     "congruence n=9 b=3 coeffs=1,1 J=2 value=6 method=brute-force\n", ""),
+    ("congruence --n 9 --b 3 --coeffs 1,1 --J 2 --method both", 2,
+     "", "error: the closed form needs gcd(b, n) = 1 (got b=3, n=9); use --method brute\n"),
+    ("ramanujan --m 1 --n 9 --k 2 --J 2 --method closed", 0,
+     "ramanujan m=1 n=9 k=2 J=2 value=0 method=closed-form\n", ""),
+    ("ramanujan --m 1 --n 9 --k 2 --J 2 --method brute", 0,
+     "ramanujan m=1 n=9 k=2 J=2 value=0 method=brute-force\n", ""),
+    ("ramanujan --m 1 --n 9 --k 2 --J 2 --method both", 0,
+     "ramanujan m=1 n=9 k=2 J=2 value=0 method=both\n", ""),
+    ("ramanujan --m 2 --n 5 --k 4 --J 3 --method closed", 0,
+     "ramanujan m=2 n=5 k=4 J=3 value=-99 method=per-prime-enumeration\n", ""),
+    ("ramanujan --m 2 --n 5 --k 4 --J 3 --method brute", 0,
+     "ramanujan m=2 n=5 k=4 J=3 value=-99 method=brute-force\n", ""),
+    ("ramanujan --m 2 --n 5 --k 4 --J 3 --method both", 0,
+     "ramanujan m=2 n=5 k=4 J=3 value=-99 method=both\n", ""),
+    ("totient --n 10000019 --k 2 --J 1 --method brute", 3,
+     "", "error: enumerating Z_10000019^2 needs 100000380000361 tuples, "
+     + _OVER.format(20000000) + "\n"),
+    ("totient --n 35 --k 4 --J 1,3 --budget 0 --method closed", 3,
+     "", "error: enumerating F_5^4 needs 625 tuples, " + _OVER.format(0) + "\n"),
+    ("zeros --p 3 --k 3 --J 2,3 --budget 0 --method both", 3,
+     "", "error: enumerating F_3^3 needs 27 tuples, " + _OVER.format(0) + "\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", TWO_ROUTE_OUTPUT, ids=[row[0] for row in TWO_ROUTE_OUTPUT]
+)
+def test_two_route_output_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.delenv("SYMTOTIENT_BUDGET", raising=False)
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
+def test_closed_probe_enumerates_nothing_twice(monkeypatch, capsys):
+    # the budget-0 probe stops before F_5^4, so each prime is enumerated once
+    calls = []
+    count_sym_zeros = _kernels.count_sym_zeros
+
+    def counted(m, *rest):
+        calls.append(m)
+        return count_sym_zeros(m, *rest)
+
+    monkeypatch.setattr(_kernels, "count_sym_zeros", counted)
+    code, out, _ = run_cli(capsys, "totient", "--n", "35", "--k", "4", "--J", "1,3")
+    assert code == 0 and out.endswith("method=per-prime-enumeration\n")
+    assert calls == [5, 7]
+    calls.clear()
+    code, out, _ = run_cli(
+        capsys, "totient", "--n", "35", "--k", "4", "--J", "1,3", "--budget", "0"
+    )
+    assert (code, out, calls) == (3, "", [])
+
+
+def test_disagreement_prints_both_records(monkeypatch, capsys):
+    monkeypatch.setattr(totient, "varphi_bruteforce", lambda spec, budget=None: 17)
+    code, out, err = run_cli(
+        capsys, "totient", "--n", "12", "--k", "3", "--J", "2", "--method", "both"
+    )
+    assert code == 2
+    assert out == (
+        "totient n=12 k=3 J=2 mode=joint value=576 method=closed-form\n"
+        "totient n=12 k=3 J=2 mode=joint value=17 method=brute-force\n"
+    )
+    assert err == "error: closed-form and brute-force disagree: 576 != 17\n"
 
 
 @pytest.mark.parametrize(
@@ -276,6 +404,15 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--budget", "100")
         assert code == 0
         assert out == expected
+
+    def test_module_entry_point(self):
+        # `python -m symtotient` reaches the same main; --budget overrides the environment
+        argv = ["verify", "--suite", "symfield", "--budget", "100"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "symtotient", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == (TINY_BUDGET_OUTPUT["symfield"], "")
 
     def test_tiny_budget_fails_strict(self, capsys):
         code, _, _ = run_cli(

@@ -226,6 +226,12 @@ class TestGeneralizedRamanujan:
                         direct = generalized_ramanujan_direct(m, n, k, J)
                         assert closed == direct
 
+    def test_direct_exact_phase_near_n(self):
+        # a float phase m*a/n with m, a near n strays about 1e-6 over the sum
+        assert generalized_ramanujan_direct(3000, 3001, 2, {1}) == generalized_ramanujan(
+            3000, 3001, 2, {1}
+        )
+
     @pytest.mark.parametrize("n, k, J", [(0, 2, {2}), (9, 2, {3}), (9, 2, {0}), (9, 0, {1})])
     def test_invalid_input_refused(self, n, k, J):
         with pytest.raises(ValueError):

@@ -222,6 +222,19 @@ class TestExtendWithEk:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (count_zeros_closed, ({1}, 0, 5)),
+            (count_zeros_closed, ({5}, 3, 2)),
+            (count_zeros_closed, ({0}, 3, 2)),
+            (count_zeros_mod2, ({7}, 3)),
+        ],
+    )
+    def test_invalid_arity_or_index_refused(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+
     def test_closed_paths(self):
         assert count_zeros_closed({2, 3}, 3, 3) == 7
         assert count_zeros_closed(set(range(1, 5)), 4, 7) == 1
