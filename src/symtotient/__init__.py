@@ -40,7 +40,6 @@ from .symfield import (
     SymSystem,
     closed_count_e1e2,
     closed_count_e2,
-    closed_count_el_mod2,
     count_zeros,
     count_zeros_bruteforce,
     count_zeros_closed,

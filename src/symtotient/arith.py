@@ -8,18 +8,23 @@ never through floating-point exponentials.
 
 import math
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the primes up to 41 is exact below _MR_BOUND, the least
+# strong pseudoprime to all of them; the primes up to 37 alone are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 # Trial division handles everything below this; Pollard rho takes over above.
 _TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic Miller-Rabin primality test; n >= _MR_BOUND raises ValueError."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -41,7 +46,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant).
+    """A nontrivial factor of composite odd n (Floyd's cycle detection).
 
     The polynomial offset steps deterministically, so equal inputs always
     split the same way.
@@ -77,7 +82,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     factorize(1) == [].  Trial division up to 10**6, then Pollard rho with
     deterministic Miller-Rabin, so anything a desk machine can enumerate
-    factors instantly.
+    factors instantly.  A cofactor past is_prime's bound raises ValueError.
     """
     if n < 1:
         raise ValueError(f"modulus must be a positive integer, got {n}")

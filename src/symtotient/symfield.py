@@ -6,12 +6,13 @@ and closed forms.  The closed forms cover J = {2} and J = {1,2} through
 quadratic-form solution counts (with a radical reduction for the
 degenerate arities), any J at p = 2 through Lucas-sieved binomial sums,
 the full set J = {1,...,k}, and any J containing k through an
-inclusion-exclusion recurrence over zeroed coordinates.
+inclusion-exclusion recurrence over zeroed coordinates.  The closed
+forms never enumerate: the recurrence asks only closed bases, and a J
+with a base that has no closed form gets None, not a count.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import _kernels
 from .arith import binom_mod2, is_prime, nu, quadratic_character
@@ -169,13 +170,7 @@ def closed_count_e1e2(k: int, p: int) -> int:
     return p ** (k - 2) + (p - 1) * p ** ((k - 2) // 2) * quadratic_character(arg, p)
 
 
-def closed_count_el_mod2(l: int, k: int) -> int:
-    """Zeros of e_l in F_2^k: the binomial sum over weights w with l not a
-    submask of w."""
-    return count_zeros_mod2({l}, k)
-
-
-def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = None) -> int | None:
+def extend_with_ek(J, k: int, p: int, base_counter=None) -> int | None:
     """Zeros of {e_j : j in J} + {e_k} from counts on fewer variables.
 
     e_k = 0 means some coordinate vanishes; inclusion-exclusion over the
@@ -188,19 +183,18 @@ def extend_with_ek(J, k: int, p: int, base_counter=None, budget: int | None = No
     and the empty count N_0 is 1.
 
     base_counter(J', m) supplies N_m(J', p) for 1 <= m < k, asked for
-    m = k-1 down to 1; by default the closed-form dispatcher with
-    brute-force fallback.  A base_counter that returns None for some base
-    (no count known) makes the result None.
+    m = k-1 down to 1; by default the closed-form dispatcher, so nothing
+    is enumerated.  A base without a count (base_counter returns None)
+    makes the result None.  An arity below 1 or an index outside
+    [1, k-1] raises ValueError.
     """
     J = frozenset(int(j) for j in J)
+    _check_indices(J, k)
     if k in J:
         raise ValueError(f"k={k} must not be in J; e_k is what gets appended")
-    for j in J:
-        if not 1 <= j < k:
-            raise ValueError(f"index {j} outside [1, {k - 1}]")
     if base_counter is None:
         def base_counter(Jm, m):
-            return count_zeros(SymSystem(m, Jm), p, budget=budget)
+            return count_zeros_closed(Jm, m, p)
 
     total = (-1) ** (k + 1)  # the j = k term: C(k, k) N_0 = 1
     for j in range(1, k):
@@ -236,8 +230,7 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     if J == frozenset({1, 2}):
         return closed_count_e1e2(k, p)
     if k in J:
-        # the recurrence over closed bases only: None at the first base without one
-        return extend_with_ek(J - {k}, k, p, base_counter=partial(count_zeros_closed, p=p))
+        return extend_with_ek(J - {k}, k, p)
     return None
 
 

@@ -22,8 +22,8 @@ from .symfield import (
     SymSystem,
     closed_count_e1e2,
     closed_count_e2,
-    closed_count_el_mod2,
     count_zeros_bruteforce,
+    count_zeros_mod2,
     e2_matrix,
     extend_with_ek,
     quad_form_count,
@@ -124,9 +124,9 @@ def cell_p2_closed(budget=None) -> CellResult:
             bl = res.attempt(f"el l={l} k={k}", lambda: brute({l}, k))
             if bl is None:
                 continue
-            res.check(closed_count_el_mod2(l, k) == bl, f"el l={l} k={k}")
+            res.check(count_zeros_mod2({l}, k) == bl, f"el l={l} k={k}")
     res.check(closed_count_e2(3, 2) == 4, "spot N_3(e2,2)=4")
-    res.check(closed_count_el_mod2(3, 3) == 7, "spot N_3(e3,2)=7")
+    res.check(count_zeros_mod2({3}, 3) == 7, "spot N_3(e3,2)=7")
     return res
 
 
@@ -147,7 +147,7 @@ def cell_recurrence(budget=None) -> CellResult:
     for p in (2, 3, 5, 7):
         for k in (3, 4, 5):
             for J in ({1}, {2}, {1, 2}):
-                ext = extend_with_ek(J, k, p, budget=budget)
+                ext = extend_with_ek(J, k, p)
                 label = f"J={sorted(J)} k={k} p={p}"
                 brute = res.attempt(
                     label,
@@ -157,13 +157,11 @@ def cell_recurrence(budget=None) -> CellResult:
                     continue
                 res.check(ext == brute, label)
             res.check(
-                extend_with_ek({2}, k, p, budget=budget)
-                == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
+                extend_with_ek({2}, k, p) == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
                 f"boundary(kp-1) k={k} p={p}",
             )
             res.check(
-                extend_with_ek({1, 2}, k, p, budget=budget)
-                == _stated_sum_ek(closed_count_e1e2, k - 1, k, p),
+                extend_with_ek({1, 2}, k, p) == _stated_sum_ek(closed_count_e1e2, k - 1, k, p),
                 f"boundary(k-1) k={k} p={p}",
             )
     return res

@@ -73,6 +73,27 @@ class TestFactorize:
         assert factorize(p * q) == [(p, 1), (q, 1)]
 
 
+# The least strong pseudoprimes to the prime bases up to 37 and up to 41.
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+class TestPrimalityBound:
+    def test_witness_edge_primes(self):
+        assert is_prime(41) and is_prime(43)
+
+    def test_psi12_is_composite(self):
+        assert is_prime(PSI_12) is False
+        assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+        assert euler_phi(PSI_12) == 399165290220 * 798330580440
+
+    def test_beyond_bound_refused(self):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize((2**61 - 1) ** 2)
+
+
 class TestQuadraticCharacter:
     def test_spec_values(self):
         assert quadratic_character(1, 5) == 1

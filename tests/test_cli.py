@@ -52,6 +52,14 @@ class TestTotientCommand:
         assert code == 3
         assert "budget" in err
 
+    def test_modulus_past_the_37_witness_bound(self, capsys):
+        # a strong pseudoprime to every prime base up to 37
+        code, out, _ = run_cli(
+            capsys, "totient", "--n", "318665857834031151167461", "--k", "1", "--J", "1"
+        )
+        assert code == 0
+        assert "value=318665857832833655296800 method=closed-form" in out
+
     def test_malformed_J_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "totient", "--n", "9", "--k", "2", "--J", "1,x")
         assert code == 2

@@ -1,7 +1,8 @@
 import cmath
 import math
-from itertools import combinations, product
+from itertools import product
 
+import oracle
 import pytest
 
 from symtotient.arith import euler_phi, ramanujan_sum
@@ -20,22 +21,6 @@ from symtotient.congruence import (
 )
 from symtotient.symfield import SymSystem
 from symtotient.totient import closed_phi_12
-
-
-def naive_esym(j, values, m):
-    return sum(math.prod(sub) for sub in combinations(values, j)) % m
-
-
-def brute_count(coeffs, b, n, J):
-    """Independent pure-Python oracle."""
-    k = len(coeffs)
-    total = 0
-    for t in product(range(n), repeat=k):
-        if sum(c * x for c, x in zip(coeffs, t)) % n != b % n:
-            continue
-        if all(math.gcd(naive_esym(j, t, n), n) == 1 for j in J):
-            total += 1
-    return total
 
 
 def make_prob(coeffs, b, n, J):
@@ -80,7 +65,7 @@ class TestCountBruteforce:
         ]
         for coeffs, b, n, J in cases:
             got = count_bruteforce(make_prob(coeffs, b, n, J))
-            assert got == brute_count(coeffs, b, n, J)
+            assert got == oracle.lincong_hist(n, len(coeffs), coeffs, J)[b % n]
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -159,7 +144,7 @@ class TestPsi:
                 1
                 for t in product(range(1, n + 1), repeat=3)
                 if sum(t) % p == 0
-                and naive_esym(2, t, p) == 0
+                and oracle.esym(2, t, p) == 0
                 and math.gcd(t[0] * t[1] * t[2], n) == 1
             )
             assert psi(p, a) == brute
@@ -188,17 +173,19 @@ class TestG3G4:
 
     def test_g3_matches_enumeration(self):
         for n in range(1, 16):
+            hist = oracle.lincong_hist(n, 3, (1, 1, 1), {2, 3})
             for m in range(n):
                 if math.gcd(m, n) == 1:
-                    assert g3_closed(m, n) == brute_count((1, 1, 1), m, n, {2, 3})
+                    assert g3_closed(m, n) == hist[m]
 
     def test_g4_matches_enumeration(self):
         for n in (1, 3, 5, 7, 9):
+            hist = oracle.lincong_hist(n, 4, (1, 1, 1, 1), {3, 4})
             for m in range(n):
                 if math.gcd(m, n) == 1:
-                    assert g4_closed(m, n) == brute_count((1, 1, 1, 1), m, n, {3, 4})
+                    assert g4_closed(m, n) == hist[m]
         for n in (2, 4, 6):
-            assert brute_count((1, 1, 1, 1), 1, n, {3, 4}) == 0
+            assert oracle.lincong_hist(n, 4, (1, 1, 1, 1), {3, 4})[1] == 0
 
 
 class TestGeneralizedRamanujan:
@@ -246,12 +233,12 @@ class TestGeneralizedRamanujan:
     def test_direct_against_literal_tuple_sum(self):
         # literal defining sum: over tuples with unit e_j (j in J) and unit e_1
         n, k, J = 9, 2, {2}
+        # hist[e1]: tuples with unit e_j (j in J) whose e_1 = sum(x_i) is e1
+        hist = oracle.lincong_hist(n, k, (1,) * k, J)
         for m in range(n):
-            total = 0j
-            for t in product(range(n), repeat=k):
-                e1 = sum(t) % n
-                if math.gcd(e1, n) != 1:
-                    continue
-                if all(math.gcd(naive_esym(j, t, n), n) == 1 for j in J):
-                    total += cmath.exp(2j * cmath.pi * m * e1 / n)
+            total = sum(
+                hist[e1] * cmath.exp(2j * cmath.pi * m * e1 / n)
+                for e1 in range(n)
+                if math.gcd(e1, n) == 1
+            )
             assert abs(total - generalized_ramanujan_direct(m, n, k, J)) < 1e-6

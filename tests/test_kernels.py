@@ -1,61 +1,10 @@
-"""The chunked-numpy kernels against a pure-Python itertools oracle, and the
+"""The chunked-numpy kernels against the literal pure-Python oracle, and the
 int64 bounds the kernels enforce."""
 
-import math
-from itertools import product
-
+import oracle
 import pytest
 
 from symtotient import _kernels
-
-
-def esym_all(values, jmax, m):
-    c = [0] * (jmax + 1)
-    c[0] = 1
-    for pos, v in enumerate(values, 1):
-        for j in range(min(jmax, pos), 0, -1):
-            c[j] = (c[j] + c[j - 1] * v) % m
-    return c
-
-
-def oracle_count_zeros(m, k, js):
-    jmax = max(js)
-    return sum(
-        1
-        for t in product(range(m), repeat=k)
-        if all(esym_all(t, jmax, m)[j] == 0 for j in js)
-    )
-
-
-def oracle_count_units(m, k, js, joint):
-    jmax = max(js)
-    total = 0
-    for t in product(range(m), repeat=k):
-        e = esym_all(t, jmax, m)
-        if joint:
-            ok = math.gcd(*[e[j] for j in js], m) == 1
-        else:
-            ok = all(math.gcd(e[j], m) == 1 for j in js)
-        total += ok
-    return total
-
-
-def oracle_lincong_hist(m, k, coeffs, js):
-    jmax = max(js) if js else 0
-    hist = [0] * m
-    for t in product(range(m), repeat=k):
-        e = esym_all(t, jmax, m)
-        if all(math.gcd(e[j], m) == 1 for j in js):
-            hist[sum(c * x for c, x in zip(coeffs, t)) % m] += 1
-    return hist
-
-
-def oracle_quadform_hist(p, k, mat):
-    hist = [0] * p
-    for t in product(range(p), repeat=k):
-        val = sum(mat[i][j] * t[i] * t[j] for i in range(k) for j in range(k)) % p
-        hist[val] += 1
-    return hist
 
 
 CASES = [
@@ -74,14 +23,14 @@ CASES = [
 
 @pytest.mark.parametrize("m,k,js", CASES)
 def test_count_zeros_matches_oracle(m, k, js):
-    assert _kernels.count_sym_zeros(m, k, js) == oracle_count_zeros(m, k, js)
+    assert _kernels.count_sym_zeros(m, k, js) == oracle.zeros(m, k, js)
 
 
 @pytest.mark.parametrize("m,k,js", CASES)
 @pytest.mark.parametrize("joint", [True, False])
 def test_count_units_matches_oracle(m, k, js, joint):
     got = _kernels.count_sym_units(m, k, js, joint)
-    assert got == oracle_count_units(m, k, js, joint)
+    assert got == oracle.units(m, k, js, joint)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +47,7 @@ def test_count_units_matches_oracle(m, k, js, joint):
 )
 def test_lincong_histogram_matches_oracle(m, k, coeffs, js):
     got = _kernels.lincong_histogram(m, k, coeffs, js)
-    assert got.tolist() == oracle_lincong_hist(m, k, coeffs, js)
+    assert got.tolist() == oracle.lincong_hist(m, k, coeffs, js)
     assert int(got.sum()) <= m**k
 
 
@@ -114,7 +63,7 @@ def test_lincong_histogram_matches_oracle(m, k, coeffs, js):
 )
 def test_quadform_histogram_matches_oracle(p, k, mat):
     got = _kernels.quadform_histogram(p, k, mat)
-    assert got.tolist() == oracle_quadform_hist(p, k, mat)
+    assert got.tolist() == oracle.quadform_hist(p, k, mat)
     assert int(got.sum()) == p**k
 
 

@@ -1,10 +1,9 @@
-import math
-from itertools import combinations, product
-
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtotient import _kernels
 from symtotient.arith import primes_in_range
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import (
@@ -12,7 +11,6 @@ from symtotient.symfield import (
     SymSystem,
     closed_count_e1e2,
     closed_count_e2,
-    closed_count_el_mod2,
     count_zeros,
     count_zeros_bruteforce,
     count_zeros_closed,
@@ -23,20 +21,6 @@ from symtotient.symfield import (
     quad_form_count,
     quadform_value_histogram,
 )
-
-
-def naive_esym(j, values, m):
-    """Independent oracle: literal sum over j-subsets."""
-    return sum(math.prod(sub) for sub in combinations(values, j)) % m
-
-
-def brute_zeros(J, k, p):
-    """Independent oracle: pure-Python enumeration."""
-    return sum(
-        1
-        for t in product(range(p), repeat=k)
-        if all(naive_esym(j, t, p) == 0 for j in J)
-    )
 
 
 class TestSymSystem:
@@ -82,7 +66,7 @@ class TestEvalElemSym:
     @settings(max_examples=300, deadline=None)
     def test_matches_subset_expansion(self, args):
         _, j, values, m = args
-        assert eval_elem_sym(j, values, m) == naive_esym(j, values, m)
+        assert eval_elem_sym(j, values, m) == oracle.esym(j, values, m)
 
 
 class TestBruteforce:
@@ -100,7 +84,7 @@ class TestBruteforce:
             for k in (1, 2, 3, 4):
                 for J in ({1}, {2} if k >= 2 else {1}, set(range(1, k + 1))):
                     got = count_zeros_bruteforce(SymSystem(k, J), p)
-                    assert got == brute_zeros(J, k, p)
+                    assert got == oracle.zeros(p, k, J)
 
     def test_budget_refusal_names_space(self):
         with pytest.raises(BudgetExceededError, match="F_7"):
@@ -149,14 +133,14 @@ class TestClosedE1E2:
 
 class TestMod2SievedSums:
     def test_spec_values(self):
-        assert closed_count_el_mod2(1, 3) == 4
-        assert closed_count_el_mod2(3, 3) == 7
+        assert count_zeros_mod2({1}, 3) == 4
+        assert count_zeros_mod2({3}, 3) == 7
         for k in range(1, 12):
-            assert closed_count_el_mod2(k, k) == 2**k - 1
+            assert count_zeros_mod2({k}, k) == 2**k - 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            closed_count_el_mod2(4, 3)
+            count_zeros_mod2({4}, 3)
 
     def test_any_index_set_against_enumeration(self):
         for k in range(1, 9):
@@ -164,7 +148,7 @@ class TestMod2SievedSums:
             for J in sets:
                 if max(J) > k:
                     continue
-                assert count_zeros_mod2(J, k) == brute_zeros(J, k, 2)
+                assert count_zeros_mod2(J, k) == oracle.zeros(2, k, J)
 
 
 class TestExtendWithEk:
@@ -179,24 +163,30 @@ class TestExtendWithEk:
     def test_p2_k3_value(self):
         # enumeration of F_2^3: (0,0,0) and the three unit vectors satisfy
         # e_2 = 0 and e_3 = 0, so the count is 4
-        assert brute_zeros({2, 3}, 3, 2) == 4
+        assert oracle.zeros(2, 3, {2, 3}) == 4
         assert extend_with_ek({2}, 3, 2) == 4
 
     def test_rejects_k_in_J(self):
         with pytest.raises(ValueError):
             extend_with_ek({3}, 3, 5)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_arity_below_one_refused(self, k):
+        with pytest.raises(ValueError):
+            extend_with_ek(set(), k, 5)
+
     def test_matches_enumeration(self):
         for p in (2, 3, 5):
             for k in (3, 4):
                 for J in ({1}, {2}, {1, 2}):
                     got = extend_with_ek(J, k, p)
-                    assert got == brute_zeros(set(J) | {k}, k, p)
+                    assert got == oracle.zeros(p, k, set(J) | {k})
 
     def test_empty_base_set(self):
-        # appending e_k to no constraints counts tuples with a zero coordinate
+        # appending e_k to no constraints counts tuples with a zero coordinate;
+        # at k = 1 that is the zero tuple alone
         for p in (2, 3, 5, 7):
-            for k in (2, 3, 4):
+            for k in (1, 2, 3, 4):
                 assert extend_with_ek(set(), k, p) == p**k - (p - 1) ** k
 
     def test_custom_base_counter(self):
@@ -204,7 +194,7 @@ class TestExtendWithEk:
 
         def oracle_base(J, m):
             calls.append((frozenset(J), m))
-            return brute_zeros(J, m, 3)
+            return oracle.zeros(3, m, J)
 
         assert extend_with_ek({2}, 3, 3, base_counter=oracle_base) == 7
         assert (frozenset({2}), 2) in calls and (frozenset(), 1) in calls
@@ -215,7 +205,7 @@ class TestExtendWithEk:
 
         def partial_base(J, m):
             calls.append(m)
-            return None if m == 3 else brute_zeros(J, m, 3)
+            return None if m == 3 else oracle.zeros(3, m, J)
 
         assert extend_with_ek({1}, 5, 3, base_counter=partial_base) is None
         assert calls == [4, 3]
@@ -248,36 +238,42 @@ class TestDispatch:
         # e_5 appended over {3}, whose base N_4({3}) has no closed form
         assert count_zeros_closed({3, 5}, 5, 7) is None
 
+    def test_closed_link_calls_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed link enumerated")
+
+        kernels = ("count_sym_zeros", "count_sym_units", "lincong_histogram", "quadform_histogram")
+        for name in kernels:
+            monkeypatch.setattr(_kernels, name, refuse)
+        for p in (2, 3, 5, 7):
+            for k in range(1, 7):
+                for J in [frozenset()] + oracle.nonempty_subsets(range(1, k + 1)):
+                    v = count_zeros_closed(J, k, p)
+                    assert v is None or isinstance(v, int), (J, k, p)
+        # the base N_4({3}) has no closed form over F_7
+        assert extend_with_ek({3}, 5, 7) is None
+
     def test_count_zeros_falls_back_to_bruteforce(self):
         got = count_zeros(SymSystem(4, {3}), 5)
-        assert got == brute_zeros({3}, 4, 5)
+        assert got == oracle.zeros(5, 4, {3})
 
     def test_dispatch_agrees_with_enumeration(self):
         for p in (3, 5):
             for k in (2, 3, 4):
-                for r in range(1, k + 1):
-                    for J in map(set, combinations(range(1, k + 1), r)):
-                        v = count_zeros_closed(J, k, p)
-                        if v is not None:
-                            assert v == brute_zeros(J, k, p), (J, k, p)
+                for J in oracle.nonempty_subsets(range(1, k + 1)):
+                    v = count_zeros_closed(J, k, p)
+                    if v is not None:
+                        assert v == oracle.zeros(p, k, J), (J, k, p)
 
     def test_nested_recursion_paths(self):
         # {4,5} at k=5 recurses twice: e_5 appended over {4}, whose own base
         # N_4({4}) appends e_4 over the empty set
         for p in (3, 7):
             got = count_zeros_closed({4, 5}, 5, p)
-            assert got == brute_zeros({4, 5}, 5, p)
+            assert got == oracle.zeros(p, 5, {4, 5})
         # larger arities stay closed as long as the bases dispatch
-        assert count_zeros_closed({2, 7}, 7, 3) == brute_zeros({2, 7}, 7, 3)
-        assert count_zeros_closed({1, 2, 6}, 6, 5) == brute_zeros({1, 2, 6}, 6, 5)
-
-
-def brute_quadform_hist(mat, p, k):
-    hist = [0] * p
-    for t in product(range(p), repeat=k):
-        val = sum(mat[i][j] * t[i] * t[j] for i in range(k) for j in range(k)) % p
-        hist[val] += 1
-    return hist
+        assert count_zeros_closed({2, 7}, 7, 3) == oracle.zeros(3, 7, {2, 7})
+        assert count_zeros_closed({1, 2, 6}, 6, 5) == oracle.zeros(5, 6, {1, 2, 6})
 
 
 class TestQuadForm:
@@ -316,7 +312,7 @@ class TestQuadForm:
                         for j in range(i, k):
                             rows[i][j] = rows[j][i] = rng.randrange(p)
                     form = QuadraticForm(p, rows)
-                    hist = brute_quadform_hist(form.matrix, p, k)
+                    hist = oracle.quadform_hist(p, k, form.matrix)
                     counts = [quad_form_count(form, b) for b in range(p)]
                     assert counts == hist
                     assert sum(counts) == p**k
@@ -325,13 +321,13 @@ class TestQuadForm:
         # rank-1 form x1^2 embedded in 3 variables: radical dimension 2
         form = QuadraticForm(5, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
         assert quad_form_count(form, 0) == 25  # 25 * (1 + eta(0))
-        hist = brute_quadform_hist(form.matrix, 5, 3)
+        hist = oracle.quadform_hist(5, 3, form.matrix)
         assert [quad_form_count(form, b) for b in range(5)] == hist
 
     def test_histogram_helper_matches(self):
         form = e2_matrix(3, 7)
         hist = quadform_value_histogram(form)
-        assert hist.tolist() == brute_quadform_hist(form.matrix, 7, 3)
+        assert hist.tolist() == oracle.quadform_hist(7, 3, form.matrix)
 
     def test_degenerate_e2_consistency(self):
         # k = 1 mod p makes the e_2 matrix singular; the merged eta(0) formula

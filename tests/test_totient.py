@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
-from itertools import combinations, product
 
+import oracle
 import pytest
 
 from symtotient import _kernels
@@ -25,30 +25,6 @@ from symtotient.totient import (
 )
 
 
-def naive_esym(j, values, m):
-    return sum(math.prod(sub) for sub in combinations(values, j)) % m
-
-
-def brute_totient(k, J, n, joint):
-    """Independent pure-Python oracle for both totients."""
-    count = 0
-    for t in product(range(n), repeat=k):
-        vals = [naive_esym(j, t, n) for j in sorted(J)]
-        if joint:
-            ok = math.gcd(*vals, n) == 1
-        else:
-            ok = all(math.gcd(v, n) == 1 for v in vals)
-        count += ok
-    return count
-
-
-def nonempty_subsets(k):
-    out = []
-    for r in range(1, k + 1):
-        out.extend(frozenset(c) for c in combinations(range(1, k + 1), r))
-    return out
-
-
 class TestSpecValidation:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -66,22 +42,19 @@ class TestSpecValidation:
 
 
 class TestConventions:
+    ROUTES = (
+        (varphi, "joint"),
+        (phi, "individual"),
+        (varphi_bruteforce, "joint"),
+        (phi_bruteforce, "individual"),
+    )
+
     def test_empty_J_is_zero(self):
-        for fn, mode in (
-            (varphi, "joint"),
-            (phi, "individual"),
-            (varphi_bruteforce, "joint"),
-            (phi_bruteforce, "individual"),
-        ):
+        for fn, mode in self.ROUTES:
             assert fn(TotientSpec(2, frozenset(), mode, 5)) == 0
 
     def test_modulus_one_is_one(self):
-        for fn, mode in (
-            (varphi, "joint"),
-            (phi, "individual"),
-            (varphi_bruteforce, "joint"),
-            (phi_bruteforce, "individual"),
-        ):
+        for fn, mode in self.ROUTES:
             assert fn(TotientSpec(2, {2}, mode, 1)) == 1
 
 
@@ -122,11 +95,11 @@ class TestBridgeConsistency:
     def test_against_python_oracle(self):
         for n in (2, 3, 4, 5, 6, 8, 9, 12):
             for k in (1, 2, 3):
-                for J in nonempty_subsets(k):
+                for J in oracle.nonempty_subsets(range(1, k + 1)):
                     sj = TotientSpec(k, J, "joint", n)
                     si = TotientSpec(k, J, "individual", n)
-                    assert varphi(sj) == brute_totient(k, J, n, joint=True)
-                    assert phi(si) == brute_totient(k, J, n, joint=False)
+                    assert varphi(sj) == oracle.units(n, k, J, joint=True)
+                    assert phi(si) == oracle.units(n, k, J, joint=False)
 
     def test_prime_powers_against_kernel_oracle(self):
         # largest prime-power grid that fits the enumeration budget per arity
@@ -139,7 +112,7 @@ class TestBridgeConsistency:
                 if p**a <= cap
             ]
             for n in spaces:
-                for J in nonempty_subsets(k):
+                for J in oracle.nonempty_subsets(range(1, k + 1)):
                     sj = TotientSpec(k, J, "joint", n)
                     si = TotientSpec(k, J, "individual", n)
                     assert varphi(sj) == varphi_bruteforce(sj)
@@ -169,8 +142,8 @@ class TestPerPrimeFallback:
                 sj = TotientSpec(4, J, "joint", n)
                 si = TotientSpec(4, J, "individual", n)
                 if n <= 9:
-                    assert varphi(sj) == brute_totient(4, J, n, joint=True)
-                    assert phi(si) == brute_totient(4, J, n, joint=False)
+                    assert varphi(sj) == oracle.units(n, 4, J, joint=True)
+                    assert phi(si) == oracle.units(n, 4, J, joint=False)
                 else:
                     assert varphi(sj) == varphi_bruteforce(sj)
                     assert phi(si) == phi_bruteforce(si)
@@ -179,7 +152,7 @@ class TestPerPrimeFallback:
         # the inclusion-exclusion route over count_zeros_bruteforce runs on
         # the zeros kernel, independent of the units kernel phi uses here
         for J in self.UNCLOSED_J:
-            subsets = [frozenset(c) for r in range(1, len(J) + 1) for c in combinations(J, r)]
+            subsets = oracle.nonempty_subsets(J)
             for p in (3, 5, 7):
                 zeros = {S: count_zeros_bruteforce(SymSystem(4, S), p) for S in subsets}
                 expected = sum((-1) ** (len(S) + 1) * (p**4 - zeros[S]) for S in subsets)
@@ -280,7 +253,7 @@ class TestToth:
     def test_k3_n5_is_52(self):
         # direct count over Z_5^3: 4^3 unit-product triples minus the 12 with
         # unit sum = 0, i.e. 52
-        brute = brute_totient(3, {1, 3}, 5, joint=False)
+        brute = oracle.units(5, 3, {1, 3}, joint=False)
         assert brute == 52
         assert toth_phi_1k(3, 5) == 52
 
