@@ -6,8 +6,9 @@ closed-form-versus-oracle sweeps (verify).
 
 totient, zeros, congruence and ramanujan pair a closed route with an
 enumeration oracle (--method closed|brute|both); their method= label is
-closed-form, per-prime-enumeration (the closed route enumerated F_p^k for
-some prime p), brute-force, or both (the two routes ran and agreed).
+closed-form, per-prime-enumeration (the closed route made a counting pass
+over F_p^k for some prime p, by scan or by DP), brute-force, or both (the
+two routes ran and agreed).
 
 Exit codes: 0 success, 2 disagreement or invalid input, 3 enumeration
 budget exceeded.  Output is deterministic: identical invocations produce

@@ -2,7 +2,9 @@
 
 Counts the simultaneous zeros of {e_j : j in J} in F_p^k two independent
 ways: exhaustive enumeration (the oracle, bounded by the tuple budget)
-and closed forms.  The closed forms cover J = {2} and J = {1,2} through
+and closed forms.  count_zeros takes the closed form where there is one
+and otherwise makes one counting pass over F_p^k, by the power-sum DP or
+the scan.  The closed forms cover J = {2} and J = {1,2} through
 quadratic-form solution counts (with a radical reduction for the
 degenerate arities), any J at p = 2 through Lucas-sieved binomial sums,
 the full set J = {1,...,k}, and any J containing k through an
@@ -19,6 +21,11 @@ from .arith import binom_mod2, is_prime, nu, quadratic_character
 from .budget import check_budget
 
 MODES = ("joint", "individual")
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _check_indices(J, k: int) -> None:
@@ -102,8 +109,7 @@ def count_zeros_bruteforce(system: SymSystem, p: int, budget: int | None = None)
     Always counts simultaneous zeros regardless of the system's mode.  An
     empty J imposes nothing and counts the whole space.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     space = p**system.k
     check_budget(space, budget, f"enumerating F_{p}^{system.k}")
     if not system.J:
@@ -138,8 +144,11 @@ def closed_count_e2(k: int, p: int) -> int:
     """
     if k < 2:
         raise ValueError(f"e_2 needs k >= 2, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
+    return _count_e2(k, p)
+
+
+def _count_e2(k: int, p: int) -> int:
     if p == 2:
         return count_zeros_mod2({2}, k)
     if k % 2 == 1:
@@ -159,8 +168,11 @@ def closed_count_e1e2(k: int, p: int) -> int:
     """
     if k < 2:
         raise ValueError(f"the pair (e_1, e_2) needs k >= 2, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
+    return _count_e1e2(k, p)
+
+
+def _count_e1e2(k: int, p: int) -> int:
     if p == 2:
         return count_zeros_mod2({1, 2}, k)
     if k % 2 == 1:
@@ -185,16 +197,21 @@ def extend_with_ek(J, k: int, p: int, base_counter=None) -> int | None:
     base_counter(J', m) supplies N_m(J', p) for 1 <= m < k, asked for
     m = k-1 down to 1; by default the closed-form dispatcher, so nothing
     is enumerated.  A base without a count (base_counter returns None)
-    makes the result None.  An arity below 1 or an index outside
-    [1, k-1] raises ValueError.
+    makes the result None.  An arity below 1, an index outside [1, k-1]
+    or a p that is not prime raises ValueError.
     """
     J = frozenset(int(j) for j in J)
     _check_indices(J, k)
     if k in J:
         raise ValueError(f"k={k} must not be in J; e_k is what gets appended")
+    _check_prime(p)
+    return _extend(J, k, p, base_counter)
+
+
+def _extend(J: frozenset, k: int, p: int, base_counter=None) -> int | None:
     if base_counter is None:
         def base_counter(Jm, m):
-            return count_zeros_closed(Jm, m, p)
+            return _closed(Jm, m, p)
 
     total = (-1) ** (k + 1)  # the j = k term: C(k, k) N_0 = 1
     for j in range(1, k):
@@ -210,13 +227,17 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
 
     Dispatch: any J at p = 2 (submask sums); empty J; the full set
     {1,...,k}; {1}; {2}; {1,2}; and any J containing k whose recurrence
-    bases are themselves dispatchable.  An arity below 1 or an index outside
-    [1, k] raises ValueError.
+    bases are themselves dispatchable.  An arity below 1, an index outside
+    [1, k] or a p that is not prime raises ValueError; p is checked once
+    here, and the recursion runs on unchecked helpers.
     """
     J = frozenset(int(j) for j in J)
     _check_indices(J, k)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
+    return _closed(J, k, p)
+
+
+def _closed(J: frozenset, k: int, p: int) -> int | None:
     if p == 2:
         return count_zeros_mod2(J, k)
     if not J:
@@ -226,21 +247,24 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     if J == frozenset({1}):
         return p ** (k - 1)
     if J == frozenset({2}):
-        return closed_count_e2(k, p)
+        return _count_e2(k, p)
     if J == frozenset({1, 2}):
-        return closed_count_e1e2(k, p)
+        return _count_e1e2(k, p)
     if k in J:
-        return extend_with_ek(J - {k}, k, p)
+        return _extend(J - {k}, k, p)
     return None
 
 
 def count_zeros(system: SymSystem, p: int, budget: int | None = None) -> int:
     """Zero count of the system over F_p^k: closed form when one is known,
-    budget-checked enumeration otherwise."""
+    otherwise one counting pass over F_p^k, charged p^k tuples against the
+    budget.  The pass is _kernels.count_field: the power-sum DP or the scan,
+    whichever its cost rule picks; count_zeros_bruteforce always scans."""
     value = count_zeros_closed(system.J, system.k, p)
     if value is not None:
         return value
-    return count_zeros_bruteforce(system, p, budget=budget)
+    check_budget(p**system.k, budget, f"enumerating F_{p}^{system.k}")
+    return _kernels.count_field(p, system.k, system.indices)
 
 
 def _diagonalize_symmetric(rows, p: int) -> list[int]:

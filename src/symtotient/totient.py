@@ -8,7 +8,8 @@ Two totients are attached to an index set J on k variables and a modulus n:
 Both are multiplicative: the factor at p^a is p^(k(a-1)) times a count of
 tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
 (individual).  That count comes from closed zero counts when every count
-it needs closes, and otherwise from one enumeration of F_p^k.
+it needs closes, and otherwise from one counting pass over F_p^k
+(_kernels.count_field: the power-sum DP or the scan, by its cost rule).
 Brute-force oracles over Z_n^k and the Menon-identity sides live here too.
 
 Conventions: the value is 0 for empty J and 1 for n = 1.
@@ -48,7 +49,8 @@ class TotientSpec:
 
 def _local_units(k: int, J, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
-    zero: from closed zero counts when all close, else one pass over F_p^k."""
+    zero: from closed zero counts when all close, else one counting pass over
+    F_p^k, charged p^k tuples against the budget."""
     subsets = [J] if joint else [
         frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
     ]
@@ -58,9 +60,9 @@ def _local_units(k: int, J, p: int, joint: bool, budget: int | None) -> int:
             (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z) for sub, z in zip(subsets, zeros)
         )
     check_budget(p**k, budget, f"enumerating F_{p}^{k}")
-    if joint or len(J) == 1:  # one term: the zeros kernel is the faster pass
-        return p**k - _kernels.count_sym_zeros(p, k, sorted(J))
-    return _kernels.count_sym_units(p, k, sorted(J), joint=False)
+    if joint or len(J) == 1:  # one term: the zeros count is the faster pass
+        return p**k - _kernels.count_field(p, k, sorted(J))
+    return _kernels.count_field(p, k, sorted(J), nonzero=True)
 
 
 def _require_mode(spec: TotientSpec, mode: str) -> None:
@@ -91,7 +93,7 @@ def varphi(spec: TotientSpec, budget: int | None = None) -> int:
 
     Per prime power p^a dividing n the factor is p^(k(a-1)) * (p^k - N_J(p)),
     with N_J(p) the simultaneous zero count in F_p^k: closed when a formula
-    applies, else from one enumeration of F_p^k.
+    applies, else from one counting pass over F_p^k.
     """
     return _product_form(spec, "joint", budget)
 
@@ -101,7 +103,7 @@ def phi(spec: TotientSpec, budget: int | None = None) -> int:
 
     Per prime power p^a dividing n the factor is p^(k(a-1)) times the number
     of x in F_p^k with no e_j(x) zero: the alternating sum of p^k - N_S(p)
-    over the nonempty S in J when every N_S(p) closes, else one enumeration.
+    over the nonempty S in J when every N_S(p) closes, else one counting pass.
     """
     return _product_form(spec, "individual", budget)
 

@@ -2,8 +2,9 @@
 
 The sweeps themselves live in symtotient.verify.  A module-scoped fixture
 runs them once, through the CLI's `verify --suite all --strict`, and
-records each manifest cell's result and seconds: criteria 1-14 check their
-cell's record and criterion 15 the whole run.  Every check is an exact
+records each manifest cell's result and seconds, and the calls into the
+power-sum DP: criteria 1-14 check their cell's record, criterion 15 the
+whole run, and criterion 16 that every oracle in it ran on the scan.  Every check is an exact
 integer equality unless a tolerance is stated; timing bounds are asserted
 where the criterion states one.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from symtotient import cli, verify
+from symtotient import _kernels, cli, verify
 from symtotient.arith import identity, jordan_totient
 from symtotient.congruence import g3_closed, g4_closed
 from symtotient.symfield import SymSystem, closed_count_e2, count_zeros_bruteforce
@@ -34,8 +35,14 @@ def report(name: str, res: verify.CellResult | None = None, elapsed: float | Non
 @pytest.fixture(scope="module")
 def sweep():
     """One run of `verify --suite all --strict`: (exit code, stdout, seconds,
-    {cell name: (CellResult, seconds)})."""
+    {cell name: (CellResult, seconds)}, calls into the power-sum DP)."""
     cells = {}
+    dp_calls = []
+    count_sym_dp = _kernels.count_sym_dp
+
+    def counted_dp(*args, **kwargs):
+        dp_calls.append(args)
+        return count_sym_dp(*args, **kwargs)
 
     def recorded(name, cell):
         def run(budget=None):
@@ -48,6 +55,7 @@ def sweep():
 
     manifest = verify.MANIFEST
     verify.MANIFEST = tuple((suite, name, recorded(name, cell)) for suite, name, cell in manifest)
+    _kernels.count_sym_dp = counted_dp
     out = io.StringIO()
     t0 = time.perf_counter()
     try:
@@ -55,12 +63,12 @@ def sweep():
             code = cli.main(["verify", "--suite", "all", "--strict"])
     finally:
         verify.MANIFEST = manifest
-    return code, out.getvalue(), time.perf_counter() - t0, cells
+        _kernels.count_sym_dp = count_sym_dp
+    return code, out.getvalue(), time.perf_counter() - t0, cells, len(dp_calls)
 
 
 def run_cell(sweep, name):
-    *_, cells = sweep
-    res, elapsed = cells[name]
+    res, elapsed = sweep[3][name]
     assert res.failed == 0, res.failures[:10]
     assert res.skipped == 0, res.skips[:10]
     return res, elapsed
@@ -158,7 +166,7 @@ def test_criterion_14_generalized_ramanujan(sweep):
 
 
 def test_criterion_15_verify_all_under_ten_minutes(sweep):
-    code, out, elapsed, cells = sweep
+    code, out, elapsed, cells, _ = sweep
     assert code == 0, out
     assert "failed=0" in out
     # every cell, label and check count: a shrunken grid or a lost cell fails here
@@ -167,3 +175,10 @@ def test_criterion_15_verify_all_under_ten_minutes(sweep):
     assert list(cells) == [name for _, name, _ in verify.MANIFEST]
     assert elapsed < 600
     report("criterion-15 verify --suite all", elapsed=elapsed)
+
+
+def test_criterion_16_verify_oracles_run_on_the_scan(sweep):
+    # the DP is checked against the scan, so no verify oracle may run on it
+    *_, dp_calls = sweep
+    assert dp_calls == 0
+    report("criterion-16 no verify oracle on the power-sum DP")

@@ -223,15 +223,16 @@ def test_two_route_output_pinned(monkeypatch, capsys, argv, code, out, err):
 
 
 def test_closed_probe_enumerates_nothing_twice(monkeypatch, capsys):
-    # the budget-0 probe stops before F_5^4, so each prime is enumerated once
+    # the budget-0 probe stops before F_5^4, so each prime gets one counting
+    # pass, whichever engine runs it
     calls = []
-    count_sym_zeros = _kernels.count_sym_zeros
+    count_field = _kernels.count_field
 
-    def counted(m, *rest):
-        calls.append(m)
-        return count_sym_zeros(m, *rest)
+    def counted(p, *rest, **kwargs):
+        calls.append(p)
+        return count_field(p, *rest, **kwargs)
 
-    monkeypatch.setattr(_kernels, "count_sym_zeros", counted)
+    monkeypatch.setattr(_kernels, "count_field", counted)
     code, out, _ = run_cli(capsys, "totient", "--n", "35", "--k", "4", "--J", "1,3")
     assert code == 0 and out.endswith("method=per-prime-enumeration\n")
     assert calls == [5, 7]

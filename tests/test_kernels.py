@@ -1,10 +1,14 @@
-"""The chunked-numpy kernels against the literal pure-Python oracle, and the
+"""The chunked-numpy kernels and the power-sum DP against the literal
+pure-Python oracle, the DP against the scan, the DP's cost rule, and the
 int64 bounds the kernels enforce."""
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtotient import _kernels
+from symtotient.symfield import count_zeros_closed
 
 
 CASES = [
@@ -92,3 +96,110 @@ def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
     monkeypatch.setattr(_kernels, "np", None)
     with pytest.raises(ValueError, match="int64"):
         call()
+
+
+# every nonempty J in [1, k] with max(J) < p, wherever p**k <= 2 * 10**4
+DP_GRID = [
+    (p, k, J)
+    for p in (3, 5, 7)
+    for k in range(1, 10)
+    if p**k <= 20_000
+    for J in oracle.nonempty_subsets(range(1, min(k, p - 1) + 1))
+]
+
+
+@pytest.mark.parametrize("p,k,J", DP_GRID, ids=[f"p{p}-k{k}-J{sorted(J)}" for p, k, J in DP_GRID])
+def test_dp_matches_oracle(p, k, J):
+    assert _kernels.count_sym_dp(p, k, J) == oracle.zeros(p, k, J)
+    assert _kernels.count_sym_dp(p, k, J, nonzero=True) == oracle.units(p, k, J, joint=False)
+
+
+@st.composite
+def dp_cases(draw):
+    """(p, k, js): p prime, p**k <= 3 * 10**5, js a nonempty subset of
+    [1, min(k, p - 1)] whose max keeps the DP under its state cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    k = draw(st.integers(min_value=1, max_value=max(kk for kk in range(1, 19) if p**kk <= 300_000)))
+    top = max(t for t in range(1, min(k, p - 1) + 1) if (2 * p) ** t <= _kernels._DP_CELLS)
+    js = draw(st.sets(st.integers(min_value=1, max_value=top), min_size=1, max_size=top))
+    return p, k, sorted(js)
+
+
+@given(dp_cases())
+@settings(max_examples=40, deadline=None)
+def test_dp_matches_scan(case):
+    p, k, js = case
+    assert _kernels.count_sym_dp(p, k, js) == _kernels.count_sym_zeros(p, k, js)
+    assert _kernels.count_sym_dp(p, k, js, nonzero=True) == _kernels.count_sym_units(
+        p, k, js, joint=False
+    )
+
+
+def test_dp_counts_past_2_31():
+    # the DP keeps int64 counts once p**k reaches 2**31; at J = {1} a single
+    # state holds p**(k-1) >= 2**31 tuples.  The closed link checks them.
+    for p, k, js in ((2, 33, [1]), (3, 21, [1]), (3, 20, [2]), (5, 14, [1, 2]), (7, 12, [2])):
+        assert p**k >= 1 << 31
+        assert _kernels.count_sym_dp(p, k, js) == count_zeros_closed(js, k, p)
+    assert _kernels.count_sym_dp(3, 21, [1], nonzero=True) == 3**21 - 3**20
+
+
+@pytest.mark.parametrize(
+    "p,k,js,match",
+    [
+        (3, 4, [3], "p > max"),  # Newton's identities would divide by 3
+        (5, 8, [2, 5], "p > max"),
+        (1031, 2, [1, 2], "cap"),  # (2p)**2 > 2**20 tiled cells
+        (11, 6, [6], "cap"),
+        (5, 28, [1], "int64"),  # 5**28 > 2**63
+    ],
+)
+def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
+    monkeypatch.setattr(_kernels, "np", None)
+    with pytest.raises(ValueError, match=match):
+        _kernels.count_sym_dp(p, k, js)
+
+
+@pytest.mark.parametrize(
+    "p,k,jmax,route",
+    [
+        (23, 4, 3, "dp"),
+        (11, 5, 3, "dp"),
+        (7, 6, 3, "dp"),
+        (7, 4, 3, "scan"),  # too small: the DP's setup dominates
+        (3, 8, 3, "scan"),  # p <= jmax
+        (7, 6, 6, "scan"),  # the DP would do more work than the scan
+    ],
+)
+def test_cost_rule_routes(p, k, jmax, route):
+    assert ("dp" if _kernels._dp_pays(p, k, jmax) else "scan") == route
+
+
+def test_cost_rule_never_picks_a_refused_dp():
+    for p in (2, 3, 5, 7, 11, 13, 31, 101, 1009, 10007):
+        for jmax in range(1, 12):
+            for k in range(jmax, 40):
+                if _kernels._dp_pays(p, k, jmax):
+                    assert _kernels._dp_refusal(p, jmax) is None
+                    assert (2 * p) ** jmax <= _kernels._DP_CELLS
+
+
+@pytest.mark.parametrize("p,k,js", [(23, 4, [3]), (7, 4, [3]), (5, 6, [1, 2, 3, 4, 5, 6])])
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_count_field_runs_one_engine(monkeypatch, p, k, js, nonzero):
+    ran = []
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            ran.append(kernel.__name__)
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("count_sym_dp", "count_sym_zeros", "count_sym_units"):
+        monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
+    got = _kernels.count_field(p, k, js, nonzero)
+    scan = "count_sym_units" if nonzero else "count_sym_zeros"
+    assert ran == ["count_sym_dp" if _kernels._dp_pays(p, k, max(js)) else scan]
+    expected = oracle.units(p, k, js, joint=False) if nonzero else oracle.zeros(p, k, js)
+    assert got == expected

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtotient import _kernels
-from symtotient.arith import primes_in_range
+from symtotient import _kernels, symfield
+from symtotient.arith import is_prime, primes_in_range
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import (
     QuadraticForm,
@@ -170,6 +170,10 @@ class TestExtendWithEk:
         with pytest.raises(ValueError):
             extend_with_ek({3}, 3, 5)
 
+    def test_rejects_composite_p(self):
+        with pytest.raises(ValueError, match="prime"):
+            extend_with_ek(set(), 1, 9)
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_arity_below_one_refused(self, k):
         with pytest.raises(ValueError):
@@ -242,7 +246,10 @@ class TestDispatch:
         def refuse(*args):
             raise AssertionError("the closed link enumerated")
 
-        kernels = ("count_sym_zeros", "count_sym_units", "lincong_histogram", "quadform_histogram")
+        kernels = (
+            "count_sym_zeros", "count_sym_units", "lincong_histogram", "quadform_histogram",
+            "count_sym_dp", "count_field",
+        )
         for name in kernels:
             monkeypatch.setattr(_kernels, name, refuse)
         for p in (2, 3, 5, 7):
@@ -253,9 +260,21 @@ class TestDispatch:
         # the base N_4({3}) has no closed form over F_7
         assert extend_with_ek({3}, 5, 7) is None
 
-    def test_count_zeros_falls_back_to_bruteforce(self):
-        got = count_zeros(SymSystem(4, {3}), 5)
-        assert got == oracle.zeros(5, 4, {3})
+    def test_count_zeros_falls_back_to_one_counting_pass(self):
+        # F_5^4 goes to the scan and F_11^5 to the DP, by the cost rule
+        assert count_zeros(SymSystem(4, {3}), 5) == oracle.zeros(5, 4, {3})
+        assert count_zeros(SymSystem(5, {3}), 11) == _kernels.count_sym_zeros(11, 5, [3])
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            count_zeros(SymSystem(5, {3}), 11, budget=100)
+
+    @pytest.mark.parametrize("J, k", [({1, 2, 6}, 6), ({1, 4}, 4)])
+    def test_dispatcher_checks_p_once(self, monkeypatch, J, k):
+        # the recursion (extend_with_ek's bases, the e_2 and (e_1, e_2)
+        # counts) runs on helpers that take p as checked
+        calls = []
+        monkeypatch.setattr(symfield, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert count_zeros_closed(J, k, 5) == oracle.zeros(5, k, J)
+        assert calls == [5]
 
     def test_dispatch_agrees_with_enumeration(self):
         for p in (3, 5):

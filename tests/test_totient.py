@@ -160,32 +160,42 @@ class TestPerPrimeFallback:
                 assert varphi(TotientSpec(4, J, "joint", p)) == p**4 - zeros[frozenset(J)]
 
     @pytest.mark.parametrize(
-        "spec, value, kernel_calls",
+        "spec, value, passes",
         [
             # 105 = 3 * 5 * 7 and {3} has no closed count at k = 6: one pass per prime
             (TotientSpec(6, frozenset(range(1, 7)), "individual", 105), 785268000, 3),
             # every subset of {1, 2} closes: no enumeration at all
             (TotientSpec(2, {1, 2}, "individual", 45), closed_phi_12(2, 45), 0),
+            # one pass that the cost rule gives to the DP, checked on the scan
+            (TotientSpec(5, {3}, "individual", 11), 11**5 - _kernels.count_sym_zeros(11, 5, [3]),
+             1),
         ],
     )
-    def test_at_most_one_enumeration_per_prime(self, monkeypatch, spec, value, kernel_calls):
+    def test_at_most_one_enumeration_per_prime(self, monkeypatch, spec, value, passes):
+        # a pass is one count_field call, whichever engine it runs
         calls = []
+        count_field = _kernels.count_field
 
-        def counted(kernel):
-            def wrapper(*args, **kwargs):
-                calls.append(kernel.__name__)
-                return kernel(*args, **kwargs)
+        def counted(p, *rest, **kwargs):
+            calls.append(p)
+            return count_field(p, *rest, **kwargs)
 
-            return wrapper
-
-        for name in ("count_sym_units", "count_sym_zeros"):
-            monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
+        monkeypatch.setattr(_kernels, "count_field", counted)
         assert phi(spec) == value
-        assert len(calls) == kernel_calls
+        assert len(calls) == passes
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
             varphi(TotientSpec(4, {3}, "joint", 11), budget=100)
+
+    def test_budget_refuses_before_the_dp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the DP ran past the budget")
+
+        assert _kernels._dp_pays(11, 5, 3)
+        monkeypatch.setattr(_kernels, "count_sym_dp", refuse)
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            varphi(TotientSpec(5, {3}, "joint", 11), budget=100)
 
 
 class TestSymmetryAndDivisibility:
