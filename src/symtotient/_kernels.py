@@ -154,7 +154,7 @@ def count_sym_dp(p: int, k: int, js, nonzero: bool = False) -> int:
         counts = np.zeros(shape, dtype=dtype)
         for window in windows:
             counts += tiled[window]
-        del tiled
+        del tiled  # the largest array: free it before the next tile and the Newton pass
     # on the open grid of power sums, e_j spans the axes of P_1..P_j only
     psums = np.ogrid[tuple(slice(0, p) for _ in shape)]
     e = [1]
