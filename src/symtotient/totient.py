@@ -54,8 +54,12 @@ def _local_units(k: int, J, p: int, joint: bool, budget: int | None) -> int:
     subsets = [J] if joint else [
         frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
     ]
-    zeros = [count_zeros_closed(sub, k, p) for sub in subsets]
-    if None not in zeros:
+    zeros = []
+    for sub in subsets:
+        zeros.append(count_zeros_closed(sub, k, p))
+        if zeros[-1] is None:  # one gap already sends the prime to a counting pass
+            break
+    else:
         return sum(
             (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z) for sub, z in zip(subsets, zeros)
         )

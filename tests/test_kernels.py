@@ -2,6 +2,8 @@
 pure-Python oracle, the DP against the scan, the DP's cost rule, and the
 int64 bounds the kernels enforce."""
 
+import itertools
+
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,58 @@ def test_lincong_histogram_matches_oracle(m, k, coeffs, js):
     got = _kernels.lincong_histogram(m, k, coeffs, js)
     assert got.tolist() == oracle.lincong_hist(m, k, coeffs, js)
     assert int(got.sum()) <= m**k
+
+
+# m**k > _CHUNK: the scan splits each tuple into an inner block of low
+# digits and several outer prefixes, and combines them by the product rule
+@pytest.mark.parametrize(
+    "m,k,coeffs,js",
+    [(5, 7, (0, 1, 1, 1, 1, 2, 3), (1, 2)), (3, 10, (0, 1, 1, 1, 1, 1, 1, 1, 2, 2), (2,))],
+)
+def test_split_lincong_histogram_matches_oracle(m, k, coeffs, js):
+    # asymmetric coefficients: a coefficient applied to the wrong digit shows
+    assert 0 < _kernels._low_digits(m, k) < k
+    assert _kernels.lincong_histogram(m, k, coeffs, js).tolist() == oracle.lincong_hist(
+        m, k, coeffs, js
+    )
+
+
+@pytest.mark.parametrize("m,k,js", [(3, 10, (1, 2)), (6, 6, (1, 3))])
+@pytest.mark.parametrize("joint", [True, False])
+def test_split_count_units_matches_oracle(m, k, js, joint):
+    assert 0 < _kernels._low_digits(m, k) < k
+    assert _kernels.count_sym_units(m, k, js, joint) == oracle.units(m, k, js, joint)
+
+
+def test_split_count_zeros_matches_oracle():
+    assert _kernels._low_digits(2, 16) == 14
+    assert _kernels.count_sym_zeros(2, 16, (2,)) == oracle.zeros(2, 16, (2,))
+
+
+def test_split_histogram_without_constraints_counts_every_tuple():
+    m, k, coeffs = 3, 10, (1, 2, 0, 1, 2, 2, 1, 0, 1, 2)
+    got = _kernels.lincong_histogram(m, k, coeffs, ())
+    assert got.tolist() == oracle.lincong_hist(m, k, coeffs, ())
+    assert int(got.sum()) == m**k
+
+
+@pytest.mark.parametrize("m", [2, 3, 128, 129, 16384, 16385, 16411])
+def test_scan_chunks_stay_within_chunk(m):
+    # above _CHUNK the inner block is empty, so no chunk holds m tuples
+    assert (_kernels._low_digits(m, 2) == 0) == (m > _kernels._CHUNK)
+    for rows, _ in itertools.islice(_kernels._scan(m, 2, [1, 2]), 4):
+        assert all(row.shape[0] <= _kernels._CHUNK for row in rows)
+
+
+def test_product_rule_peak_is_checked(monkeypatch):
+    # at m = 200, k = 2 both halves have one digit, and the product rule's
+    # bound (jmax + 1) * m**2 is above m**k and m**2 + m
+    m, k = 200, 2
+    assert _kernels._low_digits(m, k) == 1
+    monkeypatch.setattr(_kernels, "_INT64_LIMIT", 2 * m * m)
+    monkeypatch.setattr(_kernels, "np", None)
+    with pytest.raises(ValueError, match="int64"):
+        _kernels.count_sym_zeros(m, k, [1, 2])
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import oracle
 import pytest
 
-from symtotient import _kernels
+from symtotient import _kernels, totient
 from symtotient.arith import divisor_count, euler_phi, identity, jordan_totient, one
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import SymSystem, count_zeros_bruteforce
@@ -183,6 +183,20 @@ class TestPerPrimeFallback:
         monkeypatch.setattr(_kernels, "count_field", counted)
         assert phi(spec) == value
         assert len(calls) == passes
+
+    def test_closed_counts_stop_at_the_first_gap(self, monkeypatch):
+        # subsets run {1}, {2}, {3}, ...; {3} has no closed count at k = 6, so
+        # each of 3, 5 and 7 asks for three closed counts, not all 63
+        asked = []
+        closed = totient.count_zeros_closed
+
+        def counted(sub, k, p):
+            asked.append(p)
+            return closed(sub, k, p)
+
+        monkeypatch.setattr(totient, "count_zeros_closed", counted)
+        assert phi(TotientSpec(6, frozenset(range(1, 7)), "individual", 105)) == 785268000
+        assert asked == [3, 3, 3, 5, 5, 5, 7, 7, 7]
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
