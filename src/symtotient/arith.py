@@ -128,6 +128,11 @@ def quadratic_character(a: int, p: int) -> int:
     a^((p-1)/2) mod p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"quadratic character needs an odd prime, got {p}")
+    return _quadratic_character(a, p)
+
+
+def _quadratic_character(a: int, p: int) -> int:
+    """quadratic_character for a p the caller has already checked to be an odd prime."""
     a %= p
     if a == 0:
         return 0
@@ -139,6 +144,11 @@ def nu(b: int, p: int) -> int:
     p-1 when b = 0 mod p, and -1 on units."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _nu(b, p)
+
+
+def _nu(b: int, p: int) -> int:
+    """nu for a p the caller has already checked to be prime."""
     return p - 1 if b % p == 0 else -1
 
 

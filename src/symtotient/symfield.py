@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .arith import binom_mod2, is_prime, nu, quadratic_character
+from .arith import _nu, _quadratic_character, binom_mod2, is_prime
 from .budget import check_budget
 
 MODES = ("joint", "individual")
@@ -153,9 +153,9 @@ def _count_e2(k: int, p: int) -> int:
         return count_zeros_mod2({2}, k)
     if k % 2 == 1:
         arg = (-1) ** ((k - 1) // 2) * (1 - math.gcd(k - 1, p))
-        return p ** (k - 1) + (p - 1) * p ** ((k - 1) // 2) * quadratic_character(arg, p)
+        return p ** (k - 1) + (p - 1) * p ** ((k - 1) // 2) * _quadratic_character(arg, p)
     arg = (-1) ** (k // 2 + 1) * (k - 1)
-    return p ** (k - 1) + (p - 1) * p ** ((k - 2) // 2) * quadratic_character(arg, p)
+    return p ** (k - 1) + (p - 1) * p ** ((k - 2) // 2) * _quadratic_character(arg, p)
 
 
 def closed_count_e1e2(k: int, p: int) -> int:
@@ -177,9 +177,9 @@ def _count_e1e2(k: int, p: int) -> int:
         return count_zeros_mod2({1, 2}, k)
     if k % 2 == 1:
         arg = (-1) ** ((k - 1) // 2) * k
-        return p ** (k - 2) + (p - 1) * p ** ((k - 3) // 2) * quadratic_character(arg, p)
+        return p ** (k - 2) + (p - 1) * p ** ((k - 3) // 2) * _quadratic_character(arg, p)
     arg = (-1) ** (k // 2) * (1 - math.gcd(k, p))
-    return p ** (k - 2) + (p - 1) * p ** ((k - 2) // 2) * quadratic_character(arg, p)
+    return p ** (k - 2) + (p - 1) * p ** ((k - 2) // 2) * _quadratic_character(arg, p)
 
 
 def extend_with_ek(J, k: int, p: int, base_counter=None) -> int | None:
@@ -330,11 +330,11 @@ def quad_form_count(form: QuadraticForm, b: int) -> int:
     for d in nonzero:
         det = det * d % p
     if rank % 2 == 1:
-        count = p ** (rank - 1) + p ** ((rank - 1) // 2) * quadratic_character(
+        count = p ** (rank - 1) + p ** ((rank - 1) // 2) * _quadratic_character(
             (-1) ** ((rank - 1) // 2) * b * det, p
         )
     else:
-        count = p ** (rank - 1) + nu(b, p) * p ** ((rank - 2) // 2) * quadratic_character(
+        count = p ** (rank - 1) + _nu(b, p) * p ** ((rank - 2) // 2) * _quadratic_character(
             (-1) ** (rank // 2) * det, p
         )
     return p ** (k - rank) * count

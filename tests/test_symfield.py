@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtotient import _kernels, symfield
+from symtotient import _kernels, arith, symfield
 from symtotient.arith import is_prime, primes_in_range
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import (
@@ -276,6 +276,18 @@ class TestDispatch:
         assert count_zeros_closed(J, k, 5) == oracle.zeros(5, k, J)
         assert calls == [5]
 
+    @pytest.mark.parametrize("J", [{2}, {1, 2, 5}])
+    def test_character_sums_check_p_once(self, monkeypatch, J):
+        # the e_2 and (e_1, e_2) character sums take the quadratic character
+        # of a p the dispatcher has checked, without a second primality test
+        expected = count_zeros_closed(J, 5, 10007)
+        calls = []
+        counted = lambda n: calls.append(n) or is_prime(n)
+        monkeypatch.setattr(symfield, "is_prime", counted)
+        monkeypatch.setattr(arith, "is_prime", counted)
+        assert count_zeros_closed(J, 5, 10007) == expected
+        assert calls == [10007]
+
     def test_dispatch_agrees_with_enumeration(self):
         for p in (3, 5):
             for k in (2, 3, 4):
@@ -353,6 +365,17 @@ class TestQuadForm:
         # must equal the radical-reduction count
         for k, p in ((4, 3), (7, 3), (6, 5), (8, 7)):
             assert closed_count_e2(k, p) == quad_form_count(e2_matrix(k, p), 0)
+
+    def test_quad_form_count_checks_p_at_construction_only(self, monkeypatch):
+        # rank 4 takes the nu branch, rank 5 the character of b * det
+        forms = [e2_matrix(4, 10007), e2_matrix(5, 10007)]
+        expected = [quad_form_count(form, b) for form in forms for b in (0, 1, 5)]
+        calls = []
+        counted = lambda n: calls.append(n) or is_prime(n)
+        monkeypatch.setattr(symfield, "is_prime", counted)
+        monkeypatch.setattr(arith, "is_prime", counted)
+        assert [quad_form_count(form, b) for form in forms for b in (0, 1, 5)] == expected
+        assert calls == []
 
 
 class TestMonotoneBound:

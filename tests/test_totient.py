@@ -212,6 +212,60 @@ class TestPerPrimeFallback:
             varphi(TotientSpec(5, {3}, "joint", 11), budget=100)
 
 
+class TestClosedUnitsMemo:
+    # closed local unit counts are memoized per (k, J, mode) and p; counting
+    # passes and budget refusals are not
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_warm_repeat_asks_no_closed_count(self, monkeypatch):
+        spec = TotientSpec(6, {1, 2}, "individual", 105)
+        asked = self._count(monkeypatch, totient, "count_zeros_closed")
+        cold = phi(spec)
+        assert len(asked) == 9  # {1}, {2} and {1, 2} at each of 3, 5 and 7
+        asked.clear()
+        assert phi(spec) == cold == closed_phi_12(6, 105)
+        assert asked == []
+
+    def test_budget_refusal_survives_a_warm_pass(self):
+        spec = TotientSpec(4, {3}, "joint", 11)
+        assert varphi(spec) == 11**4 - oracle.zeros(11, 4, {3})
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            varphi(spec, budget=100)
+
+    def test_every_call_makes_its_own_pass(self, monkeypatch):
+        spec = TotientSpec(4, {3}, "joint", 11)
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        first = varphi(spec)
+        assert varphi(spec) == first
+        assert [p for p, *_ in passes] == [11, 11]
+
+    @pytest.mark.parametrize("first", ["joint", "individual"])
+    def test_modes_have_their_own_entries(self, first):
+        order = [first] + [m for m in ("joint", "individual") if m != first]
+        for mode in order:
+            spec = TotientSpec(2, {1, 2}, mode, 5)
+            got = varphi(spec) if mode == "joint" else phi(spec)
+            assert got == oracle.units(5, 2, {1, 2}, joint=mode == "joint"), mode
+
+    @pytest.mark.parametrize("ks", [(2, 3), (3, 2)])
+    def test_arities_have_their_own_entries(self, ks):
+        for k in ks:
+            assert phi(TotientSpec(k, {1, 2}, "individual", 5)) == oracle.units(
+                5, k, {1, 2}, joint=False
+            ), k
+
+
 class TestSymmetryAndDivisibility:
     def test_index_reflection_symmetry(self):
         # {i, k} and {k-i, k} count the same tuples (coordinatewise inversion
@@ -352,6 +406,31 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(phi, specs)) == serial_closed
             assert list(pool.map(phi_bruteforce, specs)) == serial_brute
+
+    def test_threads_filling_a_cold_memo_agree_with_serial(self):
+        # threads race to create each (k, J, mode) entry from cold, and each
+        # prime is asked once per entry, so a lost update would stay lost:
+        # every entry and every value must match a serial fill
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        primes = [p for p in range(3, 200) if p == 3 or all(p % q for q in range(2, p))]
+        specs = [TotientSpec(k, J, mode, p) for k in range(2, 7) for J, mode in (
+            ({1, 2}, "individual"), ({1, k}, "individual"), (range(1, k + 1), "joint")
+        ) for p in primes]
+        run = lambda s: (varphi if s.mode == "joint" else phi)(s)
+        serial = [run(s) for s in specs]
+        serial_memo = {key: dict(by_prime) for key, by_prime in totient._CLOSED_UNITS.items()}
+        totient._CLOSED_UNITS.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, s) for s in specs]
+                assert [f.result(timeout=60) for f in futures] == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert totient._CLOSED_UNITS == serial_memo
 
 
 class TestBudget:
