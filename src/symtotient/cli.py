@@ -42,8 +42,8 @@ from .symfield import (
     SymSystem,
     closed_count_e1e2,
     closed_count_e2,
+    count_zeros,
     count_zeros_bruteforce,
-    count_zeros_closed,
 )
 from .totient import TotientSpec
 
@@ -143,16 +143,8 @@ def _totient_routes(args):
 
 def _zeros_routes(args):
     system = SymSystem(args.k, parse_indices(args.J, args.k))
-
-    def closed(budget):
-        value = count_zeros_closed(system.J, system.k, args.p)
-        if value is None:
-            raise ValueError(
-                f"no closed form for J={sorted(system.J)} at k={system.k}; use --method brute"
-            )
-        return value
-
     params = [("p", args.p), ("k", args.k), ("J", _jtext(system.J))]
+    closed = partial(count_zeros, system, args.p)
     return params, closed, partial(count_zeros_bruteforce, system, args.p)
 
 

@@ -11,10 +11,23 @@ the full set J = {1,...,k}, and any J containing k through an
 inclusion-exclusion recurrence over zeroed coordinates.  The closed
 forms never enumerate: the recurrence asks only closed bases, and a J
 with a base that has no closed form gets None, not a count.
+
+_local_units is the one per-prime rule behind count_zeros and the
+totients' product forms: the number of tuples in F_p^k whose e_j are not
+all zero (joint) or none zero (individual), from closed zero counts when
+every count it needs closes, else from one counting pass.  The closed
+local count is memoized for the life of the process in _CLOSED_UNITS,
+keyed by (k, J, joint) and then by p, and so is its absence (None: some
+zero count it needs has no closed form).  A closed count charges no
+budget, so one memo serves every budget.  Counting passes and budget
+refusals are never memoized: each call that needs a pass checks its
+budget and makes the pass again.  The memo has no size limit; it grows by
+under 100 bytes per distinct (k, J, mode, p) asked for.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import _kernels
 from .arith import _nu, _quadratic_character, binom_mod2, is_prime
@@ -255,16 +268,58 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
     return None
 
 
+# (k, J, joint) -> {p: closed local unit count or None}; one J frozenset is
+# kept per (k, J, mode), not per prime.  Unbounded: see the module docstring.
+_CLOSED_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | None]] = {}
+
+
+def _closed_units(k: int, J: frozenset, p: int, joint: bool) -> int | None:
+    """_local_units from closed zero counts alone, or None when one of the
+    counts it needs has no closed form; memoized in _CLOSED_UNITS."""
+    by_prime = _CLOSED_UNITS.get((k, J, joint))
+    if by_prime is None:  # setdefault: racing threads share one dict
+        by_prime = _CLOSED_UNITS.setdefault((k, J, joint), {})
+    if p not in by_prime:  # racing threads may both fill it, with one value
+        by_prime[p] = _closed_units_uncached(k, J, p, joint)
+    return by_prime[p]
+
+
+def _closed_units_uncached(k: int, J: frozenset, p: int, joint: bool) -> int | None:
+    subsets = [J] if joint else [
+        frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
+    ]
+    total = 0
+    for sub in subsets:
+        z = _closed(sub, k, p)
+        if z is None:  # one gap already sends the prime to a counting pass
+            return None
+        total += (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z)
+    return total
+
+
+def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
+    """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
+    zero, for a checked k and J and a prime p: from closed zero counts when
+    all close (memoized, see _closed_units), else one counting pass over
+    F_p^k, charged p^k tuples against the budget.  The pass is
+    _kernels.count_field, the power-sum DP or the scan by its cost rule; it
+    and its refusal are never memoized."""
+    closed = _closed_units(k, J, p, joint)
+    if closed is not None:
+        return closed
+    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
+    if joint or len(J) == 1:  # one term: the zeros count is the faster pass
+        return p**k - _kernels.count_field(p, k, sorted(J))
+    return _kernels.count_field(p, k, sorted(J), nonzero=True)
+
+
 def count_zeros(system: SymSystem, p: int, budget: int | None = None) -> int:
-    """Zero count of the system over F_p^k: closed form when one is known,
+    """Zero count of the system over F_p^k by the per-prime rule of
+    _local_units, in joint mode: the closed form when one is known (memoized),
     otherwise one counting pass over F_p^k, charged p^k tuples against the
-    budget.  The pass is _kernels.count_field: the power-sum DP or the scan,
-    whichever its cost rule picks; count_zeros_bruteforce always scans."""
-    value = count_zeros_closed(system.J, system.k, p)
-    if value is not None:
-        return value
-    check_budget(p**system.k, budget, f"enumerating F_{p}^{system.k}")
-    return _kernels.count_field(p, system.k, system.indices)
+    budget.  count_zeros_bruteforce always scans."""
+    _check_prime(p)
+    return p**system.k - _local_units(system.k, system.J, p, True, budget)
 
 
 def _diagonalize_symmetric(rows, p: int) -> list[int]:

@@ -7,18 +7,10 @@ Two totients are attached to an index set J on k variables and a modulus n:
 
 Both are multiplicative: the factor at p^a is p^(k(a-1)) times a count of
 tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
-(individual).  That count comes from closed zero counts when every count
-it needs closes, and otherwise from one counting pass over F_p^k
-(_kernels.count_field: the power-sum DP or the scan, by its cost rule).
-Brute-force oracles over Z_n^k and the Menon-identity sides live here too.
-
-The closed local count is memoized for the life of the process in
-_CLOSED_UNITS, keyed by (k, J, joint) and then by p, and so is its absence
-(None: some zero count it needs has no closed form).  A closed count
-charges no budget, so one memo serves every budget.  Counting passes and
-budget refusals are never memoized: each call that needs a pass checks its
-budget and makes the pass again.  The memo has no size limit; it grows by
-under 100 bytes per distinct (k, J, mode, p) asked for.
+(individual).  That count is symfield's per-prime rule (_local_units):
+closed zero counts when every count it needs closes, memoized per prime,
+and otherwise one counting pass over F_p^k.  Brute-force oracles over
+Z_n^k and the Menon-identity sides live here too.
 
 Conventions: the value is 0 for empty J and 1 for n = 1.
 """
@@ -26,12 +18,11 @@ Conventions: the value is 0 for empty J and 1 for n = 1.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import _kernels
 from .arith import dirichlet_convolve_mu, divisors, euler_phi, factorize
 from .budget import check_budget
-from .symfield import SymSystem, closed_count_e1e2, closed_count_e2, count_zeros_closed
+from .symfield import SymSystem, _local_units, closed_count_e1e2, closed_count_e2
 
 
 class IntegralityError(RuntimeError):
@@ -53,50 +44,6 @@ class TotientSpec:
             raise ValueError(f"modulus must be >= 1, got {self.n}")
         system = SymSystem(self.k, self.J, self.mode)  # validates k, J, mode
         object.__setattr__(self, "J", system.J)
-
-
-# (k, J, joint) -> {p: closed local unit count or None}; one J frozenset is
-# kept per (k, J, mode), not per prime.  Unbounded: see the module docstring.
-_CLOSED_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | None]] = {}
-
-
-def _closed_units(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    """_local_units from closed zero counts alone, or None when one of the
-    counts it needs has no closed form; memoized in _CLOSED_UNITS."""
-    by_prime = _CLOSED_UNITS.get((k, J, joint))
-    if by_prime is None:  # setdefault: racing threads share one dict
-        by_prime = _CLOSED_UNITS.setdefault((k, J, joint), {})
-    if p not in by_prime:  # racing threads may both fill it, with one value
-        by_prime[p] = _closed_units_uncached(k, J, p, joint)
-    return by_prime[p]
-
-
-def _closed_units_uncached(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    subsets = [J] if joint else [
-        frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
-    ]
-    total = 0
-    for sub in subsets:
-        z = count_zeros_closed(sub, k, p)
-        if z is None:  # one gap already sends the prime to a counting pass
-            return None
-        total += (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z)
-    return total
-
-
-def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
-    """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
-    zero: from closed zero counts when all close (memoized per (k, J, mode)
-    and p, see _closed_units), else one counting pass over F_p^k, charged p^k
-    tuples against the budget.  The pass and its refusal are never memoized,
-    so every call under a budget too small for F_p^k refuses."""
-    closed = _closed_units(k, J, p, joint)
-    if closed is not None:
-        return closed
-    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
-    if joint or len(J) == 1:  # one term: the zeros count is the faster pass
-        return p**k - _kernels.count_field(p, k, sorted(J))
-    return _kernels.count_field(p, k, sorted(J), nonzero=True)
 
 
 def _require_mode(spec: TotientSpec, mode: str) -> None:

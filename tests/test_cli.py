@@ -79,11 +79,11 @@ class TestZerosCommand:
         assert "value=7" in out
 
     def test_no_closed_form_message(self, capsys):
-        code, _, err = run_cli(
+        code, out, _ = run_cli(
             capsys, "zeros", "--p", "7", "--k", "5", "--J", "3", "--method", "closed"
         )
-        assert code == 2
-        assert "no closed form" in err
+        assert code == 0
+        assert out == "zeros p=7 k=5 J=3 value=2191 method=per-prime-enumeration\n"
 
     def test_brute_fallback_for_unclosed(self, capsys):
         code, out, _ = run_cli(
@@ -130,8 +130,8 @@ class TestRamanujanCommand:
         assert "value=0" in out
 
 
-# Every two-route command under each --method, the two closed-route
-# refusals and three budget refusals: (argv, exit code, stdout, stderr).
+# Every two-route command under each --method, the closed-route refusal
+# and four budget refusals: (argv, exit code, stdout, stderr).
 # Rows whose closed route enumerates F_p^k say so: per-prime-enumeration.
 _OVER = (
     "over the enumeration budget of {}; "
@@ -168,12 +168,12 @@ TWO_ROUTE_OUTPUT = [
      "zeros p=3 k=3 J=2,3 value=7 method=brute-force\n", ""),
     ("zeros --p 3 --k 3 --J 2,3 --method both", 0,
      "zeros p=3 k=3 J=2,3 value=7 method=both\n", ""),
-    ("zeros --p 7 --k 5 --J 3 --method closed", 2,
-     "", "error: no closed form for J=[3] at k=5; use --method brute\n"),
+    ("zeros --p 7 --k 5 --J 3 --method closed", 0,
+     "zeros p=7 k=5 J=3 value=2191 method=per-prime-enumeration\n", ""),
     ("zeros --p 7 --k 5 --J 3 --method brute", 0,
      "zeros p=7 k=5 J=3 value=2191 method=brute-force\n", ""),
-    ("zeros --p 7 --k 5 --J 3 --method both", 2,
-     "", "error: no closed form for J=[3] at k=5; use --method brute\n"),
+    ("zeros --p 7 --k 5 --J 3 --method both", 0,
+     "zeros p=7 k=5 J=3 value=2191 method=both\n", ""),
     ("congruence --n 3 --b 1 --coeffs 1,1,1,1 --J 3,4 --method closed", 0,
      "congruence n=3 b=1 coeffs=1,1,1,1 J=3,4 value=5 method=per-prime-enumeration\n", ""),
     ("congruence --n 3 --b 1 --coeffs 1,1,1,1 --J 3,4 --method brute", 0,
@@ -211,6 +211,8 @@ TWO_ROUTE_OUTPUT = [
      "", "error: enumerating F_5^4 needs 625 tuples, " + _OVER.format(0) + "\n"),
     ("zeros --p 3 --k 3 --J 2,3 --budget 0 --method both", 3,
      "", "error: enumerating F_3^3 needs 27 tuples, " + _OVER.format(0) + "\n"),
+    ("zeros --p 7 --k 5 --J 3 --budget 0 --method closed", 3,
+     "", "error: enumerating F_7^5 needs 16807 tuples, " + _OVER.format(0) + "\n"),
 ]
 
 

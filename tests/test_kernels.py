@@ -220,7 +220,7 @@ def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
         (23, 4, 3, "dp"),
         (11, 5, 3, "dp"),
         (7, 6, 3, "dp"),
-        (7, 4, 3, "scan"),  # too small: the DP's setup dominates
+        (7, 4, 3, "scan"),  # the modelled DP setup dominates, though the DP measured faster
         (3, 8, 3, "scan"),  # p <= jmax
         (7, 6, 6, "scan"),  # the DP would do more work than the scan
     ],

@@ -1,0 +1,40 @@
+"""One per-prime counting rule, in symfield, for every caller."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "symtotient"
+
+
+def _references(tree, name):
+    """Lines where the tree reads the name, as a bare name, an attribute or an
+    imported alias."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+    ]
+
+
+def test_count_field_is_reached_only_from_symfield():
+    users = {
+        path.name for path in SRC.glob("*.py")
+        if _references(ast.parse(path.read_text()), "count_field")
+    }
+    assert users == {"symfield.py"}
+
+
+def test_totient_holds_no_memo_and_no_dispatch():
+    tree = ast.parse((SRC / "totient.py").read_text())
+    for name in ("count_zeros_closed", "count_field"):
+        assert _references(tree, name) == [], name
+    memos = [
+        node.lineno for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, (ast.Dict, ast.Set, ast.List, ast.Call))
+    ] + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.decorator_list
+    ]
+    assert memos == []

@@ -261,11 +261,22 @@ class TestDispatch:
         assert extend_with_ek({3}, 5, 7) is None
 
     def test_count_zeros_falls_back_to_one_counting_pass(self):
-        # F_5^4 goes to the scan and F_11^5 to the DP, by the cost rule
+        # F_5^4 goes to the scan, F_11^4 and F_11^5 to the DP, by the cost
+        # rule; passes and refusals are never memoized, so a budget too small
+        # for F_11^k refuses after a pass over the same space
         assert count_zeros(SymSystem(4, {3}), 5) == oracle.zeros(5, 4, {3})
+        assert count_zeros(SymSystem(4, {3}), 11) == oracle.zeros(11, 4, {3})
         assert count_zeros(SymSystem(5, {3}), 11) == _kernels.count_sym_zeros(11, 5, [3])
-        with pytest.raises(BudgetExceededError, match="F_11"):
-            count_zeros(SymSystem(5, {3}), 11, budget=100)
+        for k in (4, 5):
+            with pytest.raises(BudgetExceededError, match="F_11"):
+                count_zeros(SymSystem(k, {3}), 11, budget=100)
+
+    def test_count_zeros_warm_repeat_asks_no_closed_count(self, monkeypatch):
+        # count_zeros shares the totients' per-prime memo
+        system = SymSystem(4, {1, 4})
+        cold = count_zeros(system, 5)
+        monkeypatch.setattr(symfield, "_closed", lambda *args: pytest.fail(f"asked {args}"))
+        assert count_zeros(system, 5) == cold == oracle.zeros(5, 4, {1, 4})
 
     @pytest.mark.parametrize("J, k", [({1, 2, 6}, 6), ({1, 4}, 4)])
     def test_dispatcher_checks_p_once(self, monkeypatch, J, k):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import oracle
 import pytest
 
-from symtotient import _kernels, totient
+from symtotient import _kernels, arith, symfield
 from symtotient.arith import divisor_count, euler_phi, identity, jordan_totient, one
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import SymSystem, count_zeros_bruteforce
@@ -188,13 +188,13 @@ class TestPerPrimeFallback:
         # subsets run {1}, {2}, {3}, ...; {3} has no closed count at k = 6, so
         # each of 3, 5 and 7 asks for three closed counts, not all 63
         asked = []
-        closed = totient.count_zeros_closed
+        closed = symfield._closed
 
         def counted(sub, k, p):
             asked.append(p)
             return closed(sub, k, p)
 
-        monkeypatch.setattr(totient, "count_zeros_closed", counted)
+        monkeypatch.setattr(symfield, "_closed", counted)
         assert phi(TotientSpec(6, frozenset(range(1, 7)), "individual", 105)) == 785268000
         assert asked == [3, 3, 3, 5, 5, 5, 7, 7, 7]
 
@@ -230,12 +230,21 @@ class TestClosedUnitsMemo:
 
     def test_warm_repeat_asks_no_closed_count(self, monkeypatch):
         spec = TotientSpec(6, {1, 2}, "individual", 105)
-        asked = self._count(monkeypatch, totient, "count_zeros_closed")
+        asked = self._count(monkeypatch, symfield, "_closed")
         cold = phi(spec)
         assert len(asked) == 9  # {1}, {2} and {1, 2} at each of 3, 5 and 7
         asked.clear()
         assert phi(spec) == cold == closed_phi_12(6, 105)
         assert asked == []
+
+    def test_cold_closed_factor_checks_no_prime(self, monkeypatch):
+        # every p comes from factorize, so the closed counts take it as prime
+        expected, calls, is_prime = toth_phi_1k(6, 105), [], arith.is_prime
+        counted = lambda n: calls.append(n) or is_prime(n)
+        monkeypatch.setattr(symfield, "is_prime", counted)
+        monkeypatch.setattr(arith, "is_prime", counted)
+        assert phi(TotientSpec(6, {1, 6}, "individual", 105)) == expected
+        assert calls == []
 
     def test_budget_refusal_survives_a_warm_pass(self):
         spec = TotientSpec(4, {3}, "joint", 11)
@@ -420,8 +429,8 @@ class TestConcurrency:
         ) for p in primes]
         run = lambda s: (varphi if s.mode == "joint" else phi)(s)
         serial = [run(s) for s in specs]
-        serial_memo = {key: dict(by_prime) for key, by_prime in totient._CLOSED_UNITS.items()}
-        totient._CLOSED_UNITS.clear()
+        serial_memo = {key: dict(by_prime) for key, by_prime in symfield._CLOSED_UNITS.items()}
+        symfield._CLOSED_UNITS.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -430,7 +439,7 @@ class TestConcurrency:
                 assert [f.result(timeout=60) for f in futures] == serial
         finally:
             sys.setswitchinterval(interval)
-        assert totient._CLOSED_UNITS == serial_memo
+        assert symfield._CLOSED_UNITS == serial_memo
 
 
 class TestBudget:
