@@ -45,7 +45,6 @@ from .symfield import (
     count_zeros_closed,
     count_zeros_mod2,
     e2_matrix,
-    eval_elem_sym,
     extend_with_ek,
     quad_form_count,
     quadform_value_histogram,

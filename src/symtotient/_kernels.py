@@ -11,7 +11,10 @@ Every tuple is still visited.  The three symmetric-sum kernels share the
 scan and differ only in how they reduce each chunk.
 
 The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
-visiting them; count_field picks it or the scan for one pass over F_p^k.
+visiting them, in O(k p^(jmax+1)) state updates against the scan's
+O(k p^k) tuples.  count_field makes one pass over F_p^k and owns the
+whole engine choice: the DP where it can run and max(js) < k, else the
+scan; _dp_pays names the inputs where that rule picks the slower engine.
 The scan kernels stay the DP's oracle.
 
 All arithmetic is int64, except the DP's counts, which are int32 while
@@ -177,25 +180,17 @@ def _dp_refusal(p, jmax):
 
 
 def _dp_pays(p, k, jmax) -> bool:
-    """Whether count_field runs the DP: it can, and its modelled time is below
-    the scan's.  The model, in ns: the DP spends 100 us on setup and e_j,
-    then k - 1 steps that each tile (2p)**jmax cells at 3 ns and add p
-    windows at 5 us plus 2 ns a state; the scan spends 18 ns per tuple and
-    coordinate.  The DP's terms are rounded up from timings on a 2-vCPU
-    Xeon with numpy 2.4, so that at a near tie the scan wins.
+    """Whether count_field runs the DP: it can, and its work exponent is
+    below the scan's.  The DP makes O(k p^(jmax+1)) state updates and the
+    scan visits O(k p^k) tuples, so the DP runs iff jmax < k.
 
-    The scan term was fitted to the untiled scan, which decoded every digit
-    of every tuple; the tiled scan costs less, so the rule overrates it.
-    Its decisions are kept: over the 56 (p, k, J) with max(J) = 3 and
-    2000 <= p**k <= 3*10**5, the tiled scan beat the DP in none of the 44
-    it sends to the DP, and the DP beat the scan in 3 of the other 12, all
-    at 7**4, by under 0.1 ms.  The rule keeps 7**4 on the scan although the
-    DP measured faster there for every J within {1, 2, 3} without a closed
-    form (0.14 ms against 0.20 ms, best of 5)."""
-    if _dp_refusal(p, jmax) is not None:
-        return False
-    step_ns = 3 * (2 * p) ** jmax + p * (5_000 + 2 * p**jmax)
-    return 100_000 + (k - 1) * step_ns < 18 * k * p**k
+    The rule ignores constants, so it misroutes at the edges.  It sends
+    7^4 with jmax 3 to the DP, which is faster there (0.14 ms against the
+    scan's 0.21, best of 7 on a 2-vCPU Xeon with numpy 2.4), but also 5^4
+    with jmax 3, where the DP is slower by about 0.02 ms, and 7^6 with 5 in
+    J, where it is slower by 2-3 ms (DP 3.6 ms, scan 1.1 ms at J = {5}).
+    At 11^5 with J = {4} the DP measured 1.6-3.4 ms, the scan 1.9-2.0."""
+    return jmax < k and _dp_refusal(p, jmax) is None
 
 
 def count_sym_dp(p: int, k: int, js, nonzero: bool = False) -> int:
@@ -251,12 +246,28 @@ def count_sym_dp(p: int, k: int, js, nonzero: bool = False) -> int:
 def count_field(p: int, k: int, js, nonzero: bool = False) -> int:
     """One counting pass over F_p^k (p prime, js nonempty): tuples with every
     e_j (j in js) zero, or with nonzero=True none zero.  It runs the
-    power-sum DP where _dp_pays(p, k, max(js)), else the scan."""
+    power-sum DP where _dp_pays(p, k, max(js)), that is where the DP can run
+    and max(js) < k (_dp_pays names the inputs where that misroutes), else
+    the scan.  With one index the scan counts zeros and takes them from
+    p**k: the zero test is the cheaper reduction."""
     if _dp_pays(p, k, max(js)):
         return count_sym_dp(p, k, js, nonzero)
-    if nonzero:  # at a prime, a unit is a nonzero value
+    if nonzero and len(js) > 1:  # at a prime, a unit is a nonzero value
         return count_sym_units(p, k, js, joint=False)
-    return count_sym_zeros(p, k, js)
+    zeros = count_sym_zeros(p, k, js)
+    return p**k - zeros if nonzero else zeros
+
+
+def _tally(hist, values):
+    """Add to hist how often each of its bins occurs in values, one chunk,
+    at a cost set by the chunk and not by the histogram: bincount adds
+    O(len(hist)) per call, so it runs only while len(hist) <= _CHUNK, and a
+    longer histogram takes np.unique's counts."""
+    if hist.shape[0] <= _CHUNK:
+        hist += np.bincount(values, minlength=hist.shape[0])
+    else:
+        bins, counts = np.unique(values, return_counts=True)
+        hist[bins] += counts
 
 
 def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
@@ -268,7 +279,7 @@ def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     for rows, lin in _scan(m, k, js, cf):
         if rows:
             lin = lin[_unit_mask(rows, m, joint=False)]
-        hist += np.bincount(lin, minlength=m)
+        _tally(hist, lin)
     return hist
 
 
@@ -286,5 +297,5 @@ def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
         # x^T A x = sum_i x_i (A x)_i; reducing (A x)_i mod p first keeps
         # every term below p**2 and the sum below k*p**2
         ax = mat @ x % p
-        hist += np.bincount((ax * x).sum(axis=0) % p, minlength=p)
+        _tally(hist, (ax * x).sum(axis=0) % p)
     return hist

@@ -100,22 +100,6 @@ class QuadraticForm:
         return len(self.matrix)
 
 
-def eval_elem_sym(j: int, values, m: int) -> int:
-    """e_j of the tuple, mod m, via the product recurrence on prod(1 + x_i t).
-
-    O(k*j) multiplications; no subset enumeration.
-    """
-    values = tuple(values)
-    if not 1 <= j <= len(values):
-        raise ValueError(f"index {j} outside [1, {len(values)}]")
-    c = [0] * (j + 1)
-    c[0] = 1
-    for pos, v in enumerate(values, 1):
-        for d in range(min(j, pos), 0, -1):
-            c[d] = (c[d] + c[d - 1] * v) % m
-    return c[j]
-
-
 def count_zeros_bruteforce(system: SymSystem, p: int, budget: int | None = None) -> int:
     """Tuples in F_p^k where every e_j (j in J) vanishes, by full enumeration.
 
@@ -302,13 +286,15 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     zero, for a checked k and J and a prime p: from closed zero counts when
     all close (memoized, see _closed_units), else one counting pass over
     F_p^k, charged p^k tuples against the budget.  The pass is
-    _kernels.count_field, the power-sum DP or the scan by its cost rule; it
-    and its refusal are never memoized."""
+    _kernels.count_field, which picks the engine: the power-sum DP where it
+    can run and max(J) < k, else the scan (_kernels._dp_pays names where
+    that picks the slower one).  The pass and its refusal are never
+    memoized."""
     closed = _closed_units(k, J, p, joint)
     if closed is not None:
         return closed
     check_budget(p**k, budget, f"enumerating F_{p}^{k}")
-    if joint or len(J) == 1:  # one term: the zeros count is the faster pass
+    if joint:
         return p**k - _kernels.count_field(p, k, sorted(J))
     return _kernels.count_field(p, k, sorted(J), nonzero=True)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtotient import _kernels
-from symtotient.symfield import count_zeros_closed
+from symtotient.symfield import QuadraticForm, count_zeros_closed, quad_form_count
 
 
 CASES = [
@@ -125,6 +125,18 @@ def test_quadform_histogram_matches_oracle(p, k, mat):
     assert int(got.sum()) == p**k
 
 
+def test_histograms_longer_than_a_chunk():
+    # k = 1 at a prime m > _CHUNK: three chunks, each tallied without a
+    # bincount over all m bins
+    m = 32771
+    assert m > 2 * _kernels._CHUNK
+    hist = _kernels.lincong_histogram(m, 1, [1], [1])
+    assert hist[0] == 0 and (hist[1:] == 1).all()
+    form = QuadraticForm(m, [[5]])
+    hist = _kernels.quadform_histogram(m, 1, form.matrix)
+    assert hist.tolist() == [quad_form_count(form, b) for b in range(m)]
+
+
 def test_quadform_histogram_above_2_21():
     # x * a * x reaches p**3 > 2**63 here; the histogram must still be exact
     p, a = 2_100_001, 2_100_000
@@ -220,9 +232,12 @@ def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
         (23, 4, 3, "dp"),
         (11, 5, 3, "dp"),
         (7, 6, 3, "dp"),
-        (7, 4, 3, "scan"),  # the modelled DP setup dominates, though the DP measured faster
+        (7, 4, 3, "dp"),
+        (5, 5, 4, "dp"),
         (3, 8, 3, "scan"),  # p <= jmax
         (7, 6, 6, "scan"),  # the DP would do more work than the scan
+        (7, 4, 4, "scan"),
+        (7, 5, 5, "scan"),
     ],
 )
 def test_cost_rule_routes(p, k, jmax, route):
@@ -238,7 +253,10 @@ def test_cost_rule_never_picks_a_refused_dp():
                     assert (2 * p) ** jmax <= _kernels._DP_CELLS
 
 
-@pytest.mark.parametrize("p,k,js", [(23, 4, [3]), (7, 4, [3]), (5, 6, [1, 2, 3, 4, 5, 6])])
+@pytest.mark.parametrize(
+    "p,k,js",
+    [(23, 4, [3]), (7, 4, [3]), (5, 6, [1, 2, 3, 4, 5, 6]), (5, 5, [1, 4]), (7, 4, [4])],
+)
 @pytest.mark.parametrize("nonzero", [False, True])
 def test_count_field_runs_one_engine(monkeypatch, p, k, js, nonzero):
     ran = []
@@ -253,7 +271,9 @@ def test_count_field_runs_one_engine(monkeypatch, p, k, js, nonzero):
     for name in ("count_sym_dp", "count_sym_zeros", "count_sym_units"):
         monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
     got = _kernels.count_field(p, k, js, nonzero)
-    scan = "count_sym_units" if nonzero else "count_sym_zeros"
+    # with one index the scan counts zeros: the unit test is the slower reduction
+    scan = "count_sym_units" if nonzero and len(js) > 1 else "count_sym_zeros"
     assert ran == ["count_sym_dp" if _kernels._dp_pays(p, k, max(js)) else scan]
     expected = oracle.units(p, k, js, joint=False) if nonzero else oracle.zeros(p, k, js)
     assert got == expected
+

@@ -1,4 +1,5 @@
-"""One per-prime counting rule, in symfield, for every caller."""
+"""One per-prime counting rule, in symfield, for every caller, and one
+engine choice, in _kernels, for every counting pass."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,23 @@ def test_totient_holds_no_memo_and_no_dispatch():
         if isinstance(node, ast.FunctionDef) and node.decorator_list
     ]
     assert memos == []
+
+
+def test_engine_choice_stays_in_kernels():
+    for name in ("count_sym_dp", "_dp_pays"):
+        users = {
+            path.name for path in SRC.glob("*.py")
+            if _references(ast.parse(path.read_text()), name)
+        }
+        assert users == {"_kernels.py"}, name
+    tree = ast.parse((SRC / "symfield.py").read_text())
+    (local_units,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_local_units"
+    ]
+    lens = [
+        node.lineno for node in ast.walk(local_units)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+        and any(isinstance(arg, ast.Name) and arg.id == "J" for arg in node.args)
+    ]
+    assert lens == []

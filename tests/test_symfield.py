@@ -1,7 +1,5 @@
 import oracle
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symtotient import _kernels, arith, symfield
 from symtotient.arith import is_prime, primes_in_range
@@ -16,7 +14,6 @@ from symtotient.symfield import (
     count_zeros_closed,
     count_zeros_mod2,
     e2_matrix,
-    eval_elem_sym,
     extend_with_ek,
     quad_form_count,
     quadform_value_histogram,
@@ -39,34 +36,6 @@ class TestSymSystem:
 
     def test_empty_system_allowed(self):
         assert SymSystem(3, frozenset()).J == frozenset()
-
-
-class TestEvalElemSym:
-    def test_spec_values(self):
-        assert eval_elem_sym(2, (1, 1, 1), 5) == 3
-        assert eval_elem_sym(2, (1, 2, 3), 7) == 11 % 7
-        assert eval_elem_sym(3, (2, 2, 2, 1), 3) == 20 % 3
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            eval_elem_sym(4, (1, 2, 3), 5)
-        with pytest.raises(ValueError):
-            eval_elem_sym(0, (1, 2, 3), 5)
-
-    @given(
-        st.integers(min_value=1, max_value=6).flatmap(
-            lambda k: st.tuples(
-                st.just(k),
-                st.integers(min_value=1, max_value=k),
-                st.lists(st.integers(min_value=0, max_value=200), min_size=k, max_size=k),
-                st.integers(min_value=2, max_value=97),
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_subset_expansion(self, args):
-        _, j, values, m = args
-        assert eval_elem_sym(j, values, m) == oracle.esym(j, values, m)
 
 
 class TestBruteforce:
