@@ -180,16 +180,16 @@ def _dp_refusal(p, jmax):
 
 
 def _dp_pays(p, k, jmax) -> bool:
-    """Whether count_field runs the DP: it can, and its work exponent is
-    below the scan's.  The DP makes O(k p^(jmax+1)) state updates and the
-    scan visits O(k p^k) tuples, so the DP runs iff jmax < k.
+    """Whether count_field runs the DP: it can, and jmax < k.
 
-    The rule ignores constants, so it misroutes at the edges.  It sends
-    7^4 with jmax 3 to the DP, which is faster there (0.14 ms against the
-    scan's 0.21, best of 7 on a 2-vCPU Xeon with numpy 2.4), but also 5^4
-    with jmax 3, where the DP is slower by about 0.02 ms, and 7^6 with 5 in
-    J, where it is slower by 2-3 ms (DP 3.6 ms, scan 1.1 ms at J = {5}).
-    At 11^5 with J = {4} the DP measured 1.6-3.4 ms, the scan 1.9-2.0."""
+    The DP makes O(k p^(jmax+1)) state updates and the scan visits
+    O(k p^k) tuples, so the DP's exponent is the lower iff jmax + 1 < k;
+    at jmax = k - 1 they tie, and ties go to the DP.  Constants decide a
+    tie.  Best of 30 on a 2-vCPU Xeon with numpy 2.4, at k = 4, J = {3}
+    (enum-queries' k = 4 strata are all ties), the DP wins at 7^4 (0.12
+    against 0.17 ms) and 23^4 (0.78 against 2.1 ms) and loses narrowly at
+    5^4 (0.09 against 0.07 ms) and 13^4 (0.36 against 0.34 ms).  The known
+    slower DP routes, 7^6 with 5 in J and 11^5 with J = {4}, are ties too."""
     return jmax < k and _dp_refusal(p, jmax) is None
 
 

@@ -7,6 +7,7 @@ never through floating-point exponentials.
 """
 
 import math
+import operator
 
 # Miller-Rabin with the primes up to 41 is exact below _MR_BOUND, the least
 # strong pseudoprime to all of them; the primes up to 37 alone are fooled by
@@ -18,8 +19,17 @@ _MR_BOUND = 3317044064679887385961981
 _TRIAL_LIMIT = 10**6
 
 
+def _modulus(n: int) -> int:
+    """n as an int: TypeError unless n is an integer, ValueError unless n >= 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    return n
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test; n >= _MR_BOUND raises ValueError."""
+    n = operator.index(n)
     if n < 2:
         return False
     if n >= _MR_BOUND:
@@ -43,6 +53,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_prime(p: int) -> int:
+    """p as an int, refused unless it is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return operator.index(p)
 
 
 def _pollard_rho(n: int) -> int:
@@ -84,8 +101,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     deterministic Miller-Rabin, so anything a desk machine can enumerate
     factors instantly.  A cofactor past is_prime's bound raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be a positive integer, got {n}")
+    n = _modulus(n)
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -126,9 +142,9 @@ def quadratic_character(a: int, p: int) -> int:
     """The quadratic character of a mod p (odd prime): 0 on multiples of p,
     +1 on nonzero squares, -1 otherwise.  Agrees with Euler's criterion
     a^((p-1)/2) mod p."""
-    if p == 2 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise ValueError(f"quadratic character needs an odd prime, got {p}")
-    return _quadratic_character(a, p)
+    return _quadratic_character(operator.index(a), operator.index(p))
 
 
 def _quadratic_character(a: int, p: int) -> int:
@@ -142,9 +158,7 @@ def _quadratic_character(a: int, p: int) -> int:
 def nu(b: int, p: int) -> int:
     """The weight appearing in quadratic-form solution counts:
     p-1 when b = 0 mod p, and -1 on units."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return _nu(b, p)
+    return _nu(operator.index(b), _check_prime(p))
 
 
 def _nu(b: int, p: int) -> int:
@@ -159,8 +173,6 @@ def binom_mod2(j: int, l: int) -> int:
 
 def moebius(n: int) -> int:
     """Mobius function: (-1)^(number of prime factors) on squarefree n, else 0."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     fac = factorize(n)
     if any(a > 1 for _, a in fac):
         return 0
@@ -181,6 +193,7 @@ def jordan_totient(k: int, n: int) -> int:
     Per prime power p^a the factor is p^(k(a-1)) * (p^k - 1); k = 1 gives
     Euler's totient.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     out = 1
@@ -191,16 +204,13 @@ def jordan_totient(k: int, n: int) -> int:
 
 def dirichlet_convolve_mu(f, d: int) -> int:
     """(mu * f)(d) = sum over e | d of mu(d/e) f(e)."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
     return sum(moebius(d // e) * f(e) for e in divisors(d))
 
 
 def ramanujan_sum(m: int, n: int) -> int:
     """Ramanujan sum c(m, n): the sum of e^(2*pi*i*a*m/n) over a coprime to n,
     computed exactly as sum over d | gcd(m, n) of d * mu(n/d)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _modulus(n)
     g = math.gcd(m, n)
     return sum(d * moebius(n // d) for d in divisors(g))
 

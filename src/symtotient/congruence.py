@@ -12,12 +12,13 @@ generalized Ramanujan sum they induce.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .arith import euler_phi, factorize, is_prime, ramanujan_sum
+from .arith import _check_prime, _modulus, euler_phi, factorize, ramanujan_sum
 from .budget import check_budget
 from .symfield import SymSystem
 from .totient import IntegralityError, TotientSpec, phi, unit_fiber_histogram
@@ -36,17 +37,17 @@ class CongruenceProblem:
     constraint: SymSystem
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
+        n = _modulus(self.n)
         if self.constraint.mode != "individual":
             raise ValueError("congruence constraints use individual gcd conditions")
-        coeffs = tuple(int(c) % self.n for c in self.coeffs)
+        coeffs = tuple(operator.index(c) % n for c in self.coeffs)
         if len(coeffs) != self.constraint.k:
             raise ValueError(
                 f"{len(coeffs)} coefficients for a constraint on {self.constraint.k} variables"
             )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "b", int(self.b) % self.n)
+        object.__setattr__(self, "b", operator.index(self.b) % n)
 
     @property
     def k(self) -> int:
@@ -110,10 +111,10 @@ def psi(p: int, a: int) -> int:
     and 0 for p = 2 (mod 3): eliminating the third variable leaves
     x^2 + x + 1, solvable mod p exactly when p is 3 or splits mod 3.
     """
+    a = operator.index(a)
     if a < 1:
         raise ValueError(f"exponent must be >= 1, got {a}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p = _check_prime(p)
     if p == 3:
         return p ** (3 * (a - 1)) * (p - 1)
     if p % 3 == 1:
@@ -125,8 +126,7 @@ def g3_closed(m: int, n: int) -> int:
     """Solutions of x1 + x2 + x3 = m (mod n) with e_2 and e_3 units, for
     gcd(m, n) = 1: the product of p^(2(a-1)) (p^2 - 3p + 6 - h(p)) with
     h(p) = 3, p-1, p+1 according to p mod 3."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    n = _modulus(n)
     if math.gcd(m, n) != 1:
         raise ValueError(f"needs gcd(m, n) = 1, got m={m}, n={n}")
     out = 1
@@ -140,8 +140,7 @@ def g4_closed(m: int, n: int) -> int:
     """Solutions of x1 + ... + x4 = m (mod n) with e_3 and e_4 units, for
     gcd(m, n) = 1: zero for even n, else the product of
     p^(3(a-1)) (p^3 - 5p^2 + 12p - 13)."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    n = _modulus(n)
     if math.gcd(m, n) != 1:
         raise ValueError(f"needs gcd(m, n) = 1, got m={m}, n={n}")
     if n % 2 == 0:
@@ -156,6 +155,7 @@ def generalized_ramanujan(m: int, n: int, k: int, J, budget: int | None = None) 
     """The Ramanujan-type sum induced by the constrained solution set:
     g_k(1, n) * c(m, n), where g_k(1, n) counts unit-RHS solutions of the
     all-ones linear form under the constraints J."""
+    m = operator.index(m)
     prob = CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
     return count_unit_rhs(prob, budget=budget) * ramanujan_sum(m, n)
 
@@ -169,6 +169,7 @@ def generalized_ramanujan_direct(m: int, n: int, k: int, J, budget: int | None =
     the nearest integer and refused (IntegralityError) if it strays by 1e-6
     or more before rounding.
     """
+    m = operator.index(m)
     hist = unit_fiber_histogram(n, k, J, budget=budget)
     total = sum(
         int(c) * cmath.exp(2j * cmath.pi * (m * a % n) / n)

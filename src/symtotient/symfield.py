@@ -26,28 +26,27 @@ under 100 bytes per distinct (k, J, mode, p) asked for.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .arith import _nu, _quadratic_character, binom_mod2, is_prime
+from .arith import _check_prime, _nu, _quadratic_character, binom_mod2, is_prime
 from .budget import check_budget
 
 MODES = ("joint", "individual")
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
-def _check_indices(J, k: int) -> None:
-    """Refuse an arity below 1 or an index outside [1, k]."""
-    if k < 1:
+def _indices(J, k: int) -> frozenset[int]:
+    """J as a frozenset of ints, refused unless the arity k is at least 1 and
+    every index lies in [1, k]; a string is not an index set."""
+    if operator.index(k) < 1:
         raise ValueError(f"arity k must be >= 1, got {k}")
+    J = frozenset(map(operator.index, J))
     for j in J:
         if not 1 <= j <= k:
             raise ValueError(f"index {j} outside [1, {k}]")
+    return J
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,8 @@ class SymSystem:
     mode: str = "joint"
 
     def __post_init__(self):
-        J = frozenset(int(j) for j in self.J)
-        object.__setattr__(self, "J", J)
-        _check_indices(J, self.k)
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "J", _indices(self.J, self.k))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -83,9 +81,10 @@ class QuadraticForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"quadratic forms are handled over odd primes, got p={self.p}")
-        rows = tuple(tuple(int(v) % self.p for v in row) for row in self.matrix)
+        p = operator.index(self.p)
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"quadratic forms are handled over odd primes, got p={p}")
+        rows = tuple(tuple(operator.index(v) % p for v in row) for row in self.matrix)
         k = len(rows)
         if k < 1 or any(len(row) != k for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -93,6 +92,7 @@ class QuadraticForm:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix must be symmetric mod p")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "matrix", rows)
 
     @property
@@ -106,7 +106,7 @@ def count_zeros_bruteforce(system: SymSystem, p: int, budget: int | None = None)
     Always counts simultaneous zeros regardless of the system's mode.  An
     empty J imposes nothing and counts the whole space.
     """
-    _check_prime(p)
+    p = _check_prime(p)
     space = p**system.k
     check_budget(space, budget, f"enumerating F_{p}^{system.k}")
     if not system.J:
@@ -120,8 +120,7 @@ def count_zeros_mod2(J, k: int) -> int:
     A tuple with exactly w ones has e_j = C(w, j) mod 2, so by Lucas the
     tuple is a zero of the system iff no j in J is a submask of w.
     """
-    J = frozenset(J)
-    _check_indices(J, k)
+    J = _indices(J, k)
     total = 0
     for w in range(k + 1):
         if all(binom_mod2(w, j) == 0 for j in J):
@@ -139,10 +138,10 @@ def closed_count_e2(k: int, p: int) -> int:
     p = 2 it is the sieved sum of C(k, w) over w = 0, 1 (mod 4), kept in
     integers rather than the equivalent trigonometric value.
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"e_2 needs k >= 2, got {k}")
-    _check_prime(p)
-    return _count_e2(k, p)
+    return _count_e2(k, _check_prime(p))
 
 
 def _count_e2(k: int, p: int) -> int:
@@ -163,10 +162,10 @@ def closed_count_e1e2(k: int, p: int) -> int:
     eta(0) = 0 merges the cases as above.  For p = 2 the count is the
     binomial sum over w = 0 (mod 4).
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"the pair (e_1, e_2) needs k >= 2, got {k}")
-    _check_prime(p)
-    return _count_e1e2(k, p)
+    return _count_e1e2(k, _check_prime(p))
 
 
 def _count_e1e2(k: int, p: int) -> int:
@@ -179,7 +178,7 @@ def _count_e1e2(k: int, p: int) -> int:
     return p ** (k - 2) + (p - 1) * p ** ((k - 2) // 2) * _quadratic_character(arg, p)
 
 
-def extend_with_ek(J, k: int, p: int, base_counter=None) -> int | None:
+def extend_with_ek(J, k: int, p: int) -> int | None:
     """Zeros of {e_j : j in J} + {e_k} from counts on fewer variables.
 
     e_k = 0 means some coordinate vanishes; inclusion-exclusion over the
@@ -191,28 +190,21 @@ def extend_with_ek(J, k: int, p: int, base_counter=None) -> int | None:
     (those polynomials vanish identically once j coordinates are zero),
     and the empty count N_0 is 1.
 
-    base_counter(J', m) supplies N_m(J', p) for 1 <= m < k, asked for
-    m = k-1 down to 1; by default the closed-form dispatcher, so nothing
-    is enumerated.  A base without a count (base_counter returns None)
-    makes the result None.  An arity below 1, an index outside [1, k-1]
-    or a p that is not prime raises ValueError.
+    The bases N_m, 1 <= m < k, are asked of the closed-form dispatcher for
+    m = k-1 down to 1, so nothing is enumerated; the first base without a
+    closed form makes the result None.  An arity below 1, an index outside
+    [1, k-1] or a p that is not prime raises ValueError.
     """
-    J = frozenset(int(j) for j in J)
-    _check_indices(J, k)
+    J = _indices(J, k)
     if k in J:
         raise ValueError(f"k={k} must not be in J; e_k is what gets appended")
-    _check_prime(p)
-    return _extend(J, k, p, base_counter)
+    return _extend(J, operator.index(k), _check_prime(p))
 
 
-def _extend(J: frozenset, k: int, p: int, base_counter=None) -> int | None:
-    if base_counter is None:
-        def base_counter(Jm, m):
-            return _closed(Jm, m, p)
-
+def _extend(J: frozenset, k: int, p: int) -> int | None:
     total = (-1) ** (k + 1)  # the j = k term: C(k, k) N_0 = 1
     for j in range(1, k):
-        inner = base_counter(frozenset(x for x in J if x <= k - j), k - j)
+        inner = _closed(frozenset(x for x in J if x <= k - j), k - j, p)
         if inner is None:
             return None
         total += (-1) ** (j + 1) * math.comb(k, j) * inner
@@ -228,10 +220,7 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     [1, k] or a p that is not prime raises ValueError; p is checked once
     here, and the recursion runs on unchecked helpers.
     """
-    J = frozenset(int(j) for j in J)
-    _check_indices(J, k)
-    _check_prime(p)
-    return _closed(J, k, p)
+    return _closed(_indices(J, k), operator.index(k), _check_prime(p))
 
 
 def _closed(J: frozenset, k: int, p: int) -> int | None:
@@ -304,7 +293,7 @@ def count_zeros(system: SymSystem, p: int, budget: int | None = None) -> int:
     _local_units, in joint mode: the closed form when one is known (memoized),
     otherwise one counting pass over F_p^k, charged p^k tuples against the
     budget.  count_zeros_bruteforce always scans."""
-    _check_prime(p)
+    p = _check_prime(p)
     return p**system.k - _local_units(system.k, system.J, p, True, budget)
 
 
@@ -361,7 +350,7 @@ def quad_form_count(form: QuadraticForm, b: int) -> int:
     """
     p = form.p
     k = form.k
-    b %= p
+    b = operator.index(b) % p
     diag = _diagonalize_symmetric(form.matrix, p)
     nonzero = [d for d in diag if d != 0]
     rank = len(nonzero)
@@ -384,6 +373,7 @@ def quad_form_count(form: QuadraticForm, b: int) -> int:
 def e2_matrix(k: int, p: int) -> QuadraticForm:
     """The symmetric matrix of e_2 as a quadratic form over F_p: zero diagonal,
     1/2 off the diagonal."""
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"e_2 needs k >= 2, got {k}")
     half = pow(2, -1, p)

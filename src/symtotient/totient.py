@@ -16,13 +16,14 @@ Conventions: the value is 0 for empty J and 1 for n = 1.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith import dirichlet_convolve_mu, divisors, euler_phi, factorize
+from .arith import _modulus, dirichlet_convolve_mu, divisors, euler_phi, factorize
 from .budget import check_budget
-from .symfield import SymSystem, _local_units, closed_count_e1e2, closed_count_e2
+from .symfield import SymSystem, _indices, _local_units, closed_count_e1e2, closed_count_e2
 
 
 class IntegralityError(RuntimeError):
@@ -40,9 +41,9 @@ class TotientSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _modulus(self.n))
         system = SymSystem(self.k, self.J, self.mode)  # validates k, J, mode
+        object.__setattr__(self, "k", system.k)
         object.__setattr__(self, "J", system.J)
 
 
@@ -106,10 +107,9 @@ def closed_phi_12(k: int, n: int) -> int:
     at p = 2 the two sieved binomial sums make this exact without any
     trigonometric evaluation.
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"J = {{1,2}} needs k >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
     out = 1
     for p, a in factorize(n):
         factor = p**k - p ** (k - 1) - closed_count_e2(k, p) + closed_count_e1e2(k, p)
@@ -123,8 +123,6 @@ def closed_phi_123(n: int) -> int:
     Per prime power the factor is p^(3(a-1)) (p-1) (p^2 - 3p + 6 - h(p))
     with h(p) = 3 at p = 3, p - 1 for p = 1 mod 3, p + 1 for p = 2 mod 3.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
     out = 1
     for p, a in factorize(n):
         h = 3 if p == 3 else (p - 1 if p % 3 == 1 else p + 1)
@@ -140,10 +138,9 @@ def toth_phi_1k(k: int, n: int) -> int:
     exact because (p-1)^k = (-1)^k mod p.  The symmetry J = {i, k} ~
     J = {k-i, k} makes this also the value for J = {k-1, k}.
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"J = {{1,k}} needs k >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
     out = 1
     for p, a in factorize(n):
         num = (p - 1) * ((p - 1) ** k - (-1) ** k)
@@ -158,7 +155,8 @@ def unit_fiber_histogram(n: int, k: int, J, budget: int | None = None):
     """Histogram over a of tuples with e_1 = a (mod n) whose e_j are all units
     mod n (j in J).  One pass serves the Menon sum, fiber-uniformity checks,
     and exponential sums."""
-    J = TotientSpec(k, J, "individual", n).J  # validates n, k and J
+    n, k = _modulus(n), operator.index(k)
+    J = _indices(J, k)
     check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
     return _kernels.lincong_histogram(n, k, [1] * k, sorted(J))
 
@@ -169,7 +167,7 @@ def menon_lhs(n: int, k: int, J, f, budget: int | None = None) -> int:
 
     Requires 1 in J (the identity's hypothesis).
     """
-    J = frozenset(J)
+    J = _indices(J, k)
     if 1 not in J:
         raise ValueError("the Menon identity needs 1 in J")
     hist = unit_fiber_histogram(n, k, J, budget=budget)
@@ -180,7 +178,7 @@ def menon_rhs(n: int, k: int, J, f, budget: int | None = None) -> int:
     """Right side of the Menon identity: phi_J(n) * sum over d | n of
     (mu * f)(d) / phi(d), evaluated in exact rationals with an integrality
     check at the end."""
-    J = frozenset(J)
+    J = _indices(J, k)
     if 1 not in J:
         raise ValueError("the Menon identity needs 1 in J")
     spec = TotientSpec(k, J, "individual", n)

@@ -1,5 +1,6 @@
-"""One per-prime counting rule, in symfield, for every caller, and one
-engine choice, in _kernels, for every counting pass."""
+"""One per-prime counting rule, in symfield, for every caller, one engine
+choice, in _kernels, for every counting pass, and one validity check per
+input kind."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,23 @@ def test_engine_choice_stays_in_kernels():
         and any(isinstance(arg, ast.Name) and arg.id == "J" for arg in node.args)
     ]
     assert lens == []
+
+
+def test_one_validity_check_per_input_kind():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    text = "".join(sources.values())
+    for message in ("modulus must be >= 1", "arity k must be >= 1", "outside [1, ",
+                    "p must be prime"):
+        assert text.count(message) == 1, message
+    assert "_check_indices" not in text
+    # the CLI parses --J from text, where int() is the parser
+    assert [name for name, source in sources.items() if "frozenset(int(" in source] == ["cli.py"]
+    coercions = [
+        (name, node.lineno)
+        for name, source in sources.items()
+        for method in ast.walk(ast.parse(source))
+        if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+    assert coercions == []

@@ -162,26 +162,16 @@ class TestExtendWithEk:
             for k in (1, 2, 3, 4):
                 assert extend_with_ek(set(), k, p) == p**k - (p - 1) ** k
 
-    def test_custom_base_counter(self):
+    def test_base_without_count_gives_none(self, monkeypatch):
+        # bases are asked for m = k-1 down to 1; the first base without a
+        # closed form ({3} at m = 4) ends the sum
         calls = []
-
-        def oracle_base(J, m):
-            calls.append((frozenset(J), m))
-            return oracle.zeros(3, m, J)
-
-        assert extend_with_ek({2}, 3, 3, base_counter=oracle_base) == 7
-        assert (frozenset({2}), 2) in calls and (frozenset(), 1) in calls
-
-    def test_base_without_count_gives_none(self):
-        # bases are asked for m = k-1 down to 1; the first None ends the sum
-        calls = []
-
-        def partial_base(J, m):
-            calls.append(m)
-            return None if m == 3 else oracle.zeros(3, m, J)
-
-        assert extend_with_ek({1}, 5, 3, base_counter=partial_base) is None
-        assert calls == [4, 3]
+        closed = symfield._closed
+        monkeypatch.setattr(
+            symfield, "_closed", lambda J, m, p: calls.append((J, m)) or closed(J, m, p)
+        )
+        assert extend_with_ek({3}, 5, 7) is None
+        assert calls == [(frozenset({3}), 4)]
 
 
 class TestDispatch:
@@ -252,7 +242,9 @@ class TestDispatch:
         # the recursion (extend_with_ek's bases, the e_2 and (e_1, e_2)
         # counts) runs on helpers that take p as checked
         calls = []
-        monkeypatch.setattr(symfield, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        counted = lambda n: calls.append(n) or is_prime(n)
+        monkeypatch.setattr(symfield, "is_prime", counted)
+        monkeypatch.setattr(arith, "is_prime", counted)
         assert count_zeros_closed(J, k, 5) == oracle.zeros(5, k, J)
         assert calls == [5]
 
