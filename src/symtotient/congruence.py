@@ -3,11 +3,12 @@
 Counts solutions of a_1 x_1 + ... + a_k x_k = b (mod n) with the side
 condition that chosen elementary symmetric values of the unknowns are
 units mod n.  The count only depends on gcd(b, n) (scaling by a unit is a
-constraint-preserving bijection), and for unit b it equals the
-individual-mode totient of the system extended by the linear form,
-divided by phi(n).  Specialized closed products cover the three- and
-four-variable cases with all coefficients 1, and the closing piece is the
-generalized Ramanujan sum they induce.
+constraint-preserving bijection), and for unit b it is a product over
+p^a || n of p^((k-1)(a-1)) times the count at b = 1 over F_p^k, which
+count_unit_rhs takes from symfield's per-prime rule wherever the
+coefficients are one unit residue mod p.  Specialized closed products
+cover the three- and four-variable cases with all coefficients 1, and
+the closing piece is the generalized Ramanujan sum they induce.
 """
 
 import cmath
@@ -18,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .arith import _check_prime, _modulus, euler_phi, factorize, ramanujan_sum
+from .arith import _check_prime, _modulus, factorize, ramanujan_sum
 from .budget import check_budget
-from .symfield import SymSystem
-from .totient import IntegralityError, TotientSpec, phi, unit_fiber_histogram
+from .symfield import SymSystem, _local_units
+from .totient import IntegralityError, unit_fiber_histogram
 
 _INTEGRALITY_TOL = 1e-6  # the largest stray of the direct sum from an integer
 
@@ -74,34 +75,32 @@ def reduce_rhs(prob: CongruenceProblem) -> CongruenceProblem:
 
 
 def count_unit_rhs(prob: CongruenceProblem, budget: int | None = None) -> int:
-    """Solution count for gcd(b, n) = 1: the individual totient of the system
-    extended by the linear form, divided (exactly) by phi(n).
-
-    With all coefficients 1 the linear form is e_1, so the extended system
-    is J + {1} and the totient dispatcher's closed forms apply; general
-    coefficients fall back to one brute-force pass over F_p^k per prime
-    divisor of n.
-    """
+    """Solution count for gcd(b, n) = 1: the product over p^a || n of
+    p^((k-1)(a-1)) (the lifts of one solution mod p) times the count at b = 1
+    over F_p^k.  Where the coefficients are one unit residue c mod p the form
+    is c e_1, and that count is the per-prime rule for J + {1} (closed and
+    memoized where its zero counts close) divided, exactly, by p - 1; where
+    they are all 0 mod p it is 0; any other coefficients make one pass over
+    F_p^k, charged p^k tuples against the budget."""
     n = prob.n
     if math.gcd(prob.b, n) != 1:
         raise ValueError(f"count_unit_rhs needs gcd(b, n) = 1, got b={prob.b}, n={n}")
-    J = prob.constraint.J
-    k = prob.k
-    if all(c == 1 % n for c in prob.coeffs):
-        numerator = phi(TotientSpec(k, J | {1}, "individual", n), budget=budget)
-    else:
-        numerator = 1
-        for p, a in factorize(n):
+    k, J = prob.k, prob.constraint.J
+    out = 1
+    for p, a in factorize(n):
+        residues = {c % p for c in prob.coeffs}
+        if residues == {0}:  # a.x = 0 is never 1
+            local = 0
+        elif len(residues) == 1:
+            local, r = divmod(_local_units(k, J | {1}, p, False, budget), p - 1)
+            if r:
+                raise IntegralityError(f"unit-e_1 tuples over F_{p}^{k} not divisible by {p - 1}")
+        else:
             check_budget(p**k, budget, f"enumerating F_{p}^{k}")
             hist = _kernels.lincong_histogram(p, k, prob.coeffs, prob.constraint.indices)
-            unit_rows = int(hist.sum() - hist[0])
-            numerator *= p ** (k * (a - 1)) * unit_rows
-    q, r = divmod(numerator, euler_phi(n))
-    if r:
-        raise IntegralityError(
-            f"extended totient {numerator} not divisible by phi({n}) = {euler_phi(n)}"
-        )
-    return q
+            local = int(hist[1])
+        out *= p ** ((k - 1) * (a - 1)) * local
+    return out
 
 
 def psi(p: int, a: int) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import _kernels
 from .arith import _modulus, dirichlet_convolve_mu, divisors, euler_phi, factorize
 from .budget import check_budget
-from .symfield import SymSystem, _indices, _local_units, closed_count_e1e2, closed_count_e2
+from .symfield import SymSystem, _count_e1e2, _count_e2, _indices, _local_units
 
 
 class IntegralityError(RuntimeError):
@@ -112,7 +112,7 @@ def closed_phi_12(k: int, n: int) -> int:
         raise ValueError(f"J = {{1,2}} needs k >= 2, got {k}")
     out = 1
     for p, a in factorize(n):
-        factor = p**k - p ** (k - 1) - closed_count_e2(k, p) + closed_count_e1e2(k, p)
+        factor = p**k - p ** (k - 1) - _count_e2(k, p) + _count_e1e2(k, p)
         out *= p ** (k * (a - 1)) * factor
     return out
 

@@ -186,6 +186,14 @@ TWO_ROUTE_OUTPUT = [
      "congruence n=10 b=3 coeffs=2,3,7 J=1,2 value=0 method=brute-force\n", ""),
     ("congruence --n 10 --b 3 --coeffs 2,3,7 --J 1,2 --method both", 0,
      "congruence n=10 b=3 coeffs=2,3,7 J=1,2 value=0 method=both\n", ""),
+    ("congruence --n 21 --b 1 --coeffs 8,8,8 --J 2,3 --method closed", 0,
+     "congruence n=21 b=1 coeffs=8,8,8 J=2,3 value=84 method=closed-form\n", ""),
+    ("congruence --n 21 --b 1 --coeffs 8,8,8 --J 2,3 --method both", 0,
+     "congruence n=21 b=1 coeffs=8,8,8 J=2,3 value=84 method=both\n", ""),
+    ("congruence --n 15 --b 2 --coeffs 1,1,6 --J 2 --method closed", 0,
+     "congruence n=15 b=2 coeffs=1,1,6 J=2 value=114 method=per-prime-enumeration\n", ""),
+    ("congruence --n 202 --b 1 --coeffs 101,101,101,101 --J 2 --method closed", 0,
+     "congruence n=202 b=1 coeffs=101,101,101,101 J=2 value=0 method=closed-form\n", ""),
     ("congruence --n 9 --b 3 --coeffs 1,1 --J 2 --method closed", 2,
      "", "error: the closed form needs gcd(b, n) = 1 (got b=3, n=9); use --method brute\n"),
     ("congruence --n 9 --b 3 --coeffs 1,1 --J 2 --method brute", 0,

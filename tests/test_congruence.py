@@ -5,6 +5,7 @@ from itertools import product
 import oracle
 import pytest
 
+from symtotient import _kernels
 from symtotient.arith import euler_phi, ramanujan_sum
 from symtotient.budget import BudgetExceededError
 from symtotient.congruence import (
@@ -122,6 +123,10 @@ class TestCountUnitRhs:
             ((1, 2, 3), 10, {2}),
             ((3, 4, 5), 7, {1, 2}),
             ((5, 1), 12, {1, 2}),
+            ((8, 8, 8), 21, {2, 3}),  # closed at both primes, c = 2 at p = 3
+            ((1, 1, 6), 15, {2}),  # closed at 5, a pass at 3
+            ((2, 4, 6), 10, {1}),  # zero mod 2
+            ((2, 2, 2), 5, {2}),
         ]
         for coeffs, n, J in cases:
             for b in range(n):
@@ -129,6 +134,23 @@ class TestCountUnitRhs:
                     continue
                 prob = make_prob(coeffs, b, n, J)
                 assert count_unit_rhs(prob) == count_bruteforce(prob), (coeffs, b, n, J)
+
+    @pytest.mark.parametrize("coeffs, n, primes", [
+        ((8, 8, 8), 21, []),
+        ((1, 1, 6), 15, [3]),
+        ((2, 3, 7), 10, [2, 5]),
+        ((2, 4, 6), 10, [5]),  # zero mod 2
+        ((7, 7, 7), 14, []),  # closed at 2, zero mod 7
+    ])
+    def test_passes_only_at_primes_without_a_closed_local_count(
+        self, monkeypatch, coeffs, n, primes
+    ):
+        passes, histogram = [], _kernels.lincong_histogram
+        counted = lambda m, *args: passes.append(m) or histogram(m, *args)
+        monkeypatch.setattr(_kernels, "lincong_histogram", counted)
+        prob = make_prob(coeffs, 1, n, {2})
+        assert count_unit_rhs(prob) == oracle.lincong_hist(n, 3, coeffs, {2})[1]
+        assert passes == primes
 
 
 class TestPsi:

@@ -42,6 +42,18 @@ def test_totient_holds_no_memo_and_no_dispatch():
     assert memos == []
 
 
+def test_congruence_counts_on_the_per_prime_rule():
+    # no detour through the composite totient and a division by phi(n)
+    tree = ast.parse((SRC / "congruence.py").read_text())
+    for name in ("phi", "TotientSpec", "euler_phi"):
+        assert _references(tree, name) == [], name
+    (count_unit_rhs,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "count_unit_rhs"
+    ]
+    assert _references(count_unit_rhs, "_local_units")
+
+
 def test_engine_choice_stays_in_kernels():
     for name in ("count_sym_dp", "_dp_pays"):
         users = {

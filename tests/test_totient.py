@@ -305,6 +305,15 @@ class TestClosedPhi12:
         with pytest.raises(ValueError):
             closed_phi_12(1, 9)
 
+    def test_checks_no_prime(self, monkeypatch):
+        # every p comes from factorize, so the closed counts take it as prime
+        calls, is_prime = [], arith.is_prime
+        counted = lambda n: calls.append(n) or is_prime(n)
+        monkeypatch.setattr(symfield, "is_prime", counted)
+        monkeypatch.setattr(arith, "is_prime", counted)
+        assert closed_phi_12(3, 105) == 235296
+        assert calls == []
+
     def test_against_bruteforce(self):
         for k in (2, 3):
             for n in range(1, 25):
