@@ -7,6 +7,7 @@ every closed form is machine-checkable.
 """
 
 from .arith import (
+    IntegralityError,
     binom_mod2,
     dirichlet_convolve_mu,
     divisor_count,
@@ -34,6 +35,7 @@ from .congruence import (
     psi,
     reduce_rhs,
     solution_histogram,
+    unit_fiber_histogram,
 )
 from .symfield import (
     QuadraticForm,
@@ -50,7 +52,6 @@ from .symfield import (
     quadform_value_histogram,
 )
 from .totient import (
-    IntegralityError,
     TotientSpec,
     closed_phi_12,
     closed_phi_123,
@@ -59,7 +60,6 @@ from .totient import (
     phi,
     phi_bruteforce,
     toth_phi_1k,
-    unit_fiber_histogram,
     varphi,
     varphi_bruteforce,
 )

@@ -19,12 +19,25 @@ _MR_BOUND = 3317044064679887385961981
 _TRIAL_LIMIT = 10**6
 
 
+class IntegralityError(RuntimeError):
+    """A quantity that is provably an integer failed to be one (a library bug,
+    not a user error)."""
+
+
 def _modulus(n: int) -> int:
     """n as an int: TypeError unless n is an integer, ValueError unless n >= 1."""
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     return n
+
+
+def _arity(k: int, least: int = 1) -> int:
+    """k as an int: TypeError unless k is an integer, ValueError unless k >= least."""
+    k = operator.index(k)
+    if k < least:
+        raise ValueError(f"arity k must be >= {least}, got {k}")
+    return k
 
 
 def is_prime(n: int) -> bool:
@@ -155,6 +168,12 @@ def _quadratic_character(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _chi3(p: int) -> int:
+    """The character (-3|p) at a prime p, p = 2 included: 0 at p = 3, else +1 or -1
+    as p = 1 or 2 (mod 3).  x^2 + x + 1 has 1 + (-3|p) roots mod p."""
+    return (0, 1, -1)[p % 3]
+
+
 def nu(b: int, p: int) -> int:
     """The weight appearing in quadratic-form solution counts:
     p-1 when b = 0 mod p, and -1 on units."""
@@ -193,9 +212,7 @@ def jordan_totient(k: int, n: int) -> int:
     Per prime power p^a the factor is p^(k(a-1)) * (p^k - 1); k = 1 gives
     Euler's totient.
     """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _arity(k)
     out = 1
     for p, a in factorize(n):
         out *= p ** (k * (a - 1)) * (p**k - 1)

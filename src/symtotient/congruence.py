@@ -8,7 +8,9 @@ p^a || n of p^((k-1)(a-1)) times the count at b = 1 over F_p^k, which
 count_unit_rhs takes from symfield's per-prime rule wherever the
 coefficients are one unit residue mod p.  Specialized closed products
 cover the three- and four-variable cases with all coefficients 1, and
-the closing piece is the generalized Ramanujan sum they induce.
+the closing piece is the generalized Ramanujan sum they induce.  The
+all-ones solution histogram is unit_fiber_histogram, the e_1 fibers that
+the Menon identity's left side and the direct Ramanujan sum read.
 """
 
 import cmath
@@ -16,13 +18,10 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import _kernels
-from .arith import _check_prime, _modulus, factorize, ramanujan_sum
+from .arith import IntegralityError, _check_prime, _chi3, _modulus, factorize, ramanujan_sum
 from .budget import check_budget
 from .symfield import SymSystem, _local_units
-from .totient import IntegralityError, unit_fiber_histogram
 
 _INTEGRALITY_TOL = 1e-6  # the largest stray of the direct sum from an integer
 
@@ -55,11 +54,19 @@ class CongruenceProblem:
         return self.constraint.k
 
 
-def solution_histogram(prob: CongruenceProblem, budget: int | None = None) -> np.ndarray:
+def solution_histogram(prob: CongruenceProblem, budget: int | None = None):
     """Solution counts of the restricted congruence for every right-hand side
-    at once (index = b)."""
+    at once, as a numpy int64 array of length n (index = b)."""
     check_budget(prob.n**prob.k, budget, f"enumerating Z_{prob.n}^{prob.k}")
     return _kernels.lincong_histogram(prob.n, prob.k, prob.coeffs, prob.constraint.indices)
+
+
+def unit_fiber_histogram(n: int, k: int, J, budget: int | None = None):
+    """Histogram over a of tuples with e_1 = a (mod n) whose e_j are all units
+    mod n (j in J): the solution histogram of the all-ones form.  One pass
+    serves the Menon sum, fiber-uniformity checks, and exponential sums."""
+    system = SymSystem(k, J, "individual")
+    return solution_histogram(CongruenceProblem((1,) * system.k, 0, n, system), budget)
 
 
 def count_bruteforce(prob: CongruenceProblem, budget: int | None = None) -> int:
@@ -74,6 +81,14 @@ def reduce_rhs(prob: CongruenceProblem) -> CongruenceProblem:
     return replace(prob, b=math.gcd(prob.b, prob.n) % prob.n)
 
 
+def _unit_rhs(b: int, n: int) -> int:
+    """n as a modulus, refused unless gcd(b, n) = 1 (gcd refuses a float b)."""
+    n = _modulus(n)
+    if math.gcd(b, n) != 1:
+        raise ValueError(f"needs a unit right-hand side, gcd(b, n) = 1, got b={b}, n={n}")
+    return n
+
+
 def count_unit_rhs(prob: CongruenceProblem, budget: int | None = None) -> int:
     """Solution count for gcd(b, n) = 1: the product over p^a || n of
     p^((k-1)(a-1)) (the lifts of one solution mod p) times the count at b = 1
@@ -82,9 +97,7 @@ def count_unit_rhs(prob: CongruenceProblem, budget: int | None = None) -> int:
     memoized where its zero counts close) divided, exactly, by p - 1; where
     they are all 0 mod p it is 0; any other coefficients make one pass over
     F_p^k, charged p^k tuples against the budget."""
-    n = prob.n
-    if math.gcd(prob.b, n) != 1:
-        raise ValueError(f"count_unit_rhs needs gcd(b, n) = 1, got b={prob.b}, n={n}")
+    n = _unit_rhs(prob.b, prob.n)
     k, J = prob.k, prob.constraint.J
     out = 1
     for p, a in factorize(n):
@@ -106,32 +119,24 @@ def count_unit_rhs(prob: CongruenceProblem, budget: int | None = None) -> int:
 def psi(p: int, a: int) -> int:
     """Unit triples mod p^a with e_1 = e_2 = 0 (mod p).
 
-    The count is p^(3(a-1)) (p-1) at p = 3, twice that for p = 1 (mod 3),
-    and 0 for p = 2 (mod 3): eliminating the third variable leaves
-    x^2 + x + 1, solvable mod p exactly when p is 3 or splits mod 3.
+    The count is (1 + (-3|p)) p^(3(a-1)) (p-1): eliminating the third
+    variable leaves x^2 + x + 1, which has 1 + (-3|p) roots mod p, one at
+    p = 3, two for p = 1 (mod 3) and none for p = 2 (mod 3).
     """
     a = operator.index(a)
     if a < 1:
         raise ValueError(f"exponent must be >= 1, got {a}")
     p = _check_prime(p)
-    if p == 3:
-        return p ** (3 * (a - 1)) * (p - 1)
-    if p % 3 == 1:
-        return 2 * p ** (3 * (a - 1)) * (p - 1)
-    return 0
+    return (1 + _chi3(p)) * p ** (3 * (a - 1)) * (p - 1)
 
 
 def g3_closed(m: int, n: int) -> int:
     """Solutions of x1 + x2 + x3 = m (mod n) with e_2 and e_3 units, for
-    gcd(m, n) = 1: the product of p^(2(a-1)) (p^2 - 3p + 6 - h(p)) with
-    h(p) = 3, p-1, p+1 according to p mod 3."""
-    n = _modulus(n)
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"needs gcd(m, n) = 1, got m={m}, n={n}")
+    gcd(m, n) = 1: the product of p^(2(a-1)) (p^2 - 4p + 6 + (-3|p))."""
+    n = _unit_rhs(m, n)
     out = 1
     for p, a in factorize(n):
-        h = 3 if p == 3 else (p - 1 if p % 3 == 1 else p + 1)
-        out *= p ** (2 * (a - 1)) * (p * p - 3 * p + 6 - h)
+        out *= p ** (2 * (a - 1)) * (p * p - 4 * p + 6 + _chi3(p))
     return out
 
 
@@ -139,9 +144,7 @@ def g4_closed(m: int, n: int) -> int:
     """Solutions of x1 + ... + x4 = m (mod n) with e_3 and e_4 units, for
     gcd(m, n) = 1: zero for even n, else the product of
     p^(3(a-1)) (p^3 - 5p^2 + 12p - 13)."""
-    n = _modulus(n)
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"needs gcd(m, n) = 1, got m={m}, n={n}")
+    n = _unit_rhs(m, n)
     if n % 2 == 0:
         return 0
     out = 1

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .arith import _check_prime, _nu, _quadratic_character, binom_mod2, is_prime
+from .arith import _arity, _check_prime, _nu, _quadratic_character, binom_mod2, is_prime
 from .budget import check_budget
 
 MODES = ("joint", "individual")
@@ -40,8 +40,7 @@ MODES = ("joint", "individual")
 def _indices(J, k: int) -> frozenset[int]:
     """J as a frozenset of ints, refused unless the arity k is at least 1 and
     every index lies in [1, k]; a string is not an index set."""
-    if operator.index(k) < 1:
-        raise ValueError(f"arity k must be >= 1, got {k}")
+    k = _arity(k)
     J = frozenset(map(operator.index, J))
     for j in J:
         if not 1 <= j <= k:
@@ -138,10 +137,7 @@ def closed_count_e2(k: int, p: int) -> int:
     p = 2 it is the sieved sum of C(k, w) over w = 0, 1 (mod 4), kept in
     integers rather than the equivalent trigonometric value.
     """
-    k = operator.index(k)
-    if k < 2:
-        raise ValueError(f"e_2 needs k >= 2, got {k}")
-    return _count_e2(k, _check_prime(p))
+    return _count_e2(_arity(k, 2), _check_prime(p))
 
 
 def _count_e2(k: int, p: int) -> int:
@@ -162,10 +158,7 @@ def closed_count_e1e2(k: int, p: int) -> int:
     eta(0) = 0 merges the cases as above.  For p = 2 the count is the
     binomial sum over w = 0 (mod 4).
     """
-    k = operator.index(k)
-    if k < 2:
-        raise ValueError(f"the pair (e_1, e_2) needs k >= 2, got {k}")
-    return _count_e1e2(k, _check_prime(p))
+    return _count_e1e2(_arity(k, 2), _check_prime(p))
 
 
 def _count_e1e2(k: int, p: int) -> int:
@@ -373,9 +366,7 @@ def quad_form_count(form: QuadraticForm, b: int) -> int:
 def e2_matrix(k: int, p: int) -> QuadraticForm:
     """The symmetric matrix of e_2 as a quadratic form over F_p: zero diagonal,
     1/2 off the diagonal."""
-    k = operator.index(k)
-    if k < 2:
-        raise ValueError(f"e_2 needs k >= 2, got {k}")
+    k = _arity(k, 2)
     half = pow(2, -1, p)
     rows = tuple(tuple(0 if i == j else half for j in range(k)) for i in range(k))
     return QuadraticForm(p, rows)

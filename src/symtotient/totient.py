@@ -10,25 +10,24 @@ tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
 (individual).  That count is symfield's per-prime rule (_local_units):
 closed zero counts when every count it needs closes, memoized per prime,
 and otherwise one counting pass over F_p^k.  Brute-force oracles over
-Z_n^k and the Menon-identity sides live here too.
+Z_n^k and the Menon-identity sides live here too; the left side reads
+congruence's e_1-fiber histogram.
 
 Conventions: the value is 0 for empty J and 1 for n = 1.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith import _modulus, dirichlet_convolve_mu, divisors, euler_phi, factorize
+from .arith import (
+    IntegralityError, _arity, _chi3, _modulus, dirichlet_convolve_mu, divisors, euler_phi,
+    factorize,
+)
 from .budget import check_budget
+from .congruence import unit_fiber_histogram
 from .symfield import SymSystem, _count_e1e2, _count_e2, _indices, _local_units
-
-
-class IntegralityError(RuntimeError):
-    """A quantity that is provably an integer failed to be one (a library bug,
-    not a user error)."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,7 @@ def closed_phi_12(k: int, n: int) -> int:
     at p = 2 the two sieved binomial sums make this exact without any
     trigonometric evaluation.
     """
-    k = operator.index(k)
-    if k < 2:
-        raise ValueError(f"J = {{1,2}} needs k >= 2, got {k}")
+    k = _arity(k, 2)
     out = 1
     for p, a in factorize(n):
         factor = p**k - p ** (k - 1) - _count_e2(k, p) + _count_e1e2(k, p)
@@ -120,13 +117,11 @@ def closed_phi_12(k: int, n: int) -> int:
 def closed_phi_123(n: int) -> int:
     """Individual totient for J = {1, 2, 3} at k = 3, fully closed.
 
-    Per prime power the factor is p^(3(a-1)) (p-1) (p^2 - 3p + 6 - h(p))
-    with h(p) = 3 at p = 3, p - 1 for p = 1 mod 3, p + 1 for p = 2 mod 3.
+    Per prime power the factor is p^(3(a-1)) (p-1) (p^2 - 4p + 6 + (-3|p)).
     """
     out = 1
     for p, a in factorize(n):
-        h = 3 if p == 3 else (p - 1 if p % 3 == 1 else p + 1)
-        out *= p ** (3 * (a - 1)) * (p - 1) * (p * p - 3 * p + 6 - h)
+        out *= p ** (3 * (a - 1)) * (p - 1) * (p * p - 4 * p + 6 + _chi3(p))
     return out
 
 
@@ -138,9 +133,7 @@ def toth_phi_1k(k: int, n: int) -> int:
     exact because (p-1)^k = (-1)^k mod p.  The symmetry J = {i, k} ~
     J = {k-i, k} makes this also the value for J = {k-1, k}.
     """
-    k = operator.index(k)
-    if k < 2:
-        raise ValueError(f"J = {{1,k}} needs k >= 2, got {k}")
+    k = _arity(k, 2)
     out = 1
     for p, a in factorize(n):
         num = (p - 1) * ((p - 1) ** k - (-1) ** k)
@@ -151,14 +144,12 @@ def toth_phi_1k(k: int, n: int) -> int:
     return out
 
 
-def unit_fiber_histogram(n: int, k: int, J, budget: int | None = None):
-    """Histogram over a of tuples with e_1 = a (mod n) whose e_j are all units
-    mod n (j in J).  One pass serves the Menon sum, fiber-uniformity checks,
-    and exponential sums."""
-    n, k = _modulus(n), operator.index(k)
+def _menon_indices(J, k: int) -> frozenset[int]:
+    """J as checked by _indices, refused unless 1 is in J (Menon's hypothesis)."""
     J = _indices(J, k)
-    check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
-    return _kernels.lincong_histogram(n, k, [1] * k, sorted(J))
+    if 1 not in J:
+        raise ValueError("the Menon identity needs 1 in J")
+    return J
 
 
 def menon_lhs(n: int, k: int, J, f, budget: int | None = None) -> int:
@@ -167,10 +158,7 @@ def menon_lhs(n: int, k: int, J, f, budget: int | None = None) -> int:
 
     Requires 1 in J (the identity's hypothesis).
     """
-    J = _indices(J, k)
-    if 1 not in J:
-        raise ValueError("the Menon identity needs 1 in J")
-    hist = unit_fiber_histogram(n, k, J, budget=budget)
+    hist = unit_fiber_histogram(n, k, _menon_indices(J, k), budget=budget)
     return sum(int(c) * f(math.gcd((a - 1) % n, n)) for a, c in enumerate(hist) if c)
 
 
@@ -178,10 +166,7 @@ def menon_rhs(n: int, k: int, J, f, budget: int | None = None) -> int:
     """Right side of the Menon identity: phi_J(n) * sum over d | n of
     (mu * f)(d) / phi(d), evaluated in exact rationals with an integrality
     check at the end."""
-    J = _indices(J, k)
-    if 1 not in J:
-        raise ValueError("the Menon identity needs 1 in J")
-    spec = TotientSpec(k, J, "individual", n)
+    spec = TotientSpec(k, _menon_indices(J, k), "individual", n)
     total = phi(spec, budget=budget) * sum(
         Fraction(dirichlet_convolve_mu(f, d), euler_phi(d)) for d in divisors(n)
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtotient.arith import (
+    _chi3,
     binom_mod2,
     dirichlet_convolve_mu,
     divisor_count,
@@ -118,6 +119,17 @@ class TestQuadraticCharacter:
             quadratic_character(1, 2)
         with pytest.raises(ValueError):
             quadratic_character(1, 9)
+
+
+class TestChi3:
+    def test_against_euler_criterion(self):
+        # quadratic_character decides (-3|p) through pow, independently of p mod 3
+        for p in primes_in_range(5, 1999):
+            assert _chi3(p) == quadratic_character(-3, p), p
+
+    def test_two_and_three(self):
+        assert _chi3(2) == -1
+        assert _chi3(3) == 0
 
 
 class TestNu:

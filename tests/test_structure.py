@@ -1,6 +1,6 @@
 """One per-prime counting rule, in symfield, for every caller, one engine
-choice, in _kernels, for every counting pass, and one validity check per
-input kind."""
+choice, in _kernels, for every counting pass, one validity check per input
+kind, and one home for each fact the library states more than once."""
 
 import ast
 from pathlib import Path
@@ -77,8 +77,9 @@ def test_engine_choice_stays_in_kernels():
 def test_one_validity_check_per_input_kind():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     text = "".join(sources.values())
-    for message in ("modulus must be >= 1", "arity k must be >= 1", "outside [1, ",
-                    "p must be prime"):
+    for message in ("modulus must be >= 1", "arity k must be >= ", "outside [1, ",
+                    "p must be prime", "the Menon identity needs 1 in J",
+                    "needs a unit right-hand side"):
         assert text.count(message) == 1, message
     assert "_check_indices" not in text
     # the CLI parses --J from text, where int() is the parser
@@ -92,3 +93,25 @@ def test_one_validity_check_per_input_kind():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
     ]
     assert coercions == []
+
+
+def test_shared_facts_have_one_home():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    # the character (-3|p) is arith._chi3; nothing else splits on p mod 3
+    assert [name for name, source in sources.items() if "p % 3" in source] == ["arith.py"]
+    # the e_1-fiber histogram is congruence's all-ones solution histogram, so
+    # outside _kernels, which defines it, only congruence calls the kernel
+    assert {name for name, tree in trees.items()
+            if _references(tree, "lincong_histogram")} == {"congruence.py"}
+    assert [
+        node.lineno for node in ast.walk(trees["congruence.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "totient"
+    ] == []
+    numpy_importers = {
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+    }
+    assert numpy_importers == {"_kernels.py"}
