@@ -3,12 +3,19 @@ for symmetric zero counts over a prime field, a power-sum DP.
 
 The scan walks the tuple indices a chunk at a time, tiled: the low digits
 of an index form an inner block of at most _CHUNK tuples whose e_j rows
-(the e_j recurrence run columnwise over its base-m digits) and linear form
-are computed once per call.  A chunk decodes only a batch of outer
-prefixes, the high digits, the same way, and combines the halves by the
-product rule e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner) mod m.
-Every tuple is still visited.  The three symmetric-sum kernels share the
-scan and differ only in how they reduce each chunk.
+and linear form are computed once per call, a digit at a time, by
+e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m on an (m, m**d) grid, about
+m/(m-1) passes over the block in all.  A chunk decodes a batch of outer
+prefixes, the high digits, by the same recurrence run columnwise over
+their base-m digits, and combines the halves by the product rule
+e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner) mod m.  Every tuple
+is still visited.  The three symmetric-sum kernels share the scan and
+differ only in how they reduce each chunk.  Whether the e_j are units
+mod m is read from a table, with no gcd: bits[r] marks the primes of m
+(from arith.factorize) that divide r, and a column's e_j are each units
+when the OR of their bits is 0, jointly coprime to m when the AND is.
+The table costs 2 bytes per residue, at most 2 * m**k bytes, and is
+built after the int64 refusal.
 
 The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
 visiting them, in O(k p^(jmax+1)) state updates against the scan's
@@ -30,6 +37,8 @@ most p**k and its Newton sums stay below p**2 + p.
 import math
 
 import numpy as np
+
+from .arith import factorize
 
 _CHUNK = 1 << 14  # 128 KiB per int64 row: small enough to stay in cache
 _INT64_LIMIT = 1 << 63
@@ -104,6 +113,32 @@ def _product_rule(outer, inner, j, m):
     return row
 
 
+def _inner_rows(m, digits, jmax, coeffs):
+    """_digit_rows of every index below m**digits, built a digit at a time.
+    The block of the d lowest digits gains its next digit v as an
+    (m, m**d) grid: e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m, and the linear
+    form adds coeffs[d] * v.  The grids sum to about m/(m-1) passes over
+    the last one, the whole block, against `digits` decoding passes.
+    Values stay below m**2, as in _digit_rows."""
+    c = np.zeros((min(jmax, digits) + 1, 1), dtype=np.int64)
+    c[0] = 1
+    lin = None if coeffs is None else np.zeros(1, dtype=np.int64)
+    v = np.arange(m, dtype=np.int64)[:, None]
+    for pos in range(digits):
+        top = min(jmax, pos + 1)
+        grown = np.zeros((c.shape[0], m, c.shape[1]), dtype=np.int64)
+        grown[0] = 1
+        # rows 1..top at once: e_j(x, v) = v e_{j-1}(x) + e_j(x) mod m
+        rows = grown[1 : top + 1]
+        np.multiply(v, c[:top, None, :], out=rows)
+        rows += c[1 : top + 1, None, :]
+        rows %= m
+        c = grown.reshape(c.shape[0], -1)
+        if lin is not None:
+            lin = ((lin + coeffs[pos] * v) % m).reshape(-1)
+    return c, lin
+
+
 def _scan(m, k, js, coeffs=None):
     """Walk Z_m^k a chunk of tuple indices at a time, in index order.  Per
     chunk, yield the rows e_j mod m (j in js, ascending) of the tuples'
@@ -111,16 +146,17 @@ def _scan(m, k, js, coeffs=None):
     without coeffs).
 
     The walk is tiled.  The low digits of an index (_low_digits of them)
-    form the inner block, decoded once per call; a chunk decodes only a
-    batch of outer prefixes, the high digits, and combines the two halves
-    by the product rule for e_j and by adding their linear forms.  Every
-    tuple is still visited.  With no low digits this is the plain scan."""
+    form the inner block, built once per call a digit at a time
+    (_inner_rows); a chunk decodes only a batch of outer prefixes, the high
+    digits, and combines the two halves by the product rule for e_j and by
+    adding their linear forms.  Every tuple is still visited.  With no low
+    digits this is the plain scan."""
     js = sorted(js)
     jmax = max(js, default=0)
     low = _low_digits(m, k)
     block = m**low
     cin, cout = (None, None) if coeffs is None else (coeffs[:low], coeffs[low:])
-    inner, lin_in = _digit_rows(np.arange(block, dtype=np.int64), m, low, jmax, cin)
+    inner, lin_in = _inner_rows(m, low, jmax, cin)
     inner = inner[:, None, :]
     prefixes = m ** (k - low)
     batch = _CHUNK // block
@@ -133,18 +169,28 @@ def _scan(m, k, js, coeffs=None):
         yield rows, lin
 
 
-def _unit_mask(rows, m, joint):
-    """Per column: gcd(rows..., m) == 1 (joint), or every row a unit mod m."""
-    if joint:
-        acc = np.gcd(rows[0], m)  # gcd with m first: smaller inputs for the rest
-        for row in rows[1:]:
-            np.gcd(acc, row, out=acc)
-        return acc == 1
-    acc = rows[0].copy()  # a product is a unit iff each factor is; values < m**2
+def _prime_bits(m):
+    """The unit table over Z_m: bits[r] has bit i set where the i-th prime
+    of m divides r.  m < 2**63 has at most 15 primes, so 16 bits hold
+    them.  The table costs 2 bytes per residue, at most 2 * m**k bytes for
+    a scan over Z_m^k."""
+    bits = np.zeros(m, dtype=np.uint16)
+    for i, (p, _) in enumerate(factorize(m)):
+        bits[::p] |= 1 << i
+    return bits
+
+
+def _unit_mask(rows, bits, joint):
+    """Per column, with bits = _prime_bits(m): gcd(rows..., m) == 1 (joint),
+    where no prime of m divides every row, or every row a unit mod m, where
+    no prime of m divides any row."""
+    acc = bits.take(rows[0])
     for row in rows[1:]:
-        acc *= row
-        acc %= m
-    return np.gcd(acc, m, out=acc) == 1
+        if joint:
+            acc &= bits.take(row)
+        else:
+            acc |= bits.take(row)
+    return acc == 0
 
 
 def count_sym_zeros(m: int, k: int, js) -> int:
@@ -164,7 +210,8 @@ def count_sym_units(m: int, k: int, js, joint: bool) -> int:
     gcd(e_j, m) == 1 separately.
     """
     _check_scan(m, k, js)
-    return sum(int(np.count_nonzero(_unit_mask(rows, m, joint))) for rows, _ in _scan(m, k, js))
+    bits = _prime_bits(m)
+    return sum(int(np.count_nonzero(_unit_mask(rows, bits, joint))) for rows, _ in _scan(m, k, js))
 
 
 def _dp_refusal(p, jmax):
@@ -186,10 +233,12 @@ def _dp_pays(p, k, jmax) -> bool:
     O(k p^k) tuples, so the DP's exponent is the lower iff jmax + 1 < k;
     at jmax = k - 1 they tie, and ties go to the DP.  Constants decide a
     tie.  Best of 30 on a 2-vCPU Xeon with numpy 2.4, at k = 4, J = {3}
-    (enum-queries' k = 4 strata are all ties), the DP wins at 7^4 (0.12
-    against 0.17 ms) and 23^4 (0.78 against 2.1 ms) and loses narrowly at
-    5^4 (0.09 against 0.07 ms) and 13^4 (0.36 against 0.34 ms).  The known
-    slower DP routes, 7^6 with 5 in J and 11^5 with J = {4}, are ties too."""
+    (enum-queries' k = 4 strata are all ties), the DP wins at 23^4 (0.8-1.1
+    against 1.7-2.0 ms) and loses at 5^4 (0.09-0.17 against 0.06-0.08 ms),
+    7^4 (0.17-0.19 against 0.09-0.10 ms) and 13^4 (0.34-0.37 against
+    0.24-0.29 ms).  The other known slower DP routes, 7^6 with 5 in J (3.4
+    against 1.0 ms) and 11^5 with J = {4} (1.4 against 1.3 ms), are ties
+    too."""
     return jmax < k and _dp_refusal(p, jmax) is None
 
 
@@ -276,9 +325,10 @@ def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     _check_scan(m, k, js)
     cf = np.asarray([c % m for c in coeffs], dtype=np.int64)
     hist = np.zeros(m, dtype=np.int64)
+    bits = _prime_bits(m) if js else None
     for rows, lin in _scan(m, k, js, cf):
         if rows:
-            lin = lin[_unit_mask(rows, m, joint=False)]
+            lin = lin[_unit_mask(rows, bits, joint=False)]
         _tally(hist, lin)
     return hist
 

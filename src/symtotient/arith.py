@@ -107,35 +107,74 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
+def _least_prime_factors(size: int) -> bytearray:
+    """lpf[n] for 0 <= n < size <= 2**16: the least prime factor of composite
+    n, which is at most isqrt(n) < 2**8 and so fits a byte, and 0 where n is
+    prime, 0 or 1."""
+    lpf = bytearray(size)
+    small = [p for p in range(2, math.isqrt(size - 1) + 1)
+             if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for p in reversed(small):  # the least prime of n writes lpf[n] last
+        lpf[p * p :: p] = bytes((p,)) * len(range(p * p, size, p))
+    return lpf
+
+
+# Cofactors below 2**16 finish their factorization on this 64 KiB table.
+_LPF_LIMIT = 1 << 16
+_LPF = _least_prime_factors(_LPF_LIMIT)
+
+
+def _divide_out(n: int, p: int, out: list[tuple[int, int]]) -> int:
+    """n with every factor p divided out; appends (p, a) to out where a > 0."""
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    if a:
+        out.append((p, a))
+    return n
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as [(p, a), ...], primes strictly increasing.
 
-    factorize(1) == [].  Trial division up to 10**6, then Pollard rho with
-    deterministic Miller-Rabin, so anything a desk machine can enumerate
-    factors instantly.  A cofactor past is_prime's bound raises ValueError.
+    factorize(1) == [].  While the cofactor is at least 2**16, trial
+    division on a 30-wheel up to 10**6, then Pollard rho with deterministic
+    Miller-Rabin, so anything a desk machine can enumerate factors
+    instantly.  A cofactor below 2**16 is finished by lookups in a
+    least-prime-factor table of 2**16 bytes, built at import.  A cofactor
+    past is_prime's bound raises ValueError.
     """
     n = _modulus(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+    out: list[tuple[int, int]] = []
+    if n >= _LPF_LIMIT:
+        for p in (2, 3, 5):
+            n = _divide_out(n, p, out)
+        # 30-wheel over residues coprime to 2*3*5
+        d = 7
+        wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+        i = 0
+        while n >= _LPF_LIMIT and d * d <= n and d <= _TRIAL_LIMIT:
+            n = _divide_out(n, d, out)
+            d += wheel[i]
+            i = (i + 1) % 8
+        if n >= _LPF_LIMIT:
+            # every prime left is at least d, above those found so far
+            if d * d > n:
+                out.append((n, 1))
+            else:
+                rest: dict[int, int] = {}
+                _factor_into(n, rest)
+                out += sorted(rest.items())
+            return out
+    while n > 1:  # the table's primes come in increasing order too
+        p = _LPF[n] or n
+        a = 0
+        while n % p == 0:  # _divide_out inlined: most calls take only this loop
             n //= p
-    # 30-wheel over residues coprime to 2*3*5
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
-    if n > 1:
-        if d * d > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_into(n, out)
-    return sorted(out.items())
+            a += 1
+        out.append((p, a))
+    return out
 
 
 def divisors(n: int) -> list[int]:

@@ -72,6 +72,14 @@ class SymSystem:
         return tuple(sorted(self.J))
 
 
+def _odd_prime(p: int) -> int:
+    """p as an int, refused unless it is an odd prime, the field of a quadratic form."""
+    p = operator.index(p)
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"quadratic forms are handled over odd primes, got p={p}")
+    return p
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """x -> x^T A x over F_p, p odd, with A symmetric and entries reduced mod p."""
@@ -80,9 +88,7 @@ class QuadraticForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        p = operator.index(self.p)
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"quadratic forms are handled over odd primes, got p={p}")
+        p = _odd_prime(self.p)
         rows = tuple(tuple(operator.index(v) % p for v in row) for row in self.matrix)
         k = len(rows)
         if k < 1 or any(len(row) != k for row in rows):
@@ -367,6 +373,7 @@ def e2_matrix(k: int, p: int) -> QuadraticForm:
     """The symmetric matrix of e_2 as a quadratic form over F_p: zero diagonal,
     1/2 off the diagonal."""
     k = _arity(k, 2)
+    p = _odd_prime(p)  # before pow, which would refuse p = 2 or 2.0 in its own words
     half = pow(2, -1, p)
     rows = tuple(tuple(0 if i == j else half for j in range(k)) for i in range(k))
     return QuadraticForm(p, rows)

@@ -73,6 +73,43 @@ class TestFactorize:
         p, q = 10_000_019, 10_000_079
         assert factorize(p * q) == [(p, 1), (q, 1)]
 
+    def test_matches_trial_division_across_the_table_limit(self):
+        # below 2**16 the least-prime-factor table finishes every
+        # factorization; the range runs 256 past it, into the wheel
+        for n in range(1, (1 << 16) + 257):
+            assert factorize(n) == trial_factorization(n), n
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (63001, [(251, 2)]),  # the largest prime square below 2**16
+            (65521, [(65521, 1)]),  # the largest prime below 2**16
+            (65535, [(3, 1), (5, 1), (17, 1), (257, 1)]),  # the table's last entry
+            (65536, [(2, 16)]),  # the first n past the table
+            (65537, [(65537, 1)]),
+            (65537 * 65521 * 4, [(2, 2), (65521, 1), (65537, 1)]),  # the wheel hands 65521 on
+        ],
+    )
+    def test_table_edges(self, n, expected):
+        assert factorize(n) == expected == trial_factorization(n)
+
+
+def trial_factorization(n):
+    """Independent factorization oracle: trial division by every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        a = 0
+        while n % d == 0:
+            n //= d
+            a += 1
+        if a:
+            out.append((d, a))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
 
 # The least strong pseudoprimes to the prime bases up to 37 and up to 41.
 PSI_12 = 399165290221 * 798330580441

@@ -87,6 +87,7 @@ REFUSALS = {
     "closed_count_e2-k": lambda: closed_count_e2(6.0, 5),
     "closed_count_e1e2-k": lambda: closed_count_e1e2(5.0, 5),
     "e2_matrix-k": lambda: e2_matrix(3.0, 5),
+    "e2_matrix-p": lambda: e2_matrix(3, 2.0),
     "psi-a": lambda: psi(7, 1.5),
     "g3_closed-m": lambda: g3_closed(1.5, 7),
     "g4_closed-m": lambda: g4_closed(1.5, 7),
@@ -103,6 +104,13 @@ REFUSALS = {
 def test_non_integer_refused(call):
     with pytest.raises(TypeError, match=NOT_AN_INTEGER):
         call()
+
+
+@pytest.mark.parametrize("p", [2, 4, 9])
+def test_e2_matrix_refuses_p_before_inverting_2(p):
+    # pow(2, -1, p) would raise its own "base is not invertible" at p = 2, 4
+    with pytest.raises(ValueError, match=f"odd primes, got p={p}"):
+        e2_matrix(3, p)
 
 
 @pytest.mark.parametrize("n", [0, -4])

@@ -1,9 +1,13 @@
 """The chunked-numpy kernels and the power-sum DP against the literal
-pure-Python oracle, the DP against the scan, the DP's cost rule, and the
-int64 bounds the kernels enforce."""
+pure-Python oracle, the DP against the scan, the scan's unit table against
+math.gcd and its digit-at-a-time inner block against digit decoding, the
+DP's cost rule, and the int64 bounds the kernels enforce."""
 
 import itertools
+import math
+import random
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -100,13 +104,54 @@ def test_scan_chunks_stay_within_chunk(m):
 
 def test_product_rule_peak_is_checked(monkeypatch):
     # at m = 200, k = 2 both halves have one digit, and the product rule's
-    # bound (jmax + 1) * m**2 is above m**k and m**2 + m
+    # bound (jmax + 1) * m**2 is above m**k and m**2 + m.  With numpy gone,
+    # neither the unit table nor any row is built before the refusal.
     m, k = 200, 2
     assert _kernels._low_digits(m, k) == 1
     monkeypatch.setattr(_kernels, "_INT64_LIMIT", 2 * m * m)
     monkeypatch.setattr(_kernels, "np", None)
-    with pytest.raises(ValueError, match="int64"):
-        _kernels.count_sym_zeros(m, k, [1, 2])
+    for call in (
+        lambda: _kernels.count_sym_zeros(m, k, [1, 2]),
+        lambda: _kernels.count_sym_units(m, k, [1, 2], True),
+        lambda: _kernels.lincong_histogram(m, k, [1, 2], [1, 2]),
+    ):
+        with pytest.raises(ValueError, match="int64"):
+            call()
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 30, 45, 97, 2310, 510510])
+@pytest.mark.parametrize("joint", [True, False])
+def test_unit_mask_matches_gcd(m, joint):
+    rng = random.Random(m)
+    rows = [[rng.randrange(m) for _ in range(500)] for _ in range(3)]
+    for row in rows:
+        row[:50] = [0] * 50  # every prime of m divides 0
+        rng.shuffle(row)
+    bits = _kernels._prime_bits(m)
+    got = _kernels._unit_mask([np.array(row, dtype=np.int64) for row in rows], bits, joint)
+    if joint:
+        expected = [math.gcd(*col, m) == 1 for col in zip(*rows)]
+    else:
+        expected = [all(math.gcd(v, m) == 1 for v in col) for col in zip(*rows)]
+    assert got.tolist() == expected
+
+
+INNER_GRID = [(m, d) for m in range(1, 8) for d in range(5)]
+
+
+@pytest.mark.parametrize("m,d", INNER_GRID, ids=[f"m{m}-d{d}" for m, d in INNER_GRID])
+def test_inner_rows_match_digit_rows(m, d):
+    # the block built a digit at a time against the block decoded digit by
+    # digit, at every jmax that leaves some e_j rows, with and without an
+    # asymmetric linear form
+    for jmax in range(d + 2):
+        for coeffs in (None, np.array([3, 1, 4, 1, 5][:d], dtype=np.int64) % m):
+            got, got_lin = _kernels._inner_rows(m, d, jmax, coeffs)
+            rows, lin = _kernels._digit_rows(np.arange(m**d, dtype=np.int64), m, d, jmax, coeffs)
+            assert got.tolist() == rows.tolist()
+            assert (got_lin is None) == (lin is None)
+            if lin is not None:
+                assert got_lin.tolist() == lin.tolist()
 
 
 @pytest.mark.parametrize(

@@ -115,3 +115,21 @@ def test_shared_facts_have_one_home():
         or isinstance(node, ast.ImportFrom) and node.module == "numpy"
     }
     assert numpy_importers == {"_kernels.py"}
+
+
+def test_unit_tests_read_the_prime_table():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    # the scan's unit masks come from _prime_bits, not from a gcd per tuple
+    assert [name for name, source in sources.items() if "np.gcd" in source] == []
+    # factorization has one home: _kernels takes the primes of m from arith
+    kernels = ast.parse(sources["_kernels.py"])
+    assert [
+        node.lineno for node in ast.walk(kernels)
+        if isinstance(node, ast.ImportFrom) and node.module == "arith"
+        and [a.name for a in node.names] == ["factorize"]
+    ]
+    assert {
+        name for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and "factor" in node.name
+    } == {"arith.py"}
