@@ -2,8 +2,9 @@
 
 Factorization, multiplicative functions, the quadratic character, Lucas
 parity of binomials, and Ramanujan sums.  Every value returned here is an
-exact Python integer; the Ramanujan sum goes through its divisor form,
-never through floating-point exponentials.
+exact Python integer; the Ramanujan sum goes through its divisor form, and
+an integer-weighted sum of n-th roots of unity is reduced exactly in
+Z[zeta_n], never through floating-point exponentials.
 """
 
 import math
@@ -269,6 +270,34 @@ def ramanujan_sum(m: int, n: int) -> int:
     n = _modulus(n)
     g = math.gcd(m, n)
     return sum(d * moebius(n // d) for d in divisors(g))
+
+
+def _cyclotomic_integer(w: list[int]) -> int:
+    """sum_r w[r] zeta_n^r for n = len(w), exactly, as an int; IntegralityError
+    when that sum is not an integer.
+
+    Rewrites w in the Z-basis of Z[zeta_n], the tensor product over q = p^e
+    || n of the bases zeta_q^s, s < q - q/p.  Phi_q(zeta_q) = 0, so a term
+    whose q-component s (r mod q) has top base-p digit p-1 equals minus the
+    other p-1 terms of its coset s + (q/p)Z; the shift r -> r - (q/p) u with
+    the CRT unit u (1 mod q, 0 mod n/q) moves the q-component alone.  Each
+    prime costs one pass over w.  The basis element at r = 0 is 1, so the
+    sum is an integer exactly when every other weight is then 0.
+    """
+    n = len(w)
+    w = list(w)
+    for p, e in factorize(n):
+        q = p**e
+        u = pow(n // q, -1, q) * (n // q)
+        step, top = q // p * u % n, q - q // p
+        for r in range(n):
+            if w[r] and r % q >= top:
+                c, w[r] = w[r], 0
+                for j in range(1, p):
+                    w[(r - j * step) % n] -= c
+    if any(w[1:]):
+        raise IntegralityError(f"a weighted sum of powers of zeta_{n} is not an integer")
+    return w[0]
 
 
 # Named arithmetic functions used as Menon-identity weights.

@@ -10,20 +10,27 @@ coefficients are one unit residue mod p.  Specialized closed products
 cover the three- and four-variable cases with all coefficients 1, and
 the closing piece is the generalized Ramanujan sum they induce.  The
 all-ones solution histogram is unit_fiber_histogram, the e_1 fibers that
-the Menon identity's left side and the direct Ramanujan sum read.
+the Menon identity's left side and the direct Ramanujan sum read; the
+direct sum weighs those fibers by n-th roots of unity and reduces them
+exactly in Z[zeta_n], so every value here is an exact integer.
 """
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
 
 from . import _kernels
-from .arith import IntegralityError, _check_prime, _chi3, _modulus, factorize, ramanujan_sum
+from .arith import (
+    IntegralityError,
+    _check_prime,
+    _chi3,
+    _cyclotomic_integer,
+    _modulus,
+    factorize,
+    ramanujan_sum,
+)
 from .budget import check_budget
 from .symfield import SymSystem, _local_units
-
-_INTEGRALITY_TOL = 1e-6  # the largest stray of the direct sum from an integer
 
 
 @dataclass(frozen=True)
@@ -163,24 +170,19 @@ def generalized_ramanujan(m: int, n: int, k: int, J, budget: int | None = None) 
 
 
 def generalized_ramanujan_direct(m: int, n: int, k: int, J, budget: int | None = None) -> int:
-    """The same sum from its definition: sum of e^(2*pi*i*m*e_1(x)/n) over the
+    """The same sum from its definition: sum of zeta_n^(m*e_1(x)) over the
     constrained tuples whose e_1 is itself a unit mod n, by enumeration.
 
-    This is the one floating-point path in the library.  The phase m*a is
-    reduced mod n exactly before the float division; the sum is rounded to
-    the nearest integer and refused (IntegralityError) if it strays by 1e-6
-    or more before rounding.
+    Each unit e_1 fiber's count is put at exponent m*a mod n of an integer
+    weight vector, whose sum of n-th roots of unity arith reduces exactly in
+    Z[zeta_n]: the result is an int, or IntegralityError when the reduced
+    sum is not an integer.  No floating point and no tolerance are involved,
+    and neither ramanujan_sum nor the per-prime rule is.
     """
     m = operator.index(m)
     hist = unit_fiber_histogram(n, k, J, budget=budget)
-    total = sum(
-        int(c) * cmath.exp(2j * cmath.pi * (m * a % n) / n)
-        for a, c in enumerate(hist)
-        if c and math.gcd(a, n) == 1
-    )
-    nearest = round(total.real)
-    if abs(total - nearest) >= _INTEGRALITY_TOL:
-        raise IntegralityError(
-            f"exponential sum {total} is not within {_INTEGRALITY_TOL} of an integer"
-        )
-    return int(nearest)
+    weights = [0] * len(hist)
+    for a, c in enumerate(hist.tolist()):
+        if c and math.gcd(a, n) == 1:
+            weights[m * a % n] += c
+    return _cyclotomic_integer(weights)

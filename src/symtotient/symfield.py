@@ -9,8 +9,9 @@ quadratic-form solution counts (with a radical reduction for the
 degenerate arities), any J at p = 2 through Lucas-sieved binomial sums,
 the full set J = {1,...,k}, and any J containing k through an
 inclusion-exclusion recurrence over zeroed coordinates.  The closed
-forms never enumerate: the recurrence asks only closed bases, and a J
-with a base that has no closed form gets None, not a count.
+forms never enumerate: the recurrence builds its k prefix bases once,
+bottom-up, asking at most k - 1 closed counts, and a J with a base that
+has no closed form gets None, not a count.
 
 _local_units is the one per-prime rule behind count_zeros and the
 totients' product forms: the number of tuples in F_p^k whose e_j are not
@@ -189,10 +190,13 @@ def extend_with_ek(J, k: int, p: int) -> int | None:
     (those polynomials vanish identically once j coordinates are zero),
     and the empty count N_0 is 1.
 
-    The bases N_m, 1 <= m < k, are asked of the closed-form dispatcher for
-    m = k-1 down to 1, so nothing is enumerated; the first base without a
-    closed form makes the result None.  An arity below 1, an index outside
-    [1, k-1] or a p that is not prime raises ValueError.
+    Every base at every depth of that recurrence is one of the k prefix
+    counts N_m(J cut to [1, m]), m < k.  They are built once, bottom-up: by
+    the same recurrence where m is in J, else asked of the closed-form
+    dispatcher, which then has no e_m to recurse on.  So a call asks at
+    most k - 1 closed base counts and enumerates nothing; the first base
+    without a closed form makes the result None.  An arity below 1, an
+    index not in [1, k-1] or a p that is not prime raises ValueError.
     """
     J = _indices(J, k)
     if k in J:
@@ -201,13 +205,19 @@ def extend_with_ek(J, k: int, p: int) -> int | None:
 
 
 def _extend(J: frozenset, k: int, p: int) -> int | None:
-    total = (-1) ** (k + 1)  # the j = k term: C(k, k) N_0 = 1
-    for j in range(1, k):
-        inner = _closed(frozenset(x for x in J if x <= k - j), k - j, p)
-        if inner is None:
-            return None
-        total += (-1) ** (j + 1) * math.comb(k, j) * inner
-    return total
+    prefix = [1]  # prefix[m] = N_m(J cut to [1, m]); N_0 = 1
+    for m in range(1, k + 1):
+        if m in J or m == k:
+            total = 0  # sum of (-1)^(j+1) C(m, j) N_(m-j), folded from j = m down to 1
+            for i in range(m):
+                total = math.comb(m, i) * prefix[i] - total
+            prefix.append(total)
+        else:
+            base = _closed(frozenset(x for x in J if x < m), m, p)
+            if base is None:
+                return None
+            prefix.append(base)
+    return prefix[k]
 
 
 def count_zeros_closed(J, k: int, p: int) -> int | None:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtotient.arith import (
+    IntegralityError,
     _chi3,
+    _cyclotomic_integer,
     binom_mod2,
     dirichlet_convolve_mu,
     divisor_count,
@@ -254,3 +256,26 @@ class TestRamanujanSum:
                     if math.gcd(a, n) == 1
                 )
                 assert abs(direct - ramanujan_sum(m, n)) < 1e-6
+
+
+def _unit_weights(n, weight=1):
+    """The weight at every unit exponent a mod n, 0 elsewhere."""
+    return [weight if math.gcd(a, n) == 1 else 0 for a in range(n)]
+
+
+class TestCyclotomicInteger:
+    def test_unit_roots_sum_to_moebius(self):
+        # the primitive n-th roots of unity sum to mu(n); the range holds
+        # prime powers up to 2^8 and products of three primes such as 30, 210
+        for n in range(1, 301):
+            assert _cyclotomic_integer(_unit_weights(n)) == moebius(n), n
+
+    @pytest.mark.parametrize("w", [[0, 1, 0, 0, 0], [0, 1, 0, 0], [0, 1, -1]])
+    def test_irrational_sum_refused(self, w):
+        # zeta_5, zeta_4 = i and zeta_3 - zeta_3^2 = i*sqrt(3)
+        with pytest.raises(IntegralityError):
+            _cyclotomic_integer(w)
+
+    def test_weights_past_float_precision(self):
+        for n in (1, 2, 30, 64, 105, 210):
+            assert _cyclotomic_integer(_unit_weights(n, 10**30)) == 10**30 * moebius(n)

@@ -236,7 +236,8 @@ class TestGeneralizedRamanujan:
                         assert closed == direct
 
     def test_direct_exact_phase_near_n(self):
-        # a float phase m*a/n with m, a near n strays about 1e-6 over the sum
+        # m, a near n = 3001 weight nearly every power of zeta_n, whose sum in
+        # floating point strays about 1e-6 from the integer; the exact sum does not
         assert generalized_ramanujan_direct(3000, 3001, 2, {1}) == generalized_ramanujan(
             3000, 3001, 2, {1}
         )

@@ -1,6 +1,7 @@
 """One per-prime counting rule, in symfield, for every caller, one engine
 choice, in _kernels, for every counting pass, one validity check per input
-kind, and one home for each fact the library states more than once."""
+kind, one home for each fact the library states more than once, and no
+floating-point path or tolerance behind any value."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,41 @@ def test_unit_tests_read_the_prime_table():
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and "factor" in node.name
     } == {"arith.py"}
+
+
+def test_every_value_stays_an_exact_integer():
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    inexact = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "cmath"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "round"
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id.endswith("_TOL")
+    ]
+    assert inexact == []
+    # the one float is SYMTOTIENT_BUDGET read as a number of tuples, such as 2e7
+    floats = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+    (resolve,) = [
+        node for node in trees["budget.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "resolve_budget"
+    ]
+    assert floats
+    assert all(name == "budget.py" and resolve.lineno <= line <= resolve.end_lineno
+               for name, line in floats), floats
+    # the direct Ramanujan sum stays independent of the product form it checks
+    (direct,) = [
+        node for node in trees["congruence.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "generalized_ramanujan_direct"
+    ]
+    for name in ("ramanujan_sum", "count_unit_rhs", "_local_units"):
+        assert _references(direct, name) == [], name

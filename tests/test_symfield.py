@@ -1,3 +1,5 @@
+import math
+
 import oracle
 import pytest
 
@@ -163,15 +165,36 @@ class TestExtendWithEk:
                 assert extend_with_ek(set(), k, p) == p**k - (p - 1) ** k
 
     def test_base_without_count_gives_none(self, monkeypatch):
-        # bases are asked for m = k-1 down to 1; the first base without a
-        # closed form ({3} at m = 4) ends the sum
+        # bases are built for m = 1 up to k-1, by the recurrence where m is in
+        # J (m = 3) and from the dispatcher elsewhere; the first base without
+        # a closed form ({3} at m = 4) ends the sum
         calls = []
         closed = symfield._closed
         monkeypatch.setattr(
             symfield, "_closed", lambda J, m, p: calls.append((J, m)) or closed(J, m, p)
         )
         assert extend_with_ek({3}, 5, 7) is None
-        assert calls == [(frozenset({3}), 4)]
+        assert calls == [(frozenset(), 1), (frozenset(), 2), (frozenset({3}), 4)]
+
+    def test_tail_sets_against_coordinate_count(self):
+        # a common zero of e_j, ..., e_k has fewer than j nonzero coordinates,
+        # so N_{j..k}(k, p) = sum over r < j of C(k, r) (p-1)^r
+        for p in (3, 5, 7):
+            for k in range(1, 66):
+                for j in {1, 2, 3, k // 2, k - 1, k} & set(range(1, k + 1)):
+                    expected = sum(math.comb(k, r) * (p - 1) ** r for r in range(j))
+                    assert count_zeros_closed(range(j, k + 1), k, p) == expected
+
+    def test_tail_set_asks_linearly_many_closed_counts(self, monkeypatch):
+        # asking each base of J = {2, ..., k} of the dispatcher would recurse
+        # into 2^k closed counts; bottom-up it needs the one base N_1 = p
+        calls = []
+        closed = symfield._closed
+        monkeypatch.setattr(
+            symfield, "_closed", lambda J, m, p: calls.append(m) or closed(J, m, p)
+        )
+        assert count_zeros_closed(range(2, 61), 60, 3) == 1 + 60 * 2
+        assert calls == [60, 1]
 
 
 class TestDispatch:
