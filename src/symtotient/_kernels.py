@@ -5,9 +5,10 @@ The scan walks the tuple indices a chunk at a time, tiled: the low digits
 of an index form an inner block of at most _CHUNK tuples whose e_j rows
 and linear form are computed once per call, a digit at a time, by
 e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m on an (m, m**d) grid, about
-m/(m-1) passes over the block in all.  A chunk decodes a batch of outer
-prefixes, the high digits, by the same recurrence run columnwise over
-their base-m digits, and combines the halves by the product rule
+m/(m-1) passes over the block in all.  The outer prefixes, the high
+digits, are decoded up to _CHUNK at a time by the same recurrence run
+columnwise over their base-m digits; each chunk takes a batch of them and
+combines the halves by the product rule
 e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner) mod m.  Every tuple
 is still visited.  The three symmetric-sum kernels share the scan and
 differ only in how they reduce each chunk.  Whether the e_j are units
@@ -24,23 +25,30 @@ whole engine choice: the DP where it can run and max(js) < k, else the
 scan; _dp_pays names the inputs where that rule picks the slower engine.
 The scan kernels stay the DP's oracle.
 
-All arithmetic is int64, except the DP's counts, which are int32 while
-p**k < 2**31.  Every kernel refuses with ValueError, before it allocates
-anything, a call whose tuple count m**k or largest intermediate value
-would reach 2**63.  The scan's digit recurrence reduces mod m at each
-step, so its values stay below m**2 + m; the product rule sums at most
-jmax + 1 terms below m**2 each, and splits a tuple only when m <= _CHUNK.
-A quadratic form's row sums stay below k*p**2.  The DP's counts are at
-most p**k and its Newton sums stay below p**2 + p.
+Tuple indices are int64.  Every kernel refuses with ValueError, before it
+allocates anything, a call whose tuple count m**k or largest intermediate
+value would reach 2**63; below that, the scan's and the quadratic form's
+rows are int32 wherever that largest value stays below 2**31, else int64
+(_check_scan and _check_int64 pick the dtype with the refusal).  The
+scan's digit recurrence and linear forms reduce mod m at each step, so
+their values stay below m**2 + m; the product rule sums at most jmax + 1
+terms below m**2 each, and splits a tuple only when m <= _CHUNK.  A
+quadratic form's row sums stay below k*p**2.  Every reduction of an
+array is _reduce, a -= (a // m) * m in place: numpy divides an array by
+a scalar through libdivide, while % divides each element in hardware.
+The DP's counts are at most p**k, int32 while p**k < 2**31, and its
+Newton sums stay below p**2 + p.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .arith import factorize
 
-_CHUNK = 1 << 14  # 128 KiB per int64 row: small enough to stay in cache
+_CHUNK = 1 << 14  # 64 KiB per int32 row, 128 KiB per int64: small enough to stay in cache
+_INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
 _DP_CELLS = 1 << 20  # cap on the DP's tiled state, (2p)**jmax cells: at most 8 MiB
 
@@ -51,11 +59,15 @@ def backend() -> str:
 
 
 def _check_int64(m, k, peak):
+    """Refuse Z_m^k when its tuple count m**k or a kernel's largest value,
+    below `peak`, would reach 2**63.  Otherwise return the dtype of the
+    kernel's rows: int32 while peak < 2**31, else int64."""
     # m >= 2 with k >= 63 is over the limit without computing m**k
     if (m > 1 and k >= 63) or m**k >= _INT64_LIMIT or peak >= _INT64_LIMIT:
         raise ValueError(
             f"Z_{m}^{k} is too large for the int64 kernels (m**k and {peak} must be < 2**63)"
         )
+    return np.int32 if peak < _INT32_LIMIT else np.int64
 
 
 def _low_digits(m, k):
@@ -68,28 +80,47 @@ def _low_digits(m, k):
 
 
 def _check_scan(m, k, js):
-    """Refuse, before any allocation, a scan whose tuple count m**k or largest
-    value would reach 2**63.  The digit recurrence stays below m**2 + m.
-    Where both halves of a tuple have digits, the product rule sums at most
-    jmax + 1 terms, each below m**2, before it reduces."""
+    """The row dtype of a scan over Z_m^k, the one place it is chosen.
+    Refuses first, before any allocation, a scan whose tuple count m**k or
+    largest value would reach 2**63.  The digit recurrence and the linear
+    forms stay below m**2 + m.  Where both halves of a tuple have digits,
+    the product rule sums at most jmax + 1 terms, each below m**2, before
+    it reduces."""
     low = _low_digits(m, k)
     terms = max(js, default=0) + 1 if 0 < low < k else 1
-    _check_int64(m, k, max(m * m + m, terms * m * m))
+    return _check_int64(m, k, max(m * m + m, terms * m * m))
 
 
-def _digit_rows(t, m, digits, jmax, coeffs):
-    """Decode the low `digits` base-m digits of the indices t.  Return the
-    rows e_0..e_min(jmax, digits) mod m of those digits, and the linear form
-    sum(coeffs[i] * digit_i) mod m (None without coeffs)."""
-    c = np.zeros((min(jmax, digits) + 1, t.shape[0]), dtype=np.int64)
+def _reduce(a, m):
+    """a mod m, in place, for a >= 0; returns a.  Never pass a row that
+    aliases the scan's inner block."""
+    q = a // m
+    q *= m
+    a -= q
+    return a
+
+
+def _divmod(t, m):
+    """np.divmod(t, m) for t >= 0, with one libdivide division."""
+    q = t // m
+    return q, t - q * m
+
+
+def _digit_rows(t, m, digits, jmax, coeffs, dtype):
+    """Decode the low `digits` base-m digits of the int64 indices t.  Return
+    the rows e_0..e_min(jmax, digits) mod m of those digits, and the linear
+    form sum(coeffs[i] * digit_i) mod m (None without coeffs), as `dtype`."""
+    c = np.zeros((min(jmax, digits) + 1, t.shape[0]), dtype=dtype)
     c[0] = 1
-    lin = None if coeffs is None else np.zeros_like(t)
+    lin = None if coeffs is None else np.zeros(t.shape[0], dtype=dtype)
     for pos in range(digits):
-        t, v = np.divmod(t, m)
+        t, v = _divmod(t, m)
+        v = v.astype(dtype, copy=False)
         if lin is not None:
-            lin = (lin + coeffs[pos] * v) % m
+            lin = _reduce(lin + coeffs[pos] * v, m)
         for j in range(min(jmax, pos + 1), 0, -1):
-            c[j] = (c[j] + c[j - 1] * v) % m
+            c[j] += c[j - 1] * v
+            _reduce(c[j], m)
     return c, lin
 
 
@@ -102,40 +133,39 @@ def _product_rule(outer, inner, j, m):
         for i in range(max(0, j - len(inner) + 1), min(j, len(outer) - 1) + 1)
     ]
     if not terms:  # j > k: no tuple has a j-subset
-        return np.zeros((outer.shape[1], inner.shape[2]), dtype=np.int64)
+        return np.zeros((outer.shape[1], inner.shape[2]), dtype=outer.dtype)
     if len(terms) == 1 and (len(outer) == 1 or len(inner) == 1):
-        return terms[0]  # one half has only e_0: the other's row, reduced
+        return terms[0]  # one half has only e_0: the other's row, reduced, maybe the inner block
     # a lone term here is a product, a fresh array: reduce it in place
     row = terms[0] + terms[1] if len(terms) > 1 else terms[0]
     for term in terms[2:]:
         row += term
-    row %= m
-    return row
+    return _reduce(row, m)
 
 
-def _inner_rows(m, digits, jmax, coeffs):
+def _inner_rows(m, digits, jmax, coeffs, dtype):
     """_digit_rows of every index below m**digits, built a digit at a time.
     The block of the d lowest digits gains its next digit v as an
     (m, m**d) grid: e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m, and the linear
     form adds coeffs[d] * v.  The grids sum to about m/(m-1) passes over
     the last one, the whole block, against `digits` decoding passes.
-    Values stay below m**2, as in _digit_rows."""
-    c = np.zeros((min(jmax, digits) + 1, 1), dtype=np.int64)
+    Values stay below m**2 + m, as in _digit_rows."""
+    c = np.zeros((min(jmax, digits) + 1, 1), dtype=dtype)
     c[0] = 1
-    lin = None if coeffs is None else np.zeros(1, dtype=np.int64)
-    v = np.arange(m, dtype=np.int64)[:, None]
+    lin = None if coeffs is None else np.zeros(1, dtype=dtype)
+    v = np.arange(m, dtype=dtype)[:, None]
     for pos in range(digits):
         top = min(jmax, pos + 1)
-        grown = np.zeros((c.shape[0], m, c.shape[1]), dtype=np.int64)
+        grown = np.zeros((c.shape[0], m, c.shape[1]), dtype=dtype)
         grown[0] = 1
         # rows 1..top at once: e_j(x, v) = v e_{j-1}(x) + e_j(x) mod m
         rows = grown[1 : top + 1]
         np.multiply(v, c[:top, None, :], out=rows)
         rows += c[1 : top + 1, None, :]
-        rows %= m
+        _reduce(rows, m)
         c = grown.reshape(c.shape[0], -1)
         if lin is not None:
-            lin = ((lin + coeffs[pos] * v) % m).reshape(-1)
+            lin = _reduce(lin + coeffs[pos] * v, m).reshape(-1)
     return c, lin
 
 
@@ -143,30 +173,34 @@ def _scan(m, k, js, coeffs=None):
     """Walk Z_m^k a chunk of tuple indices at a time, in index order.  Per
     chunk, yield the rows e_j mod m (j in js, ascending) of the tuples'
     base-m digits, and the linear form sum(coeffs[i] * x_i) mod m (None
-    without coeffs).
+    without coeffs), in the dtype _check_scan returns; it refuses first.
 
     The walk is tiled.  The low digits of an index (_low_digits of them)
     form the inner block, built once per call a digit at a time
-    (_inner_rows); a chunk decodes only a batch of outer prefixes, the high
-    digits, and combines the two halves by the product rule for e_j and by
-    adding their linear forms.  Every tuple is still visited.  With no low
-    digits this is the plain scan."""
+    (_inner_rows).  The outer prefixes, the high digits, are decoded in
+    one vectorized pass per _CHUNK of them; a chunk takes the next batch of
+    decoded prefixes, at most _CHUNK // m**low, and combines the two halves
+    by the product rule for e_j and by adding their linear forms.  Every
+    tuple is still visited.  With no low digits this is the plain scan."""
+    dtype = _check_scan(m, k, js)
     js = sorted(js)
     jmax = max(js, default=0)
     low = _low_digits(m, k)
-    block = m**low
     cin, cout = (None, None) if coeffs is None else (coeffs[:low], coeffs[low:])
-    inner, lin_in = _inner_rows(m, low, jmax, cin)
+    inner, lin_in = _inner_rows(m, low, jmax, cin, dtype)
     inner = inner[:, None, :]
     prefixes = m ** (k - low)
-    batch = _CHUNK // block
-    for start in range(0, prefixes, batch):
-        t = np.arange(start, min(start + batch, prefixes), dtype=np.int64)
-        outer, lin_out = _digit_rows(t, m, k - low, jmax, cout)
-        outer = outer[:, :, None]
-        rows = [_product_rule(outer, inner, j, m).reshape(-1) for j in js]
-        lin = None if coeffs is None else ((lin_out[:, None] + lin_in) % m).reshape(-1)
-        yield rows, lin
+    batch = _CHUNK // m**low  # prefixes per chunk
+    for first in range(0, prefixes, _CHUNK):
+        t = np.arange(first, min(first + _CHUNK, prefixes), dtype=np.int64)
+        outer, lin_out = _digit_rows(t, m, k - low, jmax, cout, dtype)
+        for start in range(0, t.shape[0], batch):
+            part = outer[:, start : start + batch, None]
+            rows = [_product_rule(part, inner, j, m).reshape(-1) for j in js]
+            lin = None
+            if coeffs is not None:
+                lin = _reduce(lin_out[start : start + batch, None] + lin_in, m).reshape(-1)
+            yield rows, lin
 
 
 def _prime_bits(m):
@@ -195,11 +229,10 @@ def _unit_mask(rows, bits, joint):
 
 def count_sym_zeros(m: int, k: int, js) -> int:
     """Tuples in Z_m^k with e_j = 0 (mod m) for every j in js (js nonempty)."""
-    _check_scan(m, k, js)
     total = 0
     for rows, _ in _scan(m, k, js):
-        # every e_j is in [0, m), so they are all zero exactly when their sum is
-        total += rows[0].shape[0] - int(np.count_nonzero(sum(rows[1:], rows[0])))
+        # the e_j are all zero exactly when their OR is, which stays below 2m
+        total += rows[0].shape[0] - int(np.count_nonzero(functools.reduce(np.bitwise_or, rows)))
     return total
 
 
@@ -233,12 +266,14 @@ def _dp_pays(p, k, jmax) -> bool:
     O(k p^k) tuples, so the DP's exponent is the lower iff jmax + 1 < k;
     at jmax = k - 1 they tie, and ties go to the DP.  Constants decide a
     tie.  Best of 30 on a 2-vCPU Xeon with numpy 2.4, at k = 4, J = {3}
-    (enum-queries' k = 4 strata are all ties), the DP wins at 23^4 (0.8-1.1
-    against 1.7-2.0 ms) and loses at 5^4 (0.09-0.17 against 0.06-0.08 ms),
-    7^4 (0.17-0.19 against 0.09-0.10 ms) and 13^4 (0.34-0.37 against
-    0.24-0.29 ms).  The other known slower DP routes, 7^6 with 5 in J (3.4
-    against 1.0 ms) and 11^5 with J = {4} (1.4 against 1.3 ms), are ties
-    too."""
+    (enum-queries' k = 4 strata are all ties), the scan with int32 rows
+    wins at 5^4 (DP 0.09 against scan 0.04 ms), 7^4 (0.12 against 0.05
+    ms), 13^4 (0.23 against 0.10 ms) and 23^4 (0.79 against 0.50 ms).  The
+    other known slower DP routes, 7^6 with 5 in J (3.3 against 0.34 ms) and
+    11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Sending ties to
+    the scan would also make phi's individual passes with |J| >= 2 run
+    count_sym_units, the slower scan reduction, so the choice waits for a
+    cost model that prices the reduction (ROADMAP item 5)."""
     return jmax < k and _dp_refusal(p, jmax) is None
 
 
@@ -322,8 +357,8 @@ def _tally(hist, values):
 def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     """Histogram over b of tuples with sum(coeffs[i]*x_i) = b (mod m), restricted
     to tuples where every e_j (j in js) is a unit mod m.  js may be empty."""
-    _check_scan(m, k, js)
-    cf = np.asarray([c % m for c in coeffs], dtype=np.int64)
+    dtype = _check_scan(m, k, js)
+    cf = np.asarray([c % m for c in coeffs], dtype=dtype)
     hist = np.zeros(m, dtype=np.int64)
     bits = _prime_bits(m) if js else None
     for rows, lin in _scan(m, k, js, cf):
@@ -335,17 +370,18 @@ def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
 
 def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
     """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p)."""
-    _check_int64(p, k, k * p * p)
-    mat = np.asarray(matrix, dtype=np.int64) % p
+    # x^T A x = sum_i x_i (A x)_i; reducing (A x)_i mod p first keeps
+    # every term below p**2 and every sum below k*p**2
+    dtype = _check_int64(p, k, k * p * p)
+    mat = (np.asarray(matrix, dtype=np.int64) % p).astype(dtype)
     space = p**k
     hist = np.zeros(p, dtype=np.int64)
     for start in range(0, space, _CHUNK):
         t = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        x = np.empty((k, t.shape[0]), dtype=np.int64)  # one row per coordinate
+        x = np.empty((k, t.shape[0]), dtype=dtype)  # one row per coordinate
         for pos in range(k):
-            t, x[pos] = np.divmod(t, p)
-        # x^T A x = sum_i x_i (A x)_i; reducing (A x)_i mod p first keeps
-        # every term below p**2 and the sum below k*p**2
-        ax = mat @ x % p
-        _tally(hist, (ax * x).sum(axis=0) % p)
+            t, x[pos] = _divmod(t, p)
+        ax = _reduce(mat @ x, p)
+        ax *= x
+        _tally(hist, _reduce(ax.sum(axis=0, dtype=dtype), p))
     return hist

@@ -1,7 +1,8 @@
 """The chunked-numpy kernels and the power-sum DP against the literal
 pure-Python oracle, the DP against the scan, the scan's unit table against
-math.gcd and its digit-at-a-time inner block against digit decoding, the
-DP's cost rule, and the int64 bounds the kernels enforce."""
+math.gcd, its digit-at-a-time inner block against digit decoding and its
+decode boundaries under a small _CHUNK, the DP's cost rule, the int64
+bounds the kernels enforce and the int32 bound of their rows."""
 
 import itertools
 import math
@@ -143,15 +144,89 @@ INNER_GRID = [(m, d) for m in range(1, 8) for d in range(5)]
 def test_inner_rows_match_digit_rows(m, d):
     # the block built a digit at a time against the block decoded digit by
     # digit, at every jmax that leaves some e_j rows, with and without an
-    # asymmetric linear form
-    for jmax in range(d + 2):
-        for coeffs in (None, np.array([3, 1, 4, 1, 5][:d], dtype=np.int64) % m):
-            got, got_lin = _kernels._inner_rows(m, d, jmax, coeffs)
-            rows, lin = _kernels._digit_rows(np.arange(m**d, dtype=np.int64), m, d, jmax, coeffs)
-            assert got.tolist() == rows.tolist()
-            assert (got_lin is None) == (lin is None)
-            if lin is not None:
-                assert got_lin.tolist() == lin.tolist()
+    # asymmetric linear form, in both row dtypes
+    t = np.arange(m**d, dtype=np.int64)
+    for dtype in (np.int32, np.int64):
+        for jmax in range(d + 2):
+            for coeffs in (None, np.array([3, 1, 4, 1, 5][:d], dtype=dtype) % m):
+                got, got_lin = _kernels._inner_rows(m, d, jmax, coeffs, dtype)
+                rows, lin = _kernels._digit_rows(t, m, d, jmax, coeffs, dtype)
+                assert got.dtype == rows.dtype == dtype
+                assert got.tolist() == rows.tolist()
+                assert (got_lin is None) == (lin is None)
+                if lin is not None:
+                    assert got_lin.dtype == lin.dtype == dtype
+                    assert got_lin.tolist() == lin.tolist()
+
+
+def test_scan_dtype_bound():
+    # int32 rows while the scan's peak, here m**2 + m, stays below 2**31
+    assert _kernels._check_scan(46340, 2, [2]) is np.int32
+    assert _kernels._check_scan(46341, 2, [2]) is np.int64
+
+
+def test_digit_rows_past_the_int32_bound():
+    # at m = 46349 two digits multiply to (m - 1)**2 > 2**31: rows in int32
+    # would wrap, so _check_scan's dtype must hold the literal e_j
+    m, jmax = 46349, 2
+    dtype = _kernels._check_scan(m, 2, [jmax])
+    rng = random.Random(m)
+    digits = [(m - 1, m - 1), (m - 2, m - 1), (m - 1, 1), (0, m - 1)]
+    digits += [(rng.randrange(m // 2, m), rng.randrange(m // 2, m)) for _ in range(200)]
+    t = np.array([x0 + m * x1 for x0, x1 in digits], dtype=np.int64)
+    rows, _ = _kernels._digit_rows(t, m, 2, jmax, None, dtype)
+    for j in range(jmax + 1):
+        assert rows[j].tolist() == [oracle.esym(j, xs, m) for xs in digits]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("m", [1, 2, 3, 23, 181, 46340])
+def test_reduce_matches_mod(m, dtype):
+    # on every value up to a scan's peak, 4 m**2 + m here, or the top 10**5
+    # values below 2**31 at the int32 edge
+    top = min(4 * m * m + m, _kernels._INT32_LIMIT)
+    a = np.arange(max(0, top - 10**5), top, dtype=dtype)
+    assert (_kernels._reduce(a.copy(), m) == a % m).all()
+
+
+# (_CHUNK, m, k, js): small chunks put the decode boundaries on tiny grids
+DECODE_GRID = [
+    (8, 3, 5, (1, 2)),  # 2 prefixes a chunk: 81 in 11 decodes, the last ragged
+    (27, 5, 5, (1, 3)),  # 1 prefix a chunk: 125 in 5 decodes of 27, the last 17
+    (27, 2, 7, (2, 3)),  # 1 prefix a chunk, 8 prefixes in one decode
+    (8, 11, 2, (1, 2)),  # no low digits: 121 prefixes in 16 decodes
+    (8, 10, 3, (2,)),  # no low digits: 1000 prefixes, 125 full decodes
+    (8, 2, 3, (1, 3)),  # only low digits: one prefix
+]
+
+
+@pytest.mark.parametrize("chunk,m,k,js", DECODE_GRID)
+def test_scan_decode_boundaries(monkeypatch, chunk, m, k, js):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    coeffs = np.array([(3 * i + 1) % m for i in range(k)], dtype=np.int64)
+    # the chunks, in order, against every index decoded digit by digit
+    chunks = list(_kernels._scan(m, k, js, coeffs))
+    assert all(lin.shape[0] <= chunk for _, lin in chunks)
+    rows, lin = _kernels._digit_rows(
+        np.arange(m**k, dtype=np.int64), m, k, max(js), coeffs, np.int64
+    )
+    for i, j in enumerate(sorted(js)):
+        assert np.concatenate([got[i] for got, _ in chunks]).tolist() == rows[j].tolist()
+    assert np.concatenate([got for _, got in chunks]).tolist() == lin.tolist()
+    # every scan kernel against the literal oracle
+    assert _kernels.count_sym_zeros(m, k, js) == oracle.zeros(m, k, js)
+    for joint in (True, False):
+        assert _kernels.count_sym_units(m, k, js, joint) == oracle.units(m, k, js, joint)
+    # asymmetric coefficients: a coefficient applied to the wrong digit shows
+    coeffs = coeffs.tolist()
+    assert _kernels.lincong_histogram(m, k, coeffs, js).tolist() == oracle.lincong_hist(
+        m, k, coeffs, js
+    )
+    assert _kernels.lincong_histogram(m, k, coeffs, ()).tolist() == oracle.lincong_hist(
+        m, k, coeffs, ()
+    )
+    mat = [[(i + 2 * j + 1) % m for j in range(k)] for i in range(k)]
+    assert _kernels.quadform_histogram(m, k, mat).tolist() == oracle.quadform_hist(m, k, mat)
 
 
 @pytest.mark.parametrize(
