@@ -29,19 +29,22 @@ Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
 value would reach 2**63; below that, the scan's and the quadratic form's
 rows are int32 wherever that largest value stays below 2**31, else int64
-(_check_scan and _check_int64 pick the dtype with the refusal).  The
-scan's digit recurrence and linear forms reduce mod m at each step, so
-their values stay below m**2 + m; the product rule sums at most jmax + 1
-terms below m**2 each, and splits a tuple only when m <= _CHUNK.  A
-quadratic form's row sums stay below k*p**2.  Every reduction of an
-array is _reduce, a -= (a // m) * m in place: numpy divides an array by
-a scalar through libdivide, while % divides each element in hardware.
-The DP's counts are at most p**k, int32 while p**k < 2**31, and its
-Newton sums stay below p**2 + p.
+(_check_scan, _check_quadform and _check_int64 pick the dtype with the
+refusal).  The scan's digit recurrence and linear forms reduce mod m at
+each step, so their values stay below m**2 + m; the product rule sums at
+most jmax + 1 terms below m**2 each, and splits a tuple only when
+m <= _CHUNK.  The quadratic-form histogram walks Z_p^k on the same
+tiling, a coordinate at a time, with its cross terms as linear forms and
+no integer matmul, which numpy runs without BLAS; its values stay below
+k*p**2.  Every reduction of an array is _reduce, a -= (a // m) * m in
+place: numpy divides an array by a scalar through libdivide, while %
+divides each element in hardware.  The DP's counts are at most p**k,
+int32 while p**k < 2**31, and its Newton sums stay below p**2 + p.
 """
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -217,13 +220,14 @@ def _prime_bits(m):
 def _unit_mask(rows, bits, joint):
     """Per column, with bits = _prime_bits(m): gcd(rows..., m) == 1 (joint),
     where no prime of m divides every row, or every row a unit mod m, where
-    no prime of m divides any row."""
-    acc = bits.take(rows[0])
+    no prime of m divides any row.  Every row is reduced below m, so
+    mode="clip" never changes an index; it only drops take's bounds check."""
+    acc = bits.take(rows[0], mode="clip")
     for row in rows[1:]:
         if joint:
-            acc &= bits.take(row)
+            acc &= bits.take(row, mode="clip")
         else:
-            acc |= bits.take(row)
+            acc |= bits.take(row, mode="clip")
     return acc == 0
 
 
@@ -368,20 +372,83 @@ def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     return hist
 
 
+def _check_quadform(p, k):
+    """The row dtype of quadform_histogram over Z_p^k, chosen with its
+    refusal from one peak, as _check_scan does for the scan.  Every value
+    stays below k*p**2 (see _quad_add and quadform_histogram)."""
+    return _check_int64(p, k, k * p * p)
+
+
+def _quad_add(q, lin, d, v, diag, cross, later, p):
+    """Extend the tuples x behind a quadratic form's rows by coordinate d at
+    the values v.  Return Q(x, v) = Q(x) + v (L_d(x) + a_dd v mod p), where
+    lin[d] is the row of the linear form L_d(x), and replace each lin[e],
+    e in later, by L_e(x) + cross[e][d] v.  Rows come back flat, so v of
+    shape (p, 1) against rows of shape (p**d,) grows them to the (p, p**d)
+    grid.  Only the factor of v is reduced: over at most k coordinates, Q
+    and each L_e gain terms below p**2 and stay below k*p**2."""
+    w = _reduce(lin[d] + diag[d] * v, p)
+    w *= v
+    w += q
+    for e in later:
+        lin[e] = (lin[e] + cross[e][d] * v).reshape(-1)
+    return w.reshape(-1)
+
+
 def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
-    """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p)."""
-    # x^T A x = sum_i x_i (A x)_i; reducing (A x)_i mod p first keeps
-    # every term below p**2 and every sum below k*p**2
-    dtype = _check_int64(p, k, k * p * p)
-    mat = (np.asarray(matrix, dtype=np.int64) % p).astype(dtype)
-    space = p**k
+    """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p).
+
+    The walk is tiled as _scan's is.  Q(x) = sum_i a_ii x_i**2 +
+    sum_{i<j} s_ij x_i x_j with s_ij = a_ij + a_ji, so the matrix need not
+    be symmetric.  The low coordinates (_low_digits of them) form the
+    inner block, built once per call a coordinate at a time by _quad_add
+    on a grid, which keeps its Q.  The outer prefixes are decoded up to
+    _CHUNK at a time, and the same recurrence, run columnwise over their
+    digits, gives Q(o) and the cross coefficients
+    c_j(o) = sum_e s_je o_e mod p of the inner coordinates j.  A chunk
+    takes a batch of prefixes, at most _CHUNK // p**low, and tallies the
+    grid Q(o) + Q(inner) + sum_j c_j(o) x_j mod p.  Q(o) is left
+    unreduced, below (k - low) p**2; with Q(inner) below p and at most low
+    cross terms below p**2 each, the grid stays below k*p**2.  A
+    coordinate j with no cross coefficient to the outer ones adds no term.
+    Every tuple is still visited."""
+    dtype = _check_quadform(p, k)
+    a = [[operator.index(entry) % p for entry in row] for row in matrix]
+    diag = [a[i][i] for i in range(k)]
+    cross = [[(a[i][j] + a[j][i]) % p for j in range(k)] for i in range(k)]
+    low = _low_digits(p, k)
+    terms = [j for j in range(low) if any(cross[j][low:])]
+    # _quad_add rebinds the rows it is given and never writes them, so the
+    # rows may start as one shared zero row
+    zero = np.zeros(1, dtype=dtype)
+    q_in, lin = zero, [zero] * low
+    v = np.arange(p, dtype=dtype)[:, None]
+    for d in range(low):
+        q_in = _quad_add(q_in, lin, d, v, diag, cross, range(d + 1, low), p)
     hist = np.zeros(p, dtype=np.int64)
-    for start in range(0, space, _CHUNK):
-        t = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
-        x = np.empty((k, t.shape[0]), dtype=dtype)  # one row per coordinate
-        for pos in range(k):
-            t, x[pos] = _divmod(t, p)
-        ax = _reduce(mat @ x, p)
-        ax *= x
-        _tally(hist, _reduce(ax.sum(axis=0, dtype=dtype), p))
+    if low == k:  # the inner block is the whole space
+        _tally(hist, _reduce(q_in, p))
+        return hist
+    q_in = _reduce(q_in, p)
+    # coordinate j of an inner index is its base-p digit j
+    x_in = {
+        j: np.broadcast_to(v, (p ** (low - 1 - j), p, p**j)).reshape(-1) for j in terms
+    }
+    prefixes = p ** (k - low)
+    batch = _CHUNK // p**low  # prefixes per chunk
+    for first in range(0, prefixes, _CHUNK):
+        t = np.arange(first, min(first + _CHUNK, prefixes), dtype=np.int64)
+        zero = np.zeros(t.shape[0], dtype=dtype)
+        q_out, lin = zero, [zero] * k
+        for d in range(low, k):
+            t, digit = _divmod(t, p)
+            later = [*terms, *range(d + 1, k)]
+            q_out = _quad_add(q_out, lin, d, digit.astype(dtype, copy=False), diag, cross, later, p)
+        for j in terms:
+            _reduce(lin[j], p)
+        for start in range(0, q_out.shape[0], batch):
+            grid = q_out[start : start + batch, None] + q_in
+            for j in terms:
+                grid += lin[j][start : start + batch, None] * x_in[j]
+            _tally(hist, _reduce(grid, p).reshape(-1))
     return hist

@@ -26,6 +26,7 @@ budget and makes the pass again.  The memo has no size limit; it grows by
 under 100 bytes per distinct (k, J, mode, p) asked for.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,6 +50,12 @@ def _indices(J, k: int) -> frozenset[int]:
     return J
 
 
+def _mode(mode: str) -> None:
+    """Refuse a mode that is not one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class SymSystem:
     """Constraints on k variables through the symmetric polynomials e_j, j in J.
@@ -65,8 +72,7 @@ class SymSystem:
     def __post_init__(self):
         object.__setattr__(self, "k", operator.index(self.k))
         object.__setattr__(self, "J", _indices(self.J, self.k))
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _mode(self.mode)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -104,6 +110,18 @@ class QuadraticForm:
     @property
     def k(self) -> int:
         return len(self.matrix)
+
+    @functools.cached_property
+    def _rank_det(self) -> tuple[int, int]:
+        """The rank of the form and the product of the nonzero diagonal
+        entries of its diagonalization mod p (the determinant of its
+        nondegenerate part up to a square), from one diagonalization on
+        first use: a form that is only enumerated never diagonalizes."""
+        nonzero = [d for d in _diagonalize_symmetric(self.matrix, self.p) if d != 0]
+        det = 1
+        for d in nonzero:
+            det = det * d % self.p
+        return len(nonzero), det
 
 
 def count_zeros_bruteforce(system: SymSystem, p: int, budget: int | None = None) -> int:
@@ -360,14 +378,9 @@ def quad_form_count(form: QuadraticForm, b: int) -> int:
     p = form.p
     k = form.k
     b = operator.index(b) % p
-    diag = _diagonalize_symmetric(form.matrix, p)
-    nonzero = [d for d in diag if d != 0]
-    rank = len(nonzero)
+    rank, det = form._rank_det
     if rank == 0:
         return p**k if b == 0 else 0
-    det = 1
-    for d in nonzero:
-        det = det * d % p
     if rank % 2 == 1:
         count = p ** (rank - 1) + p ** ((rank - 1) // 2) * _quadratic_character(
             (-1) ** ((rank - 1) // 2) * b * det, p

@@ -17,6 +17,7 @@ Conventions: the value is 0 for empty J and 1 for n = 1.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .arith import (
 )
 from .budget import check_budget
 from .congruence import unit_fiber_histogram
-from .symfield import SymSystem, _count_e1e2, _count_e2, _indices, _local_units
+from .symfield import _count_e1e2, _count_e2, _indices, _local_units, _mode
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,11 @@ class TotientSpec:
     n: int
 
     def __post_init__(self):
+        # n first, then k, J and mode in SymSystem's order, without building one
         object.__setattr__(self, "n", _modulus(self.n))
-        system = SymSystem(self.k, self.J, self.mode)  # validates k, J, mode
-        object.__setattr__(self, "k", system.k)
-        object.__setattr__(self, "J", system.J)
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "J", _indices(self.J, self.k))
+        _mode(self.mode)
 
 
 def _require_mode(spec: TotientSpec, mode: str) -> None:

@@ -1,8 +1,9 @@
 """The chunked-numpy kernels and the power-sum DP against the literal
 pure-Python oracle, the DP against the scan, the scan's unit table against
 math.gcd, its digit-at-a-time inner block against digit decoding and its
-decode boundaries under a small _CHUNK, the DP's cost rule, the int64
-bounds the kernels enforce and the int32 bound of their rows."""
+decode boundaries under a small _CHUNK, the quadratic form's tiling under
+a small _CHUNK, the DP's cost rule, the int64 bounds the kernels enforce
+and the int32 bound of their rows."""
 
 import itertools
 import math
@@ -207,6 +208,8 @@ def test_scan_decode_boundaries(monkeypatch, chunk, m, k, js):
     # the chunks, in order, against every index decoded digit by digit
     chunks = list(_kernels._scan(m, k, js, coeffs))
     assert all(lin.shape[0] <= chunk for _, lin in chunks)
+    # every row is reduced, so _unit_mask's clipped table lookup never clips
+    assert all(0 <= row.min() and row.max() < m for rows, _ in chunks for row in rows)
     rows, lin = _kernels._digit_rows(
         np.arange(m**k, dtype=np.int64), m, k, max(js), coeffs, np.int64
     )
@@ -227,6 +230,60 @@ def test_scan_decode_boundaries(monkeypatch, chunk, m, k, js):
     )
     mat = [[(i + 2 * j + 1) % m for j in range(k)] for i in range(k)]
     assert _kernels.quadform_histogram(m, k, mat).tolist() == oracle.quadform_hist(m, k, mat)
+
+
+# (_CHUNK, m, k, low): the quadratic form's tiling under a small chunk
+QUADFORM_GRID = [
+    (27, 3, 3, 3),  # only inner coordinates: one prefix, the whole space
+    (8, 11, 2, 0),  # no inner coordinates: 121 prefixes in 16 decodes
+    (27, 5, 3, 2),  # one prefix a chunk, 5 prefixes in one decode
+    (8, 3, 4, 1),  # 2 prefixes a chunk: 27 in decodes of 8, 8, 8, 3, the last batch ragged
+    (8, 6, 3, 1),  # composite m, one prefix a chunk
+    (27, 10, 3, 1),  # composite m, 2 prefixes a chunk: decodes of 27, 27, 27, 19, each ragged
+]
+
+
+def _quadform_matrices(m, k):
+    """Matrices for the tiling tests: full and asymmetric, upper-triangular,
+    diagonal, antisymmetric off the diagonal (every a_ij + a_ji is 0 mod m),
+    and block-diagonal, so that no inner coordinate meets an outer one."""
+    rng = random.Random(m * 10 + k)
+    full = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+    upper = [[full[i][j] if i <= j else 0 for j in range(k)] for i in range(k)]
+    diag = [[full[i][j] if i == j else 0 for j in range(k)] for i in range(k)]
+    anti = [[(i + 1) if i < j else -(j + 1) if i > j else 1 for j in range(k)] for i in range(k)]
+    low = _kernels._low_digits(m, k)
+    block = [[full[i][j] if (i < low) == (j < low) else 0 for j in range(k)] for i in range(k)]
+    return [full, upper, diag, anti, block]
+
+
+@pytest.mark.parametrize("chunk,m,k,low", QUADFORM_GRID)
+def test_quadform_tiling_matches_oracle(monkeypatch, chunk, m, k, low):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    assert _kernels._low_digits(m, k) == low
+    for mat in _quadform_matrices(m, k):
+        got = _kernels.quadform_histogram(m, k, mat)
+        assert got.tolist() == oracle.quadform_hist(m, k, mat), mat
+
+
+def test_quadform_dtype_bound():
+    # int32 rows while k * p**2 stays below 2**31: the largest prime under
+    # the bound at k = 1 and k = 2, and the next prime past it
+    assert _kernels._check_quadform(46337, 1) is np.int32
+    assert _kernels._check_quadform(46349, 1) is np.int64
+    assert _kernels._check_quadform(32749, 2) is np.int32
+    assert _kernels._check_quadform(32771, 2) is np.int64
+
+
+def test_quadform_histogram_at_the_int32_edge():
+    # a * x * x mod p with a = p - 1 reaches (p - 1)**2, just under 2**31,
+    # in int32 rows
+    p, a = 46337, 46336
+    assert _kernels._check_quadform(p, 1) is np.int32
+    expected = [0] * p
+    for x in range(p):
+        expected[a * x * x % p] += 1
+    assert _kernels.quadform_histogram(p, 1, [[a]]).tolist() == expected
 
 
 @pytest.mark.parametrize(

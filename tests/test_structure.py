@@ -1,7 +1,8 @@
 """One per-prime counting rule, in symfield, for every caller, one engine
 choice, in _kernels, for every counting pass, one validity check per input
-kind, one home for each fact the library states more than once, and no
-floating-point path or tolerance behind any value."""
+kind, one home for each fact the library states more than once, no
+floating-point path or tolerance behind any value, and no integer matmul
+in the kernels."""
 
 import ast
 from pathlib import Path
@@ -80,7 +81,7 @@ def test_one_validity_check_per_input_kind():
     text = "".join(sources.values())
     for message in ("modulus must be >= 1", "arity k must be >= ", "outside [1, ",
                     "p must be prime", "the Menon identity needs 1 in J",
-                    "needs a unit right-hand side"):
+                    "needs a unit right-hand side", "mode must be one of"):
         assert text.count(message) == 1, message
     assert "_check_indices" not in text
     # the CLI parses --J from text, where int() is the parser
@@ -172,3 +173,17 @@ def test_every_value_stays_an_exact_integer():
     ]
     for name in ("ramanujan_sum", "count_unit_rhs", "_local_units"):
         assert _references(direct, name) == [], name
+
+
+def test_kernels_use_no_integer_matmul():
+    # numpy's integer matmul has no BLAS path: a small int32 product ran
+    # twice as long as the same product by broadcasting, so the kernels
+    # build their products from broadcasts
+    tree = ast.parse((SRC / "_kernels.py").read_text())
+    matmuls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert matmuls == []
+    for name in ("matmul", "dot"):
+        assert _references(tree, name) == [], name

@@ -372,6 +372,31 @@ class TestQuadForm:
         assert [quad_form_count(form, b) for form in forms for b in (0, 1, 5)] == expected
         assert calls == []
 
+    def test_one_diagonalization_per_form(self, monkeypatch):
+        # every b reads the form's rank and determinant from one
+        # diagonalization, and a form that is only enumerated makes none
+        calls = []
+        diagonalize = symfield._diagonalize_symmetric
+        monkeypatch.setattr(
+            symfield, "_diagonalize_symmetric", lambda rows, p: calls.append(p) or diagonalize(rows, p)
+        )
+        forms = [
+            QuadraticForm(7, ((1, 2, 0), (2, 3, 1), (0, 1, 5))),
+            QuadraticForm(5, ((1, 0, 0), (0, 0, 0), (0, 0, 0))),
+            QuadraticForm(5, ((0, 0), (0, 0))),
+            e2_matrix(4, 3),
+        ]
+        for form in forms:
+            assert quadform_value_histogram(form).tolist() == oracle.quadform_hist(
+                form.p, form.k, form.matrix
+            )
+        assert calls == []
+        for form in forms:
+            hist = oracle.quadform_hist(form.p, form.k, form.matrix)
+            assert [quad_form_count(form, b) for b in range(form.p)] == hist
+            assert [quad_form_count(form, b) for b in range(form.p)] == hist
+        assert calls == [form.p for form in forms]
+
 
 class TestMonotoneBound:
     def test_counts_within_space(self):
