@@ -180,8 +180,14 @@ def generalized_ramanujan_direct(m: int, n: int, k: int, J, budget: int | None =
     and neither ramanujan_sum nor the per-prime rule is.
     """
     m = operator.index(m)
-    hist = unit_fiber_histogram(n, k, J, budget=budget)
-    weights = [0] * len(hist)
+    return _fiber_exponential_sum(unit_fiber_histogram(n, k, J, budget=budget), m, n)
+
+
+def _fiber_exponential_sum(hist, m: int, n: int) -> int:
+    """Sum of c * zeta_n^(m*a) over the unit e_1 fibers c = hist[a], reduced
+    exactly in Z[zeta_n]; the verify ramanujan cell weighs one histogram
+    this way for every m."""
+    weights = [0] * n
     for a, c in enumerate(hist.tolist()):
         if c and math.gcd(a, n) == 1:
             weights[m * a % n] += c

@@ -53,13 +53,14 @@ def _require_mode(spec: TotientSpec, mode: str) -> None:
         raise ValueError(f"expected a mode={mode!r} spec, got mode={spec.mode!r}")
 
 
-def _product_form(spec: TotientSpec, mode: str, budget: int | None) -> int:
-    _require_mode(spec, mode)
-    if not spec.J:
+def _product_form(k: int, J: frozenset[int], joint: bool, n: int, budget: int | None) -> int:
+    """The product over p^a || n of p^(k(a-1)) times the per-prime rule, for
+    already validated fields; varphi, phi and the verify jordan cell share it."""
+    if not J:
         return 0
     out = 1
-    for p, a in factorize(spec.n):
-        out *= p ** (spec.k * (a - 1)) * _local_units(spec.k, spec.J, p, mode == "joint", budget)
+    for p, a in factorize(n):
+        out *= p ** (k * (a - 1)) * _local_units(k, J, p, joint, budget)
     return out
 
 
@@ -78,7 +79,8 @@ def varphi(spec: TotientSpec, budget: int | None = None) -> int:
     with N_J(p) the simultaneous zero count in F_p^k: closed when a formula
     applies, else from one counting pass over F_p^k.
     """
-    return _product_form(spec, "joint", budget)
+    _require_mode(spec, "joint")
+    return _product_form(spec.k, spec.J, True, spec.n, budget)
 
 
 def phi(spec: TotientSpec, budget: int | None = None) -> int:
@@ -88,7 +90,8 @@ def phi(spec: TotientSpec, budget: int | None = None) -> int:
     of x in F_p^k with no e_j(x) zero: the alternating sum of p^k - N_S(p)
     over the nonempty S in J when every N_S(p) closes, else one counting pass.
     """
-    return _product_form(spec, "individual", budget)
+    _require_mode(spec, "individual")
+    return _product_form(spec.k, spec.J, False, spec.n, budget)
 
 
 def varphi_bruteforce(spec: TotientSpec, budget: int | None = None) -> int:
@@ -161,7 +164,13 @@ def menon_lhs(n: int, k: int, J, f, budget: int | None = None) -> int:
     Requires 1 in J (the identity's hypothesis).
     """
     hist = unit_fiber_histogram(n, k, _menon_indices(J, k), budget=budget)
-    return sum(int(c) * f(math.gcd((a - 1) % n, n)) for a, c in enumerate(hist) if c)
+    return _menon_sum(hist, n, f)
+
+
+def _menon_sum(hist, n: int, f) -> int:
+    """Sum of c * f(gcd(a - 1, n)) over the e_1 fibers c = hist[a]; the verify
+    menon cell weighs one histogram this way for each of its weights."""
+    return sum(c * f(math.gcd((a - 1) % n, n)) for a, c in enumerate(hist.tolist()) if c)
 
 
 def menon_rhs(n: int, k: int, J, f, budget: int | None = None) -> int:

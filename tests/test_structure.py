@@ -166,13 +166,23 @@ def test_every_value_stays_an_exact_integer():
     assert floats
     assert all(name == "budget.py" and resolve.lineno <= line <= resolve.end_lineno
                for name, line in floats), floats
-    # the direct Ramanujan sum stays independent of the product form it checks
-    (direct,) = [
-        node for node in trees["congruence.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "generalized_ramanujan_direct"
+    # the direct Ramanujan sum, and the fiber weighting the verify cell calls
+    # in its place, stay independent of the product form they check
+    for func in ("generalized_ramanujan_direct", "_fiber_exponential_sum"):
+        (direct,) = [
+            node for node in trees["congruence.py"].body
+            if isinstance(node, ast.FunctionDef) and node.name == func
+        ]
+        for name in ("ramanujan_sum", "count_unit_rhs", "_local_units"):
+            assert _references(direct, name) == [], (func, name)
+    # the jordan cell's reference sieves n^k itself: it shares no
+    # factorization with the product form it checks
+    (reference,) = [
+        node for node in trees["verify.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_jordan_reference"
     ]
-    for name in ("ramanujan_sum", "count_unit_rhs", "_local_units"):
-        assert _references(direct, name) == [], name
+    for name in ("factorize", "_LPF", "jordan_totient", "_product_form", "_local_units"):
+        assert _references(reference, name) == [], name
 
 
 def test_kernels_use_no_integer_matmul():

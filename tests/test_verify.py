@@ -1,8 +1,11 @@
-"""CellResult.attempt, the one place where an over-budget point becomes a skip."""
+"""CellResult.attempt, the one place where an over-budget point becomes a skip;
+the jordan cell's windowed reference and its power to catch an error; one
+e_1-fiber histogram per grid point in the menon and ramanujan cells."""
 
 import pytest
 
-from symtotient import verify
+from symtotient import congruence, totient, verify
+from symtotient.arith import jordan_totient, primes_in_range
 from symtotient.budget import BudgetExceededError
 from symtotient.verify import CellResult
 
@@ -47,3 +50,50 @@ def test_skip_labels_at_tiny_budget(cell, expected):
     res = cell(budget=100)
     assert res.failed == 0
     assert (res.skipped, res.skips[0], res.skips[-1]) == expected
+
+
+@pytest.mark.parametrize("limit", [3 * verify.JORDAN_WINDOW + 5, 1031])
+def test_jordan_reference_matches_across_window_edges(limit):
+    # 1031 is prime, so the last window ends on a prime that sieves only itself
+    primes = primes_in_range(2, limit)
+    for k in range(1, 6):
+        expected = [(n, jordan_totient(k, n)) for n in range(1, limit + 1)]
+        assert list(verify._jordan_reference(k, limit, primes)) == expected, k
+
+
+def test_jordan_cell_names_the_first_wrong_value(monkeypatch):
+    # 1031 is the least prime past the first window edge
+    prime = 1031
+    assert verify.JORDAN_WINDOW < prime and primes_in_range(verify.JORDAN_WINDOW, prime) == [prime]
+    local_units = totient._local_units
+
+    def off_by_one(k, J, p, joint, budget):
+        return local_units(k, J, p, joint, budget) + (p == prime)
+
+    monkeypatch.setattr(totient, "_local_units", off_by_one)
+    res = verify.cell_jordan()
+    assert res.passed == 0
+    assert res.failures == [f"k={k} first mismatch n={prime}" for k in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "cell, histograms",
+    [
+        # one per (n, k, J) point, plus the classical spot value through menon_lhs
+        (verify.cell_menon, 3 * 40 + 1),
+        (verify.cell_ramanujan, 2 * 2 * 20),
+    ],
+)
+def test_one_fiber_histogram_per_grid_point(monkeypatch, cell, histograms):
+    calls = []
+    build = congruence.unit_fiber_histogram
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (congruence, totient):
+        monkeypatch.setattr(module, "unit_fiber_histogram", counted)
+    res = cell()
+    assert (res.failed, res.skipped) == (0, 0)
+    assert len(calls) == histograms
