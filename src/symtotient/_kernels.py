@@ -10,13 +10,16 @@ digits, are decoded up to _CHUNK at a time by the same recurrence run
 columnwise over their base-m digits; each chunk takes a batch of them and
 combines the halves by the product rule
 e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner) mod m.  Every tuple
-is still visited.  The three symmetric-sum kernels share the scan and
-differ only in how they reduce each chunk.  Whether the e_j are units
-mod m is read from a table, with no gcd: bits[r] marks the primes of m
-(from arith.factorize) that divide r, and a column's e_j are each units
-when the OR of their bits is 0, jointly coprime to m when the AND is.
-The table costs 2 bytes per residue, at most 2 * m**k bytes, and is
-built after the int64 refusal.
+is still visited.  The symmetric-sum kernels share the scan.  The zero
+count reduces each chunk on its own; the unit counts and the linear-form
+histograms have one body, _unit_scan, in which one scan over the union
+of several index sets answers every set (with a mode per set for unit
+counts).  Whether the e_j are units mod m is read from a table, with no
+gcd: bits[r] marks the primes of m (from arith.factorize) that divide r.
+The bit rows are taken from it once per e_j per chunk, and a set's e_j
+are each units when the OR of their bits is 0, jointly coprime to m when
+the AND is.  The table costs 2 bytes per residue, at most 2 * m**k
+bytes, and is built after the int64 refusal of the union.
 
 The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
 visiting them, in O(k p^(jmax+1)) state updates against the scan's
@@ -217,17 +220,18 @@ def _prime_bits(m):
     return bits
 
 
-def _unit_mask(rows, bits, joint):
-    """Per column, with bits = _prime_bits(m): gcd(rows..., m) == 1 (joint),
-    where no prime of m divides every row, or every row a unit mod m, where
-    no prime of m divides any row.  Every row is reduced below m, so
-    mode="clip" never changes an index; it only drops take's bounds check."""
-    acc = bits.take(rows[0], mode="clip")
-    for row in rows[1:]:
-        if joint:
-            acc &= bits.take(row, mode="clip")
-        else:
-            acc |= bits.take(row, mode="clip")
+def _unit_mask(taken, at, joint):
+    """Per column, from the unit-table bits taken[r] = bits.take(row r) of
+    the rows at positions `at`, with bits = _prime_bits(m): gcd(rows..., m)
+    == 1 (joint), where no prime of m divides every row, or every row a
+    unit mod m, where no prime of m divides any row.  The taken arrays are
+    shared between index sets and are not written."""
+    acc = taken[at[0]]
+    if len(at) > 1:
+        fold = np.bitwise_and if joint else np.bitwise_or
+        acc = fold(acc, taken[at[1]])
+        for r in at[2:]:
+            fold(acc, taken[r], out=acc)
     return acc == 0
 
 
@@ -240,15 +244,57 @@ def count_sym_zeros(m: int, k: int, js) -> int:
     return total
 
 
+def _unit_scan(m, k, queries, coeffs=None):
+    """The one scan loop behind the unit counts and the linear-form
+    histograms: one _scan over the union of the queries' index sets answers
+    every query, a pair (js, joint).  Per chunk each e_j row of the union is
+    read from the unit table once, bits.take(row); every row is reduced
+    below m, so mode="clip" never changes an index and only drops take's
+    bounds check.  Each query then folds its rows' bits by _unit_mask.
+
+    Without coeffs return, per query, the tuples whose e_j (j in js, js
+    nonempty) are jointly coprime to m (joint) or each a unit mod m.  With
+    coeffs return, per query, the histogram over b of the tuples with
+    sum(coeffs[i] * x_i) = b (mod m) whose e_j are units in the same sense;
+    an empty js constrains nothing.  The union's refusal, _check_scan,
+    comes before anything is allocated."""
+    sets = [sorted(set(js)) for js, _ in queries]
+    if coeffs is None and not all(sets):
+        raise ValueError("a unit count needs a nonempty index set")
+    union = sorted(set().union(*sets))
+    dtype = _check_scan(m, k, union)
+    # each query as the positions of its rows among the union's
+    queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
+    bits = _prime_bits(m) if union else None
+    if coeffs is None:
+        out = [0] * len(queries)
+    else:
+        coeffs = np.asarray([c % m for c in coeffs], dtype=dtype)
+        out = [np.zeros(m, dtype=np.int64) for _ in queries]
+    for rows, lin in _scan(m, k, union, coeffs):
+        taken = [bits.take(row, mode="clip") for row in rows]
+        for i, (at, joint) in enumerate(queries):
+            mask = _unit_mask(taken, at, joint) if at else None
+            if coeffs is None:
+                out[i] += int(np.count_nonzero(mask))
+            else:
+                _tally(out[i], lin if mask is None else lin[mask])
+    return out
+
+
 def count_sym_units(m: int, k: int, js, joint: bool) -> int:
     """Tuples in Z_m^k whose constrained symmetric values are units mod m.
 
     joint=True tests gcd(e_j1, ..., e_jr, m) == 1; joint=False tests each
     gcd(e_j, m) == 1 separately.
     """
-    _check_scan(m, k, js)
-    bits = _prime_bits(m)
-    return sum(int(np.count_nonzero(_unit_mask(rows, bits, joint))) for rows, _ in _scan(m, k, js))
+    return _unit_scan(m, k, [(js, joint)])[0]
+
+
+def count_sym_units_many(m: int, k: int, queries) -> list[int]:
+    """count_sym_units(m, k, js, joint) for each pair (js, joint) in
+    queries, from one scan of Z_m^k."""
+    return _unit_scan(m, k, queries)
 
 
 def _dp_refusal(p, jmax):
@@ -361,15 +407,13 @@ def _tally(hist, values):
 def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     """Histogram over b of tuples with sum(coeffs[i]*x_i) = b (mod m), restricted
     to tuples where every e_j (j in js) is a unit mod m.  js may be empty."""
-    dtype = _check_scan(m, k, js)
-    cf = np.asarray([c % m for c in coeffs], dtype=dtype)
-    hist = np.zeros(m, dtype=np.int64)
-    bits = _prime_bits(m) if js else None
-    for rows, lin in _scan(m, k, js, cf):
-        if rows:
-            lin = lin[_unit_mask(rows, bits, joint=False)]
-        _tally(hist, lin)
-    return hist
+    return _unit_scan(m, k, [(js, False)], coeffs)[0]
+
+
+def lincong_histograms(m: int, k: int, coeffs, sets) -> list[np.ndarray]:
+    """lincong_histogram(m, k, coeffs, js) for each js in sets, from one scan
+    of Z_m^k."""
+    return _unit_scan(m, k, [(js, False) for js in sets], coeffs)
 
 
 def _check_quadform(p, k):

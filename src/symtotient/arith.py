@@ -187,8 +187,25 @@ def divisors(n: int) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """Primes p with lo <= p <= hi, by a segmented sieve of Eratosthenes: the
+    primes up to isqrt(hi), sieved on their own, cross out their multiples
+    from max(p*p, lo) in one window over [lo, hi], in O(hi - lo + isqrt(hi))
+    bytes.  It reads neither _LPF nor factorize, so the verify jordan cell's
+    reference shares nothing with the factorization it checks."""
+    lo, hi = max(operator.index(lo), 2), operator.index(hi)
+    if hi < lo:
+        return []
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    window = bytearray([1]) * (hi - lo + 1)
+    for p in range(2, root + 1):
+        if base[p]:
+            start = max(p * p, -(-lo // p) * p)
+            window[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return [lo + i for i, flag in enumerate(window) if flag]
 
 
 def quadratic_character(a: int, p: int) -> int:

@@ -64,8 +64,22 @@ class CongruenceProblem:
 def solution_histogram(prob: CongruenceProblem, budget: int | None = None):
     """Solution counts of the restricted congruence for every right-hand side
     at once, as a numpy int64 array of length n (index = b)."""
-    check_budget(prob.n**prob.k, budget, f"enumerating Z_{prob.n}^{prob.k}")
-    return _kernels.lincong_histogram(prob.n, prob.k, prob.coeffs, prob.constraint.indices)
+    (hist,) = _solution_histograms(
+        prob.n, prob.k, prob.coeffs, [prob.constraint.indices], budget
+    )
+    return hist
+
+
+def _solution_histograms(n: int, k: int, coeffs, sets, budget: int | None = None):
+    """solution_histogram of the problem (coeffs, n) constrained by each
+    index set in sets, from one enumeration of Z_n^k charged once against
+    the budget; n, k and coeffs are a CongruenceProblem's, already checked.
+    One set runs the one-set kernel, so its calls stay counted under that
+    kernel's name."""
+    check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
+    if len(sets) == 1:
+        return [_kernels.lincong_histogram(n, k, coeffs, sets[0])]
+    return _kernels.lincong_histograms(n, k, coeffs, sets)
 
 
 def unit_fiber_histogram(n: int, k: int, J, budget: int | None = None):

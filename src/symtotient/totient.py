@@ -10,12 +10,14 @@ tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
 (individual).  That count is symfield's per-prime rule (_local_units):
 closed zero counts when every count it needs closes, memoized per prime,
 and otherwise one counting pass over F_p^k.  Brute-force oracles over
-Z_n^k and the Menon-identity sides live here too; the left side reads
-congruence's e_1-fiber histogram.
+Z_n^k live here too, for one spec or, from one pass, for every index set
+at once (_bruteforce_table), and so do the Menon-identity sides; the left
+side reads congruence's e_1-fiber histogram.
 
 Conventions: the value is 0 for empty J and 1 for n = 1.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +72,29 @@ def _enumerate(spec: TotientSpec, mode: str, budget: int | None) -> int:
         return 0
     check_budget(spec.n**spec.k, budget, f"enumerating Z_{spec.n}^{spec.k}")
     return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=mode == "joint")
+
+
+def _nonempty_subsets(k: int) -> list[frozenset[int]]:
+    """The nonempty J in [1, k], by size and then lexicographically."""
+    return [
+        frozenset(J)
+        for size in range(1, k + 1)
+        for J in itertools.combinations(range(1, k + 1), size)
+    ]
+
+
+def _bruteforce_table(k: int, n: int, budget: int | None = None) -> dict:
+    """{J: (joint, individual)} for every nonempty J in [1, k], the values
+    varphi_bruteforce and phi_bruteforce give, from one enumeration of Z_n^k
+    charged once against the budget."""
+    full = TotientSpec(k, range(1, k + 1), "joint", n)  # n, then k, as every spec checks them
+    k, n = full.k, full.n
+    check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
+    subsets = _nonempty_subsets(k)
+    counts = _kernels.count_sym_units_many(
+        n, k, [(J, joint) for joint in (True, False) for J in subsets]
+    )
+    return {J: (counts[i], counts[i + len(subsets)]) for i, J in enumerate(subsets)}
 
 
 def varphi(spec: TotientSpec, budget: int | None = None) -> int:

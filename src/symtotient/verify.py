@@ -8,7 +8,6 @@ place where a grid point whose tuple space exceeds the active budget
 becomes a skip with a reason; no point is silently dropped.
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -212,34 +211,24 @@ def cell_quadform(budget=None) -> CellResult:
     return res
 
 
-def _nonempty_subsets(k: int):
-    return [
-        frozenset(J)
-        for size in range(1, k + 1)
-        for J in itertools.combinations(range(1, k + 1), size)
-    ]
-
-
 def cell_product_forms(budget=None) -> CellResult:
     """Both product-form totients against Z_n^k enumeration for n <= 50,
-    k <= 3, every nonempty J."""
+    k <= 3, every nonempty J.  One enumeration per (n, k) gives the
+    enumerated joint and individual values of every J at once."""
     res = CellResult("product-forms")
     for k in (1, 2, 3):
-        subsets = _nonempty_subsets(k)
+        subsets = tt._nonempty_subsets(k)
         for n in range(1, 51):
+            table = None
             for J in subsets:
+                # each J records its own skip; a refusal comes before the kernel
+                if table is None:
+                    table = res.attempt(f"n={n} k={k}", lambda: tt._bruteforce_table(k, n, budget))
+                    if table is None:
+                        continue
+                bj, bi = table[J]
                 sj = tt.TotientSpec(k, J, "joint", n)
                 si = tt.TotientSpec(k, J, "individual", n)
-                pair = res.attempt(
-                    f"n={n} k={k}",
-                    lambda: (
-                        tt.varphi_bruteforce(sj, budget=budget),
-                        tt.phi_bruteforce(si, budget=budget),
-                    ),
-                )
-                if pair is None:
-                    continue
-                bj, bi = pair
                 res.check(tt.varphi(sj, budget=budget) == bj, f"joint n={n} k={k} J={sorted(J)}")
                 res.check(tt.phi(si, budget=budget) == bi, f"indiv n={n} k={k} J={sorted(J)}")
     return res
@@ -247,34 +236,21 @@ def cell_product_forms(budget=None) -> CellResult:
 
 def cell_relation(budget=None) -> CellResult:
     """The subset-alternating bridge between the two totients, both directions,
-    against enumerated subset values at k = 3, p in {3, 5}, a <= 2."""
+    against enumerated subset values at k = 3, p in {3, 5}, a <= 2: one
+    enumeration per n gives every subset's joint and individual value."""
     res = CellResult("relation")
     k = 3
-    subsets = _nonempty_subsets(k)
     for p in (3, 5):
         for a in (1, 2):
             n = p**a
-            both = res.attempt(
-                f"n={n}",
-                lambda: (
-                    {
-                        J: tt.varphi_bruteforce(tt.TotientSpec(k, J, "joint", n), budget=budget)
-                        for J in subsets
-                    },
-                    {
-                        J: tt.phi_bruteforce(tt.TotientSpec(k, J, "individual", n), budget=budget)
-                        for J in subsets
-                    },
-                ),
-            )
-            if both is None:
+            table = res.attempt(f"n={n}", lambda: tt._bruteforce_table(k, n, budget))
+            if table is None:
                 continue
-            joint, indiv = both
-            full = frozenset({1, 2, 3})
-            alt_joint = sum((-1) ** (len(J) + 1) * joint[J] for J in subsets)
-            alt_indiv = sum((-1) ** (len(J) + 1) * indiv[J] for J in subsets)
-            res.check(indiv[full] == alt_joint, f"indiv-from-joint n={n}")
-            res.check(joint[full] == alt_indiv, f"joint-from-indiv n={n}")
+            alt_joint = sum((-1) ** (len(J) + 1) * joint for J, (joint, _) in table.items())
+            alt_indiv = sum((-1) ** (len(J) + 1) * indiv for J, (_, indiv) in table.items())
+            joint_full, indiv_full = table[frozenset({1, 2, 3})]
+            res.check(indiv_full == alt_joint, f"indiv-from-joint n={n}")
+            res.check(joint_full == alt_indiv, f"joint-from-indiv n={n}")
     return res
 
 
@@ -304,7 +280,8 @@ def cell_jordan(budget=None) -> CellResult:
     """The full-set joint totient equals the Jordan totient for n <= 10^4,
     k <= 5.  One side is the product form varphi evaluates (factorize and
     the per-prime rule, without a spec per n); the other is the windowed
-    Euler-product sieve of _jordan_reference over Miller-Rabin primes."""
+    Euler-product sieve of _jordan_reference over the primes of one
+    segmented sieve, primes_in_range(2, 10^4)."""
     res = CellResult("jordan")
     limit = 10_000
     primes = primes_in_range(2, limit)
@@ -392,20 +369,28 @@ _CONSTRAINT_FAMILIES = (
 def cell_congruence_classes(budget=None) -> CellResult:
     """Right-hand-side behavior of restricted congruences for n <= 30, k <= 3:
     counts constant on gcd classes, unit fibers uniform, and the unit-RHS
-    formula (an exact division) matching enumeration."""
+    formula (an exact division) matching enumeration.  One enumeration per
+    (n, k) gives the solution histogram of every constraint family."""
     res = CellResult("congruence-classes")
     for k in (1, 2, 3):
         families = [J for J in _CONSTRAINT_FAMILIES if max(J) <= k]
         for n in range(1, 31):
-            for J in families:
-                prob = cg.CongruenceProblem(
-                    (1,) * k, 0, n, SymSystem(k, J, "individual")
-                )
-                hist = res.attempt(
-                    f"n={n} k={k}", lambda: cg.solution_histogram(prob, budget=budget)
-                )
-                if hist is None:
-                    continue
+            probs = [
+                cg.CongruenceProblem((1,) * k, 0, n, SymSystem(k, J, "individual"))
+                for J in families
+            ]
+            sets = [prob.constraint.indices for prob in probs]
+            hists = None
+            for i, (J, prob) in enumerate(zip(families, probs)):
+                # each J records its own skip; a refusal comes before the kernel
+                if hists is None:
+                    hists = res.attempt(
+                        f"n={n} k={k}",
+                        lambda: cg._solution_histograms(n, k, prob.coeffs, sets, budget),
+                    )
+                    if hists is None:
+                        continue
+                hist = hists[i]
                 classes_ok = all(
                     int(hist[b]) == int(hist[math.gcd(b, n) % n]) for b in range(n)
                 )

@@ -134,6 +134,35 @@ class TestPrimalityBound:
             factorize((2**61 - 1) ** 2)
 
 
+def _primes_by_test(lo, hi):
+    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+
+
+class TestPrimesInRange:
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (10, 2), (0, 1), (-7, 1), (2, 1), (100, 99)])
+    def test_empty_windows(self, lo, hi):
+        assert primes_in_range(lo, hi) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-5, 2), (0, 2), (2, 3), (3, 3), (4, 4), (1, 100), (2, 10_000),
+            # windows starting at a prime square: the square itself is crossed out
+            (49, 60), (121, 121), (1009**2, 1009**2 + 500), (997**2 - 1, 997**2 + 1),
+            # windows near 10**6, where the base primes reach isqrt(hi) = 1000
+            (10**6 - 1000, 10**6 + 1000), (999_983, 999_983), (10**6, 10**6 + 2),
+            (10**6 + 3, 10**6 + 3),
+        ],
+    )
+    def test_matches_miller_rabin(self, lo, hi):
+        assert primes_in_range(lo, hi) == _primes_by_test(lo, hi)
+
+    @given(st.integers(min_value=-10, max_value=10**6), st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_windows(self, lo, width):
+        assert primes_in_range(lo, lo + width) == _primes_by_test(lo, lo + width)
+
+
 class TestQuadraticCharacter:
     def test_spec_values(self):
         assert quadratic_character(1, 5) == 1

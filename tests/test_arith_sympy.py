@@ -12,6 +12,7 @@ from symtotient.arith import (
     is_prime,
     jordan_totient,
     moebius,
+    primes_in_range,
     quadratic_character,
 )
 
@@ -62,3 +63,10 @@ def test_jordan_totient_as_moebius_sum(k, n):
 @settings(max_examples=200, deadline=None)
 def test_quadratic_character(a, p):
     assert quadratic_character(a, p) == sympy.legendre_symbol(a % p, p)
+
+
+@given(st.integers(min_value=-10, max_value=10**7), st.integers(min_value=-5, max_value=5000))
+@settings(max_examples=100, deadline=None)
+def test_primes_in_range(lo, width):
+    # sympy's primerange stops before its upper end
+    assert primes_in_range(lo, lo + width) == list(sympy.primerange(lo, lo + width + 1))

@@ -10,6 +10,7 @@ from symtotient.arith import euler_phi, ramanujan_sum
 from symtotient.budget import BudgetExceededError
 from symtotient.congruence import (
     CongruenceProblem,
+    _solution_histograms,
     count_bruteforce,
     count_unit_rhs,
     g3_closed,
@@ -265,3 +266,27 @@ class TestGeneralizedRamanujan:
                 if math.gcd(e1, n) == 1
             )
             assert abs(total - generalized_ramanujan_direct(m, n, k, J)) < 1e-6
+
+
+class TestSolutionHistograms:
+    # overlapping sets, a repeated set, sets given unsorted, and no constraint
+    SETS = [(2, 1), (3,), (), (1, 3), (2, 1), (3, 2, 1)]
+
+    @pytest.mark.parametrize("coeffs, n", [((1, 1, 1), 12), ((1, 2, 5), 9), ((3, 0, 1), 30)])
+    def test_each_set_matches_solution_histogram(self, coeffs, n):
+        hists = _solution_histograms(n, len(coeffs), coeffs, self.SETS)
+        assert len(hists) == len(self.SETS)
+        for J, hist in zip(self.SETS, hists):
+            expected = solution_histogram(make_prob(coeffs, 0, n, J))
+            assert hist.tolist() == expected.tolist()
+
+    def test_budget_refusal_precedes_kernel_work(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        for name in ("_unit_scan", "_scan", "_prime_bits"):
+            monkeypatch.setattr(_kernels, name, no_kernel)
+        with pytest.raises(BudgetExceededError, match=r"enumerating Z_10\^3 needs 1000 tuples"):
+            _solution_histograms(10, 3, (1, 1, 1), [(1,), (2, 3)], budget=100)
+        with pytest.raises(BudgetExceededError, match=r"enumerating Z_10\^3 needs 1000 tuples"):
+            solution_histogram(make_prob((1, 1, 1), 0, 10, {1}), budget=100)

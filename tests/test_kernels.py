@@ -96,6 +96,67 @@ def test_split_histogram_without_constraints_counts_every_tuple():
     assert int(got.sum()) == m**k
 
 
+# Queries answered by one scan of their union: both modes mixed,
+# overlapping sets, a repeated set and sets given unsorted.  The
+# histogram sets add the unconstrained empty set.
+MANY_QUERIES = [
+    ((2, 1), True), ((1, 2), False), ((3,), False), ((3, 1), True),
+    ((2, 1), True), ((2,), False), ((3, 2, 1), False),
+]
+MANY_SETS = [(2, 1), (3,), (), (1, 3), (2, 1), (3, 2, 1)]
+
+
+def _check_many_against_one_set_calls(monkeypatch, m, k):
+    coeffs = [2 * i + 1 for i in range(k)]  # asymmetric, reduced mod m by the kernel
+    scans = []
+    scan = _kernels._scan
+
+    def counted(*args):
+        scans.append(args[:3])
+        return scan(*args)
+
+    monkeypatch.setattr(_kernels, "_scan", counted)
+    units = _kernels.count_sym_units_many(m, k, MANY_QUERIES)
+    hists = [h.tolist() for h in _kernels.lincong_histograms(m, k, coeffs, MANY_SETS)]
+    # one scan each, over the union of the sets
+    assert scans == [(m, k, [1, 2, 3])] * 2
+    assert units == [_kernels.count_sym_units(m, k, js, joint) for js, joint in MANY_QUERIES]
+    assert hists == [_kernels.lincong_histogram(m, k, coeffs, js).tolist() for js in MANY_SETS]
+    if m**k <= 300:
+        assert units == [oracle.units(m, k, js, joint) for js, joint in MANY_QUERIES]
+        assert hists == [oracle.lincong_hist(m, k, coeffs, js) for js in MANY_SETS]
+
+
+# m = 30, 42 and 3**10 are over _CHUNK: outer prefixes are decoded
+@pytest.mark.parametrize("m,k", [(1, 3), (2, 3), (6, 3), (30, 3), (42, 3), (3, 10)])
+def test_many_queries_match_one_set_calls(monkeypatch, m, k):
+    _check_many_against_one_set_calls(monkeypatch, m, k)
+
+
+@pytest.mark.parametrize("chunk,m,k", [(8, 3, 5), (27, 5, 4), (8, 6, 3)])
+def test_many_queries_under_a_small_chunk(monkeypatch, chunk, m, k):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    assert _kernels._low_digits(m, k) < k
+    _check_many_against_one_set_calls(monkeypatch, m, k)
+
+
+def test_union_refused_before_any_allocation(monkeypatch):
+    # at m = 200, k = 2 the product rule's peak is (max(J) + 1) * m**2: e_1
+    # alone fits under a limit of 10**5 and the union with e_2 does not
+    m, k = 200, 2
+    monkeypatch.setattr(_kernels, "_INT64_LIMIT", 10**5)
+    assert _kernels._check_scan(m, k, [1]) == np.int32
+    monkeypatch.setattr(_kernels, "np", None)
+    for call in (
+        lambda: _kernels.count_sym_units_many(m, k, [([1], True), ([2], False)]),
+        lambda: _kernels.lincong_histograms(m, k, [1, 1], [[1], [2], []]),
+    ):
+        with pytest.raises(ValueError, match="int64"):
+            call()
+    with pytest.raises(ValueError, match="nonempty index set"):
+        _kernels.count_sym_units_many(5, 2, [([1], True), ([], False)])
+
+
 @pytest.mark.parametrize("m", [2, 3, 128, 129, 16384, 16385, 16411])
 def test_scan_chunks_stay_within_chunk(m):
     # above _CHUNK the inner block is empty, so no chunk holds m tuples
@@ -130,7 +191,11 @@ def test_unit_mask_matches_gcd(m, joint):
         row[:50] = [0] * 50  # every prime of m divides 0
         rng.shuffle(row)
     bits = _kernels._prime_bits(m)
-    got = _kernels._unit_mask([np.array(row, dtype=np.int64) for row in rows], bits, joint)
+    taken = [bits.take(np.array(row, dtype=np.int64)) for row in rows]
+    before = [t.copy() for t in taken]
+    got = _kernels._unit_mask(taken, range(len(rows)), joint)
+    # the taken rows are shared between index sets: the fold never writes them
+    assert all((t == b).all() for t, b in zip(taken, before))
     if joint:
         expected = [math.gcd(*col, m) == 1 for col in zip(*rows)]
     else:

@@ -103,9 +103,16 @@ def test_shared_facts_have_one_home():
     # the character (-3|p) is arith._chi3; nothing else splits on p mod 3
     assert [name for name, source in sources.items() if "p % 3" in source] == ["arith.py"]
     # the e_1-fiber histogram is congruence's all-ones solution histogram, so
-    # outside _kernels, which defines it, only congruence calls the kernel
-    assert {name for name, tree in trees.items()
-            if _references(tree, "lincong_histogram")} == {"congruence.py"}
+    # outside _kernels, which defines it, only congruence calls the kernel,
+    # under any of its names (the one-set and the multi-set entry)
+    histogram_kernels = {
+        node.name for node in trees["_kernels.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("lincong_histogram")
+    }
+    assert histogram_kernels == {"lincong_histogram", "lincong_histograms"}
+    for kernel in histogram_kernels:
+        assert {name for name, tree in trees.items()
+                if name != "_kernels.py" and _references(tree, kernel)} == {"congruence.py"}, kernel
     assert [
         node.lineno for node in ast.walk(trees["congruence.py"])
         if isinstance(node, ast.ImportFrom) and node.module == "totient"
@@ -135,6 +142,28 @@ def test_unit_tests_read_the_prime_table():
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and "factor" in node.name
     } == {"arith.py"}
+
+
+def test_one_scan_loop_for_unit_counts():
+    # the scan is looped over in two places: the zero count, and the one
+    # body that answers every unit count and histogram query, one set or many
+    tree = ast.parse((SRC / "_kernels.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    scan_loops = {
+        name for name, func in functions.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "_scan"
+    }
+    assert scan_loops == {"count_sym_zeros", "_unit_scan"}
+    for name in ("count_sym_units", "count_sym_units_many", "lincong_histogram", "lincong_histograms"):
+        assert _references(functions[name], "_unit_scan"), name
+    assert {
+        name for name, func in functions.items() if _references(func, "_unit_mask")
+    } == {"_unit_scan"}
+    assert {
+        name for name, func in functions.items() if _references(func, "_scan")
+    } == {"count_sym_zeros", "_unit_scan"}
 
 
 def test_every_value_stays_an_exact_integer():
@@ -183,6 +212,13 @@ def test_every_value_stays_an_exact_integer():
     ]
     for name in ("factorize", "_LPF", "jordan_totient", "_product_form", "_local_units"):
         assert _references(reference, name) == [], name
+    # nor do the primes it sieves with
+    (sieve,) = [
+        node for node in trees["arith.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "primes_in_range"
+    ]
+    for name in ("factorize", "_LPF", "_least_prime_factors", "is_prime"):
+        assert _references(sieve, name) == [], name
 
 
 def test_kernels_use_no_integer_matmul():

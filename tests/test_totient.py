@@ -11,6 +11,7 @@ from symtotient.symfield import SymSystem, count_zeros_bruteforce
 from symtotient.totient import (
     IntegralityError,
     TotientSpec,
+    _bruteforce_table,
     _exact_int,
     closed_phi_12,
     closed_phi_123,
@@ -462,3 +463,43 @@ class TestBudget:
         # the dispatcher handles {1,2} without enumeration, so a tiny budget is fine
         spec = TotientSpec(2, {1, 2}, "individual", 10**6 + 3)
         assert phi(spec, budget=10) > 0
+
+
+class TestBruteforceTable:
+    @pytest.mark.parametrize("k, n", [(1, 12), (2, 1), (2, 9), (3, 10), (3, 15), (4, 6)])
+    def test_matches_one_enumeration_per_spec(self, k, n):
+        table = _bruteforce_table(k, n)
+        assert list(table) == oracle.nonempty_subsets(range(1, k + 1))
+        for J, (joint, indiv) in table.items():
+            assert joint == varphi_bruteforce(TotientSpec(k, J, "joint", n))
+            assert indiv == phi_bruteforce(TotientSpec(k, J, "individual", n))
+            if n**k <= 1000:
+                assert (joint, indiv) == (
+                    oracle.units(n, k, J, True), oracle.units(n, k, J, False)
+                )
+
+    def test_one_scan_per_table(self, monkeypatch):
+        scans = []
+        scan = _kernels._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(_kernels, "_scan", counted)
+        _bruteforce_table(3, 12)
+        assert [args[:3] for args in scans] == [(12, 3, [1, 2, 3])]
+
+    def test_refusals_precede_kernel_work(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        for name in ("_unit_scan", "_scan", "_prime_bits"):
+            monkeypatch.setattr(_kernels, name, no_kernel)
+        with pytest.raises(BudgetExceededError, match=r"enumerating Z_50\^3 needs 125000 tuples"):
+            _bruteforce_table(3, 50, budget=100)
+        # invalid input is refused before the budget, n before k
+        with pytest.raises(ValueError, match="modulus"):
+            _bruteforce_table(0, 0, budget=1)
+        with pytest.raises(ValueError, match="arity"):
+            _bruteforce_table(0, 10**6, budget=1)

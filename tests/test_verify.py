@@ -1,10 +1,11 @@
 """CellResult.attempt, the one place where an over-budget point becomes a skip;
 the jordan cell's windowed reference and its power to catch an error; one
-e_1-fiber histogram per grid point in the menon and ramanujan cells."""
+e_1-fiber histogram per grid point in the menon and ramanujan cells, and one
+scan of Z_n^k per grid point in the cells that enumerate every index set."""
 
 import pytest
 
-from symtotient import congruence, totient, verify
+from symtotient import _kernels, congruence, totient, verify
 from symtotient.arith import jordan_totient, primes_in_range
 from symtotient.budget import BudgetExceededError
 from symtotient.verify import CellResult
@@ -97,3 +98,28 @@ def test_one_fiber_histogram_per_grid_point(monkeypatch, cell, histograms):
     res = cell()
     assert (res.failed, res.skipped) == (0, 0)
     assert len(calls) == histograms
+
+
+@pytest.mark.parametrize(
+    "cell, scans",
+    [
+        # one per (n, k): every J and both modes are read off one enumeration
+        (verify.cell_product_forms, 3 * 50),
+        (verify.cell_relation, 4),
+        # one per (n, k): every constraint family's histogram from one scan
+        (verify.cell_congruence_classes, 3 * 30),
+    ],
+)
+def test_one_scan_per_grid_point(monkeypatch, cell, scans):
+    calls = []
+    scan = _kernels._scan
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_scan", counted)
+    res = cell()
+    assert (res.failed, res.skipped) == (0, 0)
+    assert len(calls) == scans
+    assert len(set(calls)) == scans  # no (n, k) is scanned twice
