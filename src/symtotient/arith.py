@@ -191,7 +191,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     primes up to isqrt(hi), sieved on their own, cross out their multiples
     from max(p*p, lo) in one window over [lo, hi], in O(hi - lo + isqrt(hi))
     bytes.  It reads neither _LPF nor factorize, so the verify jordan cell's
-    reference shares nothing with the factorization it checks."""
+    reference shares nothing with the range evaluator it checks, which
+    takes its primes from _LPF."""
     lo, hi = max(operator.index(lo), 2), operator.index(hi)
     if hi < lo:
         return []

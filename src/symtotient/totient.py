@@ -9,7 +9,10 @@ Both are multiplicative: the factor at p^a is p^(k(a-1)) times a count of
 tuples in F_p^k, those whose e_j are not all zero (joint) or none zero
 (individual).  That count is symfield's per-prime rule (_local_units):
 closed zero counts when every count it needs closes, memoized per prime,
-and otherwise one counting pass over F_p^k.  Brute-force oracles over
+and otherwise one counting pass over F_p^k.  One n at a time the product
+form factors n (_product_form); over a range 1 <= n <= N it factors no n
+and sieves instead, one window of n at a time, asking the per-prime rule
+once per prime p <= N (_product_form_range).  Brute-force oracles over
 Z_n^k live here too, for one spec or, from one pass, for every index set
 at once (_bruteforce_table), and so do the Menon-identity sides; the left
 side reads congruence's e_1-fiber histogram.
@@ -24,10 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith import (
-    IntegralityError, _arity, _chi3, _modulus, dirichlet_convolve_mu, divisors, euler_phi,
-    factorize,
-)
+from .arith import _LPF, _LPF_LIMIT, IntegralityError, _arity, _chi3, _modulus, factorize
 from .budget import check_budget
 from .congruence import unit_fiber_histogram
 from .symfield import _count_e1e2, _count_e2, _indices, _local_units, _mode
@@ -57,13 +57,59 @@ def _require_mode(spec: TotientSpec, mode: str) -> None:
 
 def _product_form(k: int, J: frozenset[int], joint: bool, n: int, budget: int | None) -> int:
     """The product over p^a || n of p^(k(a-1)) times the per-prime rule, for
-    already validated fields; varphi, phi and the verify jordan cell share it."""
+    already validated fields; varphi and phi share it."""
     if not J:
         return 0
     out = 1
     for p, a in factorize(n):
         out *= p ** (k * (a - 1)) * _local_units(k, J, p, joint, budget)
     return out
+
+
+# _product_form_range sieves over windows of this many n, so that no
+# whole-range list of big ints is held at once.
+RANGE_WINDOW = 1024
+
+
+def _product_form_range(k: int, J: frozenset[int], joint: bool, N: int, budget: int | None):
+    """An iterator of (n, _product_form(k, J, joint, n, budget)) for
+    1 <= n <= N < 2**16, by a windowed multiplicative sieve that factors no n.
+
+    The primes p <= N are the zeros of arith's least-prime-factor table, kept
+    as one flag byte per n rather than one int object per prime.  The
+    per-prime rule is asked once per prime, here, before the iterator yields
+    anything, so a budget refusal comes before the first value.  Then in
+    each window of RANGE_WINDOW n every multiple of p takes the local count
+    U_J(p), and every multiple of p^e, e >= 2, one more factor p^k."""
+    if N >= _LPF_LIMIT:
+        raise ValueError(f"range evaluation needs N < {_LPF_LIMIT}, got {N}")
+    if not J:
+        return ((n, 0) for n in range(1, N + 1))
+    prime = bytes(not f for f in _LPF[2 : N + 1])
+    primes = itertools.compress(range(2, N + 1), prime)
+    local = [_local_units(k, J, p, joint, budget) for p in primes]
+    return _sieve_windows(k, N, prime, local)
+
+
+def _sieve_windows(k: int, N: int, prime: bytes, local: list[int]):
+    for lo in range(1, N + 1, RANGE_WINDOW):
+        hi = min(lo + RANGE_WINDOW - 1, N)
+        size = hi - lo + 1
+        out = [1] * size
+        for p, units in zip(itertools.compress(range(2, hi + 1), prime), local):
+            at = -lo % p
+            if p < size:
+                out[at::p] = [v * units for v in out[at::p]]
+            elif at < size:  # a p past the window's length has one multiple in it at most
+                out[at] *= units
+            q = p * p
+            if q <= hi:
+                pk = p**k
+                while q <= hi:
+                    at = -lo % q
+                    out[at::q] = [v * pk for v in out[at::q]]
+                    q *= p
+        yield from enumerate(out, lo)
 
 
 def _enumerate(spec: TotientSpec, mode: str, budget: int | None) -> int:
@@ -203,10 +249,32 @@ def menon_rhs(n: int, k: int, J, f, budget: int | None = None) -> int:
     (mu * f)(d) / phi(d), evaluated in exact rationals with an integrality
     check at the end."""
     spec = TotientSpec(k, _menon_indices(J, k), "individual", n)
-    total = phi(spec, budget=budget) * sum(
-        Fraction(dirichlet_convolve_mu(f, d), euler_phi(d)) for d in divisors(n)
-    )
+    total = phi(spec, budget=budget) * _menon_divisor_sum(f, spec.n)
     return _exact_int(total, "Menon right-hand side")
+
+
+def _menon_divisor_sum(f, n: int) -> Fraction:
+    """Sum over d | n of (mu * f)(d) / phi(d), exactly, from one factorization
+    of n.  phi is built up prime by prime over the divisors of n, and mu * f
+    is Moebius inversion on that divisor lattice: f at every divisor, then
+    one difference pass per prime p of n, g(d) -= g(d/p) for the multiples
+    of p in descending d, so that g(d/p) is still the pass's input.  That
+    holds for any f, multiplicative or not."""
+    fac = factorize(n)
+    totients = {1: 1}
+    for p, a in fac:
+        totients = {
+            d * p**e: t * (p**e - p ** (e - 1) if e else 1)
+            for d, t in totients.items()
+            for e in range(a + 1)
+        }
+    order = sorted(totients, reverse=True)
+    g = {d: f(d) for d in order}
+    for p, _ in fac:
+        for d in order:
+            if d % p == 0:
+                g[d] -= g[d // p]
+    return sum(Fraction(g[d], totients[d]) for d in order)
 
 
 def _exact_int(value: Fraction, what: str) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from . import congruence as cg
 from . import totient as tt
-from .arith import divisor_count, identity, one, primes_in_range
+from .arith import divisor_count, identity, one, primes_in_range, ramanujan_sum
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .symfield import (
     QuadraticForm,
@@ -278,20 +278,19 @@ def _jordan_reference(k: int, limit: int, primes: list[int]):
 
 def cell_jordan(budget=None) -> CellResult:
     """The full-set joint totient equals the Jordan totient for n <= 10^4,
-    k <= 5.  One side is the product form varphi evaluates (factorize and
-    the per-prime rule, without a spec per n); the other is the windowed
-    Euler-product sieve of _jordan_reference over the primes of one
-    segmented sieve, primes_in_range(2, 10^4)."""
+    k <= 5.  Two windowed sieves are zipped: the product form over the range
+    (totient._product_form_range: the primes of arith's least-prime-factor
+    table and the per-prime rule, once per prime), and the Euler-product
+    sieve of _jordan_reference over n^k and the primes of one segmented
+    sieve, primes_in_range(2, 10^4).  Neither factors a single n."""
     res = CellResult("jordan")
     limit = 10_000
     primes = primes_in_range(2, limit)
     for k in range(1, 6):
         J = frozenset(range(1, k + 1))
-        bad = None
-        for n, ref in _jordan_reference(k, limit, primes):
-            if tt._product_form(k, J, True, n, None) != ref:
-                bad = n
-                break
+        pairs = zip(tt._product_form_range(k, J, True, limit, None),
+                    _jordan_reference(k, limit, primes), strict=True)
+        bad = next((n for (n, value), (_, ref) in pairs if value != ref), None)
         res.check(bad is None, f"k={k} first mismatch n={bad}")
     return res
 
@@ -433,17 +432,18 @@ def cell_g3_g4(budget=None) -> CellResult:
 def cell_ramanujan(budget=None) -> CellResult:
     """The generalized Ramanujan sum: product form against the direct
     exponential sum for n <= 20, k in {2, 3}, J in {{2}, {1,2}}, every m.
-    The product form is g_k(1, n) c(m, n); the direct side weighs one
-    e_1-fiber histogram per (n, k, J) by zeta_n^(m a) for every m and
-    reduces it exactly in Z[zeta_n]."""
+    The product form is g_k(1, n) c(m, n), with g_k(1, n) counted once per
+    (n, k, J), so the local factors of n serve every m; the direct side
+    weighs one e_1-fiber histogram per (n, k, J) by zeta_n^(m a) for every m
+    and reduces it exactly in Z[zeta_n]."""
     res = CellResult("ramanujan")
 
     def agree(n, k, J):
         hist = cg.unit_fiber_histogram(n, k, J, budget=budget)
+        prob = cg.CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
+        g = cg.count_unit_rhs(prob, budget=budget)
         return all(
-            cg.generalized_ramanujan(m, n, k, J, budget=budget)
-            == cg._fiber_exponential_sum(hist, m, n)
-            for m in range(n)
+            g * ramanujan_sum(m, n) == cg._fiber_exponential_sum(hist, m, n) for m in range(n)
         )
 
     for k in (2, 3):

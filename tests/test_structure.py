@@ -210,8 +210,22 @@ def test_every_value_stays_an_exact_integer():
         node for node in trees["verify.py"].body
         if isinstance(node, ast.FunctionDef) and node.name == "_jordan_reference"
     ]
-    for name in ("factorize", "_LPF", "jordan_totient", "_product_form", "_local_units"):
+    for name in ("factorize", "_LPF", "jordan_totient", "_product_form", "_local_units",
+                 "_product_form_range"):
         assert _references(reference, name) == [], name
+    # and the range evaluator it is zipped with sieves on arith's table, with
+    # neither a factorization per n nor the reference's primes
+    ranged = {
+        node.name: node for node in trees["totient.py"].body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_product_form_range", "_sieve_windows")
+    }
+    assert len(ranged) == 2
+    for func, node in ranged.items():
+        for name in ("factorize", "primes_in_range", "_jordan_reference", "_product_form"):
+            assert _references(node, name) == [], (func, name)
+    for name in ("_LPF", "_local_units"):
+        assert _references(ranged["_product_form_range"], name), name
     # nor do the primes it sieves with
     (sieve,) = [
         node for node in trees["arith.py"].body

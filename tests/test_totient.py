@@ -4,15 +4,23 @@ from fractions import Fraction
 import oracle
 import pytest
 
-from symtotient import _kernels, arith, symfield
-from symtotient.arith import divisor_count, euler_phi, identity, jordan_totient, one
+from symtotient import _kernels, arith, symfield, totient
+from symtotient.arith import (
+    dirichlet_convolve_mu, divisor_count, divisors, euler_phi, identity, jordan_totient, one,
+    primes_in_range,
+)
 from symtotient.budget import BudgetExceededError
 from symtotient.symfield import SymSystem, count_zeros_bruteforce
 from symtotient.totient import (
     IntegralityError,
+    RANGE_WINDOW,
     TotientSpec,
     _bruteforce_table,
     _exact_int,
+    _menon_divisor_sum,
+    _nonempty_subsets,
+    _product_form,
+    _product_form_range,
     closed_phi_12,
     closed_phi_123,
     menon_lhs,
@@ -276,6 +284,64 @@ class TestClosedUnitsMemo:
             ), k
 
 
+class TestProductFormRange:
+    # the windowed sieve over 1 <= n <= N against the per-n product form
+
+    @pytest.mark.parametrize("joint", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_per_n_across_window_edges(self, monkeypatch, k, joint):
+        for J in _nonempty_subsets(k):
+            # with 3 in J at k = 4 no count closes at odd p (TestPerPrimeFallback):
+            # each prime takes a counting pass, which the default budget allows
+            # up to p = 66, so these cross the edges of a shrunk window
+            window = 8 if k == 4 and 3 in J else RANGE_WINDOW
+            monkeypatch.setattr(totient, "RANGE_WINDOW", window)
+            N = 3 * window + 5
+            expected = [(n, _product_form(k, J, joint, n, None)) for n in range(1, N + 1)]
+            assert list(_product_form_range(k, J, joint, N, None)) == expected, sorted(J)
+
+    @pytest.mark.parametrize("N, values", [(0, []), (1, [(1, 1)]), (2, [(1, 1), (2, 15)])])
+    def test_smallest_ranges(self, N, values):
+        assert list(_product_form_range(4, frozenset({1, 2, 3, 4}), True, N, None)) == values
+
+    def test_empty_J_is_zero(self):
+        assert list(_product_form_range(3, frozenset(), False, 6, None)) == [
+            (n, 0) for n in range(1, 7)
+        ]
+
+    def test_budget_refuses_before_the_first_value(self):
+        # 3^4 fits a budget of 100 and 5^4 does not: the call itself raises
+        with pytest.raises(BudgetExceededError, match="F_5"):
+            _product_form_range(4, frozenset({3}), True, 12, 100)
+
+    def test_range_past_the_table_refused(self):
+        with pytest.raises(ValueError, match="N < 65536"):
+            _product_form_range(1, frozenset({1}), True, 2**16, None)
+        assert next(_product_form_range(1, frozenset({1}), True, 2**16 - 1, None)) == (1, 1)
+
+    def test_one_local_count_per_prime(self, monkeypatch):
+        # asked for up front, once per prime; a pass only where no count closes
+        asked, passes = [], []
+        local_units, count_field = totient._local_units, _kernels.count_field
+
+        def counted_units(k, J, p, joint, budget):
+            asked.append(p)
+            return local_units(k, J, p, joint, budget)
+
+        def counted_passes(p, *rest, **kwargs):
+            passes.append(p)
+            return count_field(p, *rest, **kwargs)
+
+        expected = varphi(TotientSpec(4, {3}, "joint", 60))
+        monkeypatch.setattr(totient, "_local_units", counted_units)
+        monkeypatch.setattr(_kernels, "count_field", counted_passes)
+        values = _product_form_range(4, frozenset({3}), True, 60, None)
+        assert asked == primes_in_range(2, 60)
+        assert passes == primes_in_range(3, 60)
+        assert list(values)[-1] == (60, expected)
+        assert asked == primes_in_range(2, 60)
+
+
 class TestSymmetryAndDivisibility:
     def test_index_reflection_symmetry(self):
         # {i, k} and {k-i, k} count the same tuples (coordinatewise inversion
@@ -393,6 +459,21 @@ class TestMenon:
             for k, J in ((1, {1}), (2, {1, 2}), (3, {1, 2, 3})):
                 for f in (identity, one, divisor_count):
                     assert menon_lhs(n, k, J, f) == menon_rhs(n, k, J, f)
+
+
+class TestMenonDivisorSum:
+    # Moebius inversion on the divisor lattice against the textbook sum, with
+    # mu * f by divisors and moebius at every divisor of every divisor
+    @staticmethod
+    def _textbook(f, n):
+        return sum(Fraction(dirichlet_convolve_mu(f, d), euler_phi(d)) for d in divisors(n))
+
+    @pytest.mark.parametrize(
+        "f", [identity, one, divisor_count, lambda n: n * n + 1], ids=["id", "one", "tau", "n2+1"]
+    )
+    def test_equals_the_textbook_sum(self, f):
+        for n in range(1, 200):
+            assert _menon_divisor_sum(f, n) == self._textbook(f, n), n
 
 
 class TestUnitFiberHistogram:

@@ -1,7 +1,8 @@
 """CellResult.attempt, the one place where an over-budget point becomes a skip;
 the jordan cell's windowed reference and its power to catch an error; one
-e_1-fiber histogram per grid point in the menon and ramanujan cells, and one
-scan of Z_n^k per grid point in the cells that enumerate every index set."""
+e_1-fiber histogram per grid point in the menon and ramanujan cells, one
+unit-RHS count per grid point in the ramanujan cell, and one scan of Z_n^k
+per grid point in the cells that enumerate every index set."""
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_one_fiber_histogram_per_grid_point(monkeypatch, cell, histograms):
     res = cell()
     assert (res.failed, res.skipped) == (0, 0)
     assert len(calls) == histograms
+
+
+def test_one_unit_rhs_count_per_ramanujan_grid_point(monkeypatch):
+    # g_k(1, n) is counted once per (n, k, J) and weighed by c(m, n) for every m
+    calls = []
+    count = congruence.count_unit_rhs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(congruence, "count_unit_rhs", counted)
+    res = verify.cell_ramanujan()
+    assert (res.passed, res.failed, res.skipped) == (80, 0, 0)
+    assert len(calls) == 2 * 2 * 20
 
 
 @pytest.mark.parametrize(
