@@ -1,25 +1,31 @@
-"""Counting kernels over the tuple spaces Z_m^k: a chunked-numpy scan and,
+"""Counting kernels over the tuple spaces Z_m^k: one chunked-numpy walk and,
 for symmetric zero counts over a prime field, a power-sum DP.
 
-The scan walks the tuple indices a chunk at a time, tiled: the low digits
-of an index form an inner block of at most _CHUNK tuples whose e_j rows
-and linear form are computed once per call, a digit at a time, by
-e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m on an (m, m**d) grid, about
-m/(m-1) passes over the block in all.  The outer prefixes, the high
-digits, are decoded up to _CHUNK at a time by the same recurrence run
-columnwise over their base-m digits; each chunk takes a batch of them and
-combines the halves by the product rule
-e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner) mod m.  Every tuple
-is still visited.  The symmetric-sum kernels share the scan.  The zero
-count reduces each chunk on its own; the unit counts and the linear-form
-histograms have one body, _unit_scan, in which one scan over the union
-of several index sets answers every set (with a mode per set for unit
-counts).  Whether the e_j are units mod m is read from a table, with no
-gcd: bits[r] marks the primes of m (from arith.factorize) that divide r.
-The bit rows are taken from it once per e_j per chunk, and a set's e_j
-are each units when the OR of their bits is 0, jointly coprime to m when
-the AND is.  The table costs 2 bytes per residue, at most 2 * m**k
-bytes, and is built after the int64 refusal of the union.
+The walk, _scan, visits every tuple of Z_m^k a chunk of tuple indices at a
+time and yields, on request, three features per chunk: the rows e_j mod m
+(j in js), a linear form sum(c_i x_i) mod m and the quadratic form
+Q(x) = x^T A x mod m.  It is tiled: the low digits of an index form an
+inner block of at most _CHUNK tuples, built once per call, and the high
+digits, the outer prefixes, are decoded up to _CHUNK at a time.  One row
+builder, _rows, builds both halves a coordinate at a time: on the inner
+block coordinate d takes the column arange(m)[:, None] and the rows grow
+to an (m, m**d) grid, about m/(m-1) passes over the block in all; on the
+outer prefixes it takes one decoded digit per column.  A chunk joins a
+batch of prefixes to the block: e_j by the product rule
+e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner), linear forms by
+adding, and Q by Q(outer) + Q(inner) + sum_j L_j(outer) x_j.  Every tuple
+is visited; no integer matmul is used, which numpy runs without BLAS.
+
+Every scan kernel is a set of queries folded in the one loop over the
+walk, _query_scan.  A zero query keeps the tuples whose e_j are all 0, by
+the OR of the raw rows; a unit query folds the e_j's bits in a unit table
+instead, with no gcd: bits[r] marks the primes of m (from arith.factorize)
+that divide r, and the e_j of a tuple are each units when the OR of their
+bits is 0, jointly coprime to m when the AND is.  A query counts the
+tuples it keeps, or tallies a histogram of the linear form or of Q over
+them; several queries share one scan over the union of their index sets.
+The table costs 2 bytes per residue, at most 2 * m**k bytes, and is built
+after the refusal, for unit queries only.
 
 The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
 visiting them, in O(k p^(jmax+1)) state updates against the scan's
@@ -30,22 +36,18 @@ The scan kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
-value would reach 2**63; below that, the scan's and the quadratic form's
-rows are int32 wherever that largest value stays below 2**31, else int64
-(_check_scan, _check_quadform and _check_int64 pick the dtype with the
-refusal).  The scan's digit recurrence and linear forms reduce mod m at
-each step, so their values stay below m**2 + m; the product rule sums at
-most jmax + 1 terms below m**2 each, and splits a tuple only when
-m <= _CHUNK.  The quadratic-form histogram walks Z_p^k on the same
-tiling, a coordinate at a time, with its cross terms as linear forms and
-no integer matmul, which numpy runs without BLAS; its values stay below
-k*p**2.  Every reduction of an array is _reduce, a -= (a // m) * m in
-place: numpy divides an array by a scalar through libdivide, while %
-divides each element in hardware.  The DP's counts are at most p**k,
-int32 while p**k < 2**31, and its Newton sums stay below p**2 + p.
+value would reach 2**63; below that, the scan's rows are int32 wherever
+that value stays below 2**31, else int64 (_check_scan picks the dtype
+with the refusal, from one peak per request).  The digit recurrence and
+the linear form reduce mod m at each step and stay below m**2 + m; the
+product rule sums at most jmax + 1 terms below m**2 each; Q and its cross
+forms stay below k*m**2.  Every reduction of an array is _reduce,
+a -= (a // m) * m in place: numpy divides an array by a scalar through
+libdivide, while % divides each element in hardware.  The DP's counts are
+at most p**k, int32 while p**k < 2**31, and its Newton sums stay below
+p**2 + p.
 """
 
-import functools
 import math
 import operator
 
@@ -85,16 +87,18 @@ def _low_digits(m, k):
     return low
 
 
-def _check_scan(m, k, js):
-    """The row dtype of a scan over Z_m^k, the one place it is chosen.
-    Refuses first, before any allocation, a scan whose tuple count m**k or
-    largest value would reach 2**63.  The digit recurrence and the linear
-    forms stay below m**2 + m.  Where both halves of a tuple have digits,
-    the product rule sums at most jmax + 1 terms, each below m**2, before
-    it reduces."""
-    low = _low_digits(m, k)
-    terms = max(js, default=0) + 1 if 0 < low < k else 1
-    return _check_int64(m, k, max(m * m + m, terms * m * m))
+def _check_scan(m, k, js, coeffs=None, matrix=None):
+    """The row dtype of _scan(m, k, js, coeffs, matrix), the one place it is
+    chosen, from the peak of the features asked for; it refuses first,
+    before any allocation, a tuple count m**k or a peak that would reach
+    2**63.  The e_j recurrence and the linear form stay below m**2 + m, and
+    where both halves of a tuple have digits the product rule sums at most
+    jmax + 1 terms below m**2 each.  Q stays below k*m**2 (see _scan)."""
+    peak = k * m * m if matrix is not None else 0
+    if js or coeffs is not None:
+        terms = max(js, default=0) + 1 if 0 < _low_digits(m, k) < k else 1
+        peak = max(peak, m * m + m, terms * m * m)
+    return _check_int64(m, k, peak)
 
 
 def _reduce(a, m):
@@ -112,101 +116,144 @@ def _divmod(t, m):
     return q, t - q * m
 
 
-def _digit_rows(t, m, digits, jmax, coeffs, dtype):
-    """Decode the low `digits` base-m digits of the int64 indices t.  Return
-    the rows e_0..e_min(jmax, digits) mod m of those digits, and the linear
-    form sum(coeffs[i] * digit_i) mod m (None without coeffs), as `dtype`."""
-    c = np.zeros((min(jmax, digits) + 1, t.shape[0]), dtype=dtype)
-    c[0] = 1
-    lin = None if coeffs is None else np.zeros(t.shape[0], dtype=dtype)
-    for pos in range(digits):
-        t, v = _divmod(t, m)
-        v = v.astype(dtype, copy=False)
-        if lin is not None:
-            lin = _reduce(lin + coeffs[pos] * v, m)
-        for j in range(min(jmax, pos + 1), 0, -1):
-            c[j] += c[j - 1] * v
-            _reduce(c[j], m)
-    return c, lin
+def _rows(m, coords, values, jmax, coeffs, s, extra, dtype):
+    """The rows of one half of the tiling, a coordinate at a time: coordinate
+    coords[i] (a range) takes values[i], the column arange(m)[:, None],
+    which grows rows of width w to the flat (m, w) grid, or one decoded
+    digit per column, of shape (1, n).  Returns (e, lin, q, forms), None
+    when not asked for or over no coordinates: e_0..e_min(jmax, len(coords))
+    by e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m, sum(coeffs[d] x_d) mod m,
+    and Q(x) = sum_{i<=j} s_ij x_i x_j with the cross forms
+    forms[i] = L_i(x) = sum_d s_id x_d of the later coordinates and of
+    `extra`; a row not yet made is zero and costs no pass.  Only the
+    factor of v in Q is reduced, so Q and L_i stay below k*m**2."""
+    e = lin = q = None
+    forms = {}
+    for d, v in zip(coords, values):
+        if jmax and e is None:  # e_0 = 1, e_1 = v
+            e = np.zeros((min(jmax, len(coords)) + 1, v.size), dtype=dtype)
+            e[0] = 1
+            e[1] = v.reshape(-1)
+        elif jmax:
+            top = min(jmax, d - coords.start + 1)
+            grown = np.zeros((e.shape[0], v.shape[0], max(v.shape[1], e.shape[1])), dtype=dtype)
+            grown[0] = 1
+            # rows 1..top at once: e_j(x, v) = v e_{j-1}(x) + e_j(x) mod m
+            rows = grown[1 : top + 1]
+            np.multiply(v, e[:top, None, :], out=rows)
+            rows += e[1 : top + 1, None, :]
+            _reduce(rows, m)
+            e = grown.reshape(e.shape[0], -1)
+        if coeffs is not None:
+            step = coeffs[d] * v
+            lin = _reduce(step if lin is None else lin + step, m).reshape(-1)
+        if s is not None:  # Q(x, v) = Q(x) + v (L_d(x) + s_dd v mod m)
+            w = s[d][d] * v if d not in forms else forms[d] + s[d][d] * v
+            _reduce(w, m)
+            w *= v
+            if q is not None:
+                w += q
+            q = w.reshape(-1)
+            for i in (*extra, *range(d + 1, coords.stop)):  # L_i(x, v) = L_i(x) + s_id v
+                step = s[i][d] * v
+                forms[i] = (step if i not in forms else forms[i] + step).reshape(-1)
+    return e, lin, q, forms
 
 
 def _product_rule(outer, inner, j, m):
-    """e_j mod m of each outer prefix followed by each inner block tuple, as
-    an (outer, inner) grid: e_j = sum_i e_i(outer) e_{j-i}(inner), where a
-    factor e_0 = 1 costs no product."""
-    terms = [
-        outer[i] if i == j else inner[j - i] if i == 0 else outer[i] * inner[j - i]
-        for i in range(max(0, j - len(inner) + 1), min(j, len(outer) - 1) + 1)
-    ]
-    if not terms:  # j > k: no tuple has a j-subset
-        return np.zeros((outer.shape[1], inner.shape[2]), dtype=outer.dtype)
-    if len(terms) == 1 and (len(outer) == 1 or len(inner) == 1):
-        return terms[0]  # one half has only e_0: the other's row, reduced, maybe the inner block
-    # a lone term here is a product, a fresh array: reduce it in place
-    row = terms[0] + terms[1] if len(terms) > 1 else terms[0]
-    for term in terms[2:]:
-        row += term
-    return _reduce(row, m)
+    """e_j mod m of each outer prefix followed by each inner block tuple,
+    flat over the (outer, inner) grid, from the rows outer[i] of shape
+    (b, 1) and inner[i] of shape (w,): e_j = sum_i e_i(outer) e_{j-i}(inner).
+    A factor e_0 = 1 costs no product, and a half with no coordinates
+    (None) has only e_0, so the other's row comes back as it is."""
+    if outer is None or inner is None:
+        half = inner if outer is None else outer[..., 0]
+        return half[j] if j < len(half) else np.zeros(half.shape[1], dtype=half.dtype)
+    low, high = max(0, j - len(inner) + 1), min(j, len(outer) - 1)
+    if low > high:  # j > k: no tuple has a j-subset
+        return np.zeros(outer.shape[1] * inner.shape[1], dtype=outer.dtype)
+    if j == 1:  # e_1 = e_1(outer) + e_1(inner): no product
+        return _reduce(outer[1] + inner[1], m).reshape(-1)
+    # both halves have e_1, so there is a product, a fresh array that takes
+    # the sum in place; a factor e_0 = 1 leaves a half's row, not written
+    first = max(low, 1)
+    row = outer[first] * inner[j - first]
+    for i in range(first + 1, min(high, j - 1) + 1):
+        row += outer[i] * inner[j - i]
+    if low == 0:
+        row += inner[j]
+    if high == j:
+        row += outer[j]
+    return _reduce(row, m).reshape(-1)
 
 
-def _inner_rows(m, digits, jmax, coeffs, dtype):
-    """_digit_rows of every index below m**digits, built a digit at a time.
-    The block of the d lowest digits gains its next digit v as an
-    (m, m**d) grid: e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m, and the linear
-    form adds coeffs[d] * v.  The grids sum to about m/(m-1) passes over
-    the last one, the whole block, against `digits` decoding passes.
-    Values stay below m**2 + m, as in _digit_rows."""
-    c = np.zeros((min(jmax, digits) + 1, 1), dtype=dtype)
-    c[0] = 1
-    lin = None if coeffs is None else np.zeros(1, dtype=dtype)
-    v = np.arange(m, dtype=dtype)[:, None]
-    for pos in range(digits):
-        top = min(jmax, pos + 1)
-        grown = np.zeros((c.shape[0], m, c.shape[1]), dtype=dtype)
-        grown[0] = 1
-        # rows 1..top at once: e_j(x, v) = v e_{j-1}(x) + e_j(x) mod m
-        rows = grown[1 : top + 1]
-        np.multiply(v, c[:top, None, :], out=rows)
-        rows += c[1 : top + 1, None, :]
-        _reduce(rows, m)
-        c = grown.reshape(c.shape[0], -1)
-        if lin is not None:
-            lin = _reduce(lin + coeffs[pos] * v, m).reshape(-1)
-    return c, lin
+def _join(outer, inner, part, m, cross=()):
+    """The linear form or Q, flat and reduced mod m, of the outer prefixes
+    in the slice `part` each followed by every inner block tuple: the grid
+    outer + inner, plus L_j(outer) x_j for each (L_j, x, above) in `cross`,
+    with x = arange(m) the middle axis of the block seen as
+    (above, m, m**j).  None is a row not asked for, or an empty block."""
+    if outer is None:
+        return None
+    grid = outer[part] if inner is None else outer[part, None] + inner
+    for form, x, above in cross:
+        view = grid.reshape(grid.shape[0], above, m, -1)
+        view += (form[part, None] * x)[:, None, :, None]
+    return _reduce(grid, m).reshape(-1)
 
 
-def _scan(m, k, js, coeffs=None):
-    """Walk Z_m^k a chunk of tuple indices at a time, in index order.  Per
-    chunk, yield the rows e_j mod m (j in js, ascending) of the tuples'
-    base-m digits, and the linear form sum(coeffs[i] * x_i) mod m (None
-    without coeffs), in the dtype _check_scan returns; it refuses first.
+def _scan(m, k, js, coeffs=None, matrix=None):
+    """The one walk over Z_m^k, a chunk of tuple indices at a time, in index
+    order.  Per chunk, yield (rows, lin, q): the rows e_j mod m (j in js,
+    ascending) of the tuples' base-m digits, the linear form
+    sum(coeffs[i] * x_i) mod m and the quadratic form x^T A x mod m of the
+    matrix A, each None when not asked for, in the dtype _check_scan
+    returns; it refuses first.  With s_ii = a_ii and s_ij = a_ij + a_ji,
+    Q(x) = sum_{i<=j} s_ij x_i x_j, so A need not be symmetric.
 
-    The walk is tiled.  The low digits of an index (_low_digits of them)
-    form the inner block, built once per call a digit at a time
-    (_inner_rows).  The outer prefixes, the high digits, are decoded in
-    one vectorized pass per _CHUNK of them; a chunk takes the next batch of
-    decoded prefixes, at most _CHUNK // m**low, and combines the two halves
-    by the product rule for e_j and by adding their linear forms.  Every
-    tuple is still visited.  With no low digits this is the plain scan."""
-    dtype = _check_scan(m, k, js)
+    The low digits of an index (_low_digits of them) form the inner block,
+    built once by _rows on a grid.  The outer prefixes are decoded up to
+    _CHUNK at a time for _rows, which also gives each inner coordinate j
+    with a cross term its form L_j(o) = sum_e s_je o_e.  A chunk joins the
+    next batch of prefixes, at most _CHUNK // m**low, to the block.  Q(o)
+    stays below (k - low) m**2, and with Q(inner), reduced once, and at
+    most low cross terms below m**2 each, the grid stays below k*m**2.  An
+    empty half adds nothing: with no low digits this is the plain scan."""
+    dtype = _check_scan(m, k, js, coeffs, matrix)
     js = sorted(js)
-    jmax = max(js, default=0)
+    jmax = js[-1] if js else 0
     low = _low_digits(m, k)
-    cin, cout = (None, None) if coeffs is None else (coeffs[:low], coeffs[low:])
-    inner, lin_in = _inner_rows(m, low, jmax, cin, dtype)
-    inner = inner[:, None, :]
+    s = None
+    if coeffs is not None:
+        coeffs = [operator.index(c) % m for c in coeffs]
+    if matrix is not None:
+        index = operator.index
+        s = [[index(row[j]) % m if i == j else (index(row[j]) + index(matrix[j][i])) % m
+              for j in range(k)] for i, row in enumerate(matrix)]
+    column = np.arange(m, dtype=dtype)[:, None]
+    inner, lin_in, q_in, _ = _rows(m, range(low), [column] * low, jmax, coeffs, s, (), dtype)
+    q_in = None if q_in is None else _reduce(q_in, m)
+    if low == k:
+        yield [_product_rule(None, inner, j, m) for j in js], lin_in, q_in
+        return
+    terms = [] if s is None else [j for j in range(low) if any(s[j][low:])]
+    outside = range(low, k)  # the coordinates of the outer prefixes
     prefixes = m ** (k - low)
     batch = _CHUNK // m**low  # prefixes per chunk
     for first in range(0, prefixes, _CHUNK):
         t = np.arange(first, min(first + _CHUNK, prefixes), dtype=np.int64)
-        outer, lin_out = _digit_rows(t, m, k - low, jmax, cout, dtype)
-        for start in range(0, t.shape[0], batch):
-            part = outer[:, start : start + batch, None]
-            rows = [_product_rule(part, inner, j, m).reshape(-1) for j in js]
-            lin = None
-            if coeffs is not None:
-                lin = _reduce(lin_out[start : start + batch, None] + lin_in, m).reshape(-1)
-            yield rows, lin
+        size, digits = t.shape[0], []
+        for _ in outside:
+            t, v = _divmod(t, m)
+            digits.append(v.astype(dtype, copy=False).reshape(1, -1))
+        outer, lin_out, q_out, forms = _rows(m, outside, digits, jmax, coeffs, s, terms, dtype)
+        # coordinate j of an inner index is its base-m digit j
+        cross = [(_reduce(forms[j], m), column[:, 0], m ** (low - 1 - j)) for j in terms]
+        for start in range(0, size, batch):
+            part = slice(start, start + batch)
+            block = None if outer is None else outer[:, part, None]
+            rows = [_product_rule(block, inner, j, m) for j in js]
+            yield rows, _join(lin_out, lin_in, part, m), _join(q_out, q_in, part, m, cross)
 
 
 def _prime_bits(m):
@@ -220,66 +267,67 @@ def _prime_bits(m):
     return bits
 
 
-def _unit_mask(taken, at, joint):
-    """Per column, from the unit-table bits taken[r] = bits.take(row r) of
-    the rows at positions `at`, with bits = _prime_bits(m): gcd(rows..., m)
-    == 1 (joint), where no prime of m divides every row, or every row a
-    unit mod m, where no prime of m divides any row.  The taken arrays are
-    shared between index sets and are not written."""
-    acc = taken[at[0]]
+def _fold(rows, at, joint):
+    """The AND (joint) or the OR of the rows at the positions `at`, which
+    are shared between queries and not written: 0 where the tuple is kept.
+    On the unit-table bits bits.take(row), with bits = _prime_bits(m), that
+    is where gcd(rows..., m) == 1 (joint: no prime of m divides every row)
+    or every row is a unit mod m (no prime of m divides any row); on the
+    raw rows, where every row is 0."""
+    acc = rows[at[0]]
     if len(at) > 1:
         fold = np.bitwise_and if joint else np.bitwise_or
-        acc = fold(acc, taken[at[1]])
+        acc = fold(acc, rows[at[1]])
         for r in at[2:]:
-            fold(acc, taken[r], out=acc)
-    return acc == 0
+            fold(acc, rows[r], out=acc)
+    return acc
+
+
+def _query_scan(m, k, queries, coeffs=None, matrix=None):
+    """The one loop over _scan: one scan over the union of the index sets
+    answers every query, a pair (js, joint).  joint=None keeps the tuples
+    whose e_j (j in js) are all 0 mod m, joint=True those whose e_j are
+    jointly coprime to m, joint=False those whose e_j are each a unit mod
+    m; an empty js keeps every tuple.  Without coeffs or matrix return per
+    query the number of tuples kept (js nonempty); with coeffs, the
+    histogram over b of the kept tuples with sum(coeffs[i] x_i) = b
+    (mod m); with matrix, of those with x^T A x = b (mod m).
+
+    A single query takes the scan's rows as its own.  The results, and the
+    unit table for unit queries only, are allocated after the scan's
+    refusal.  Per chunk each row is read from the table once; rows are
+    reduced below m, so mode="clip" only drops take's bounds check."""
+    counts = coeffs is None and matrix is None
+    if len(queries) == 1:
+        ((js, joint),) = queries
+        union = sorted(set(js))
+        queries = [(range(len(union)), joint)]
+    else:
+        sets = [sorted(set(js)) for js, _ in queries]
+        union = sorted(set().union(*sets))
+        queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
+    if counts and not all(at for at, _ in queries):
+        raise ValueError("a unit count needs a nonempty index set")
+    out = None
+    for rows, lin, q in _scan(m, k, union, coeffs, matrix):
+        if out is None:
+            units = union and any(joint is not None for _, joint in queries)
+            bits = _prime_bits(m) if units else None
+            out = [0 if counts else np.zeros(m, dtype=np.int64) for _ in queries]
+        values = q if lin is None else lin
+        taken = None if bits is None else [bits.take(row, mode="clip") for row in rows]
+        for i, (at, joint) in enumerate(queries):
+            acc = _fold(rows if joint is None else taken, at, joint) if at else None
+            if counts:
+                out[i] += acc.shape[0] - int(np.count_nonzero(acc))
+            else:  # an empty js keeps every tuple
+                _tally(out[i], values if acc is None else values[acc == 0])
+    return out
 
 
 def count_sym_zeros(m: int, k: int, js) -> int:
     """Tuples in Z_m^k with e_j = 0 (mod m) for every j in js (js nonempty)."""
-    total = 0
-    for rows, _ in _scan(m, k, js):
-        # the e_j are all zero exactly when their OR is, which stays below 2m
-        total += rows[0].shape[0] - int(np.count_nonzero(functools.reduce(np.bitwise_or, rows)))
-    return total
-
-
-def _unit_scan(m, k, queries, coeffs=None):
-    """The one scan loop behind the unit counts and the linear-form
-    histograms: one _scan over the union of the queries' index sets answers
-    every query, a pair (js, joint).  Per chunk each e_j row of the union is
-    read from the unit table once, bits.take(row); every row is reduced
-    below m, so mode="clip" never changes an index and only drops take's
-    bounds check.  Each query then folds its rows' bits by _unit_mask.
-
-    Without coeffs return, per query, the tuples whose e_j (j in js, js
-    nonempty) are jointly coprime to m (joint) or each a unit mod m.  With
-    coeffs return, per query, the histogram over b of the tuples with
-    sum(coeffs[i] * x_i) = b (mod m) whose e_j are units in the same sense;
-    an empty js constrains nothing.  The union's refusal, _check_scan,
-    comes before anything is allocated."""
-    sets = [sorted(set(js)) for js, _ in queries]
-    if coeffs is None and not all(sets):
-        raise ValueError("a unit count needs a nonempty index set")
-    union = sorted(set().union(*sets))
-    dtype = _check_scan(m, k, union)
-    # each query as the positions of its rows among the union's
-    queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
-    bits = _prime_bits(m) if union else None
-    if coeffs is None:
-        out = [0] * len(queries)
-    else:
-        coeffs = np.asarray([c % m for c in coeffs], dtype=dtype)
-        out = [np.zeros(m, dtype=np.int64) for _ in queries]
-    for rows, lin in _scan(m, k, union, coeffs):
-        taken = [bits.take(row, mode="clip") for row in rows]
-        for i, (at, joint) in enumerate(queries):
-            mask = _unit_mask(taken, at, joint) if at else None
-            if coeffs is None:
-                out[i] += int(np.count_nonzero(mask))
-            else:
-                _tally(out[i], lin if mask is None else lin[mask])
-    return out
+    return _query_scan(m, k, [(js, None)])[0]
 
 
 def count_sym_units(m: int, k: int, js, joint: bool) -> int:
@@ -288,13 +336,13 @@ def count_sym_units(m: int, k: int, js, joint: bool) -> int:
     joint=True tests gcd(e_j1, ..., e_jr, m) == 1; joint=False tests each
     gcd(e_j, m) == 1 separately.
     """
-    return _unit_scan(m, k, [(js, joint)])[0]
+    return _query_scan(m, k, [(js, joint)])[0]
 
 
 def count_sym_units_many(m: int, k: int, queries) -> list[int]:
     """count_sym_units(m, k, js, joint) for each pair (js, joint) in
     queries, from one scan of Z_m^k."""
-    return _unit_scan(m, k, queries)
+    return _query_scan(m, k, queries)
 
 
 def _dp_refusal(p, jmax):
@@ -392,6 +440,8 @@ def count_field(p: int, k: int, js, nonzero: bool = False) -> int:
     return p**k - zeros if nonzero else zeros
 
 
+
+
 def _tally(hist, values):
     """Add to hist how often each of its bins occurs in values, one chunk,
     at a cost set by the chunk and not by the histogram: bincount adds
@@ -407,92 +457,16 @@ def _tally(hist, values):
 def lincong_histogram(m: int, k: int, coeffs, js) -> np.ndarray:
     """Histogram over b of tuples with sum(coeffs[i]*x_i) = b (mod m), restricted
     to tuples where every e_j (j in js) is a unit mod m.  js may be empty."""
-    return _unit_scan(m, k, [(js, False)], coeffs)[0]
+    return _query_scan(m, k, [(js, False)], coeffs)[0]
 
 
 def lincong_histograms(m: int, k: int, coeffs, sets) -> list[np.ndarray]:
     """lincong_histogram(m, k, coeffs, js) for each js in sets, from one scan
     of Z_m^k."""
-    return _unit_scan(m, k, [(js, False) for js in sets], coeffs)
-
-
-def _check_quadform(p, k):
-    """The row dtype of quadform_histogram over Z_p^k, chosen with its
-    refusal from one peak, as _check_scan does for the scan.  Every value
-    stays below k*p**2 (see _quad_add and quadform_histogram)."""
-    return _check_int64(p, k, k * p * p)
-
-
-def _quad_add(q, lin, d, v, diag, cross, later, p):
-    """Extend the tuples x behind a quadratic form's rows by coordinate d at
-    the values v.  Return Q(x, v) = Q(x) + v (L_d(x) + a_dd v mod p), where
-    lin[d] is the row of the linear form L_d(x), and replace each lin[e],
-    e in later, by L_e(x) + cross[e][d] v.  Rows come back flat, so v of
-    shape (p, 1) against rows of shape (p**d,) grows them to the (p, p**d)
-    grid.  Only the factor of v is reduced: over at most k coordinates, Q
-    and each L_e gain terms below p**2 and stay below k*p**2."""
-    w = _reduce(lin[d] + diag[d] * v, p)
-    w *= v
-    w += q
-    for e in later:
-        lin[e] = (lin[e] + cross[e][d] * v).reshape(-1)
-    return w.reshape(-1)
+    return _query_scan(m, k, [(js, False) for js in sets], coeffs)
 
 
 def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
-    """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p).
-
-    The walk is tiled as _scan's is.  Q(x) = sum_i a_ii x_i**2 +
-    sum_{i<j} s_ij x_i x_j with s_ij = a_ij + a_ji, so the matrix need not
-    be symmetric.  The low coordinates (_low_digits of them) form the
-    inner block, built once per call a coordinate at a time by _quad_add
-    on a grid, which keeps its Q.  The outer prefixes are decoded up to
-    _CHUNK at a time, and the same recurrence, run columnwise over their
-    digits, gives Q(o) and the cross coefficients
-    c_j(o) = sum_e s_je o_e mod p of the inner coordinates j.  A chunk
-    takes a batch of prefixes, at most _CHUNK // p**low, and tallies the
-    grid Q(o) + Q(inner) + sum_j c_j(o) x_j mod p.  Q(o) is left
-    unreduced, below (k - low) p**2; with Q(inner) below p and at most low
-    cross terms below p**2 each, the grid stays below k*p**2.  A
-    coordinate j with no cross coefficient to the outer ones adds no term.
-    Every tuple is still visited."""
-    dtype = _check_quadform(p, k)
-    a = [[operator.index(entry) % p for entry in row] for row in matrix]
-    diag = [a[i][i] for i in range(k)]
-    cross = [[(a[i][j] + a[j][i]) % p for j in range(k)] for i in range(k)]
-    low = _low_digits(p, k)
-    terms = [j for j in range(low) if any(cross[j][low:])]
-    # _quad_add rebinds the rows it is given and never writes them, so the
-    # rows may start as one shared zero row
-    zero = np.zeros(1, dtype=dtype)
-    q_in, lin = zero, [zero] * low
-    v = np.arange(p, dtype=dtype)[:, None]
-    for d in range(low):
-        q_in = _quad_add(q_in, lin, d, v, diag, cross, range(d + 1, low), p)
-    hist = np.zeros(p, dtype=np.int64)
-    if low == k:  # the inner block is the whole space
-        _tally(hist, _reduce(q_in, p))
-        return hist
-    q_in = _reduce(q_in, p)
-    # coordinate j of an inner index is its base-p digit j
-    x_in = {
-        j: np.broadcast_to(v, (p ** (low - 1 - j), p, p**j)).reshape(-1) for j in terms
-    }
-    prefixes = p ** (k - low)
-    batch = _CHUNK // p**low  # prefixes per chunk
-    for first in range(0, prefixes, _CHUNK):
-        t = np.arange(first, min(first + _CHUNK, prefixes), dtype=np.int64)
-        zero = np.zeros(t.shape[0], dtype=dtype)
-        q_out, lin = zero, [zero] * k
-        for d in range(low, k):
-            t, digit = _divmod(t, p)
-            later = [*terms, *range(d + 1, k)]
-            q_out = _quad_add(q_out, lin, d, digit.astype(dtype, copy=False), diag, cross, later, p)
-        for j in terms:
-            _reduce(lin[j], p)
-        for start in range(0, q_out.shape[0], batch):
-            grid = q_out[start : start + batch, None] + q_in
-            for j in terms:
-                grid += lin[j][start : start + batch, None] * x_in[j]
-            _tally(hist, _reduce(grid, p).reshape(-1))
-    return hist
+    """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p), a
+    histogram of the scan's Q rows (see _scan)."""
+    return _query_scan(p, k, [((), None)], None, matrix)[0]

@@ -284,10 +284,20 @@ def dirichlet_convolve_mu(f, d: int) -> int:
 
 def ramanujan_sum(m: int, n: int) -> int:
     """Ramanujan sum c(m, n): the sum of e^(2*pi*i*a*m/n) over a coprime to n,
-    computed exactly as sum over d | gcd(m, n) of d * mu(n/d)."""
+    computed exactly by Hoelder's form c(m, n) = mu(n/g) phi(n) / phi(n/g),
+    g = gcd(m, n), from one factorization of n.  Per p^a || n the factor is
+    phi(p^a) where p^a | g, -p^(a-1) where p^(a-1) || g, and 0 otherwise."""
     n = _modulus(n)
     g = math.gcd(m, n)
-    return sum(d * moebius(n // d) for d in divisors(g))
+    out = 1
+    for p, a in factorize(n):
+        if g % p**a == 0:
+            out *= p ** (a - 1) * (p - 1)
+        elif g % p ** (a - 1) == 0:
+            out *= -(p ** (a - 1))
+        else:
+            return 0
+    return out
 
 
 def _cyclotomic_integer(w: list[int]) -> int:

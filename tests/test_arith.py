@@ -276,6 +276,19 @@ class TestRamanujanSum:
     def test_spot(self):
         assert ramanujan_sum(2, 4) == -2
 
+    def test_against_divisor_sum(self):
+        # the definition sum_{d | gcd(m, n)} d mu(n/d), with mu sieved here
+        mu = [0, 1] + [1] * 199
+        for p in range(2, 201):
+            if all(p % q for q in range(2, p)):
+                for i in range(p, 201, p):
+                    mu[i] = 0 if i % (p * p) == 0 else -mu[i]
+        for n in range(1, 201):
+            for m in range(n):
+                g = math.gcd(m, n)
+                expected = sum(d * mu[n // d] for d in range(1, g + 1) if g % d == 0)
+                assert ramanujan_sum(m, n) == expected, (m, n)
+
     def test_against_exponential_sum(self):
         for n in range(1, 51):
             for m in range(n):

@@ -284,7 +284,7 @@ class TestSolutionHistograms:
         def no_kernel(*args, **kwargs):
             raise AssertionError("the kernel ran")
 
-        for name in ("_unit_scan", "_scan", "_prime_bits"):
+        for name in ("_query_scan", "_scan", "_prime_bits"):
             monkeypatch.setattr(_kernels, name, no_kernel)
         with pytest.raises(BudgetExceededError, match=r"enumerating Z_10\^3 needs 1000 tuples"):
             _solution_histograms(10, 3, (1, 1, 1), [(1,), (2, 3)], budget=100)

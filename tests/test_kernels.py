@@ -1,9 +1,10 @@
 """The chunked-numpy kernels and the power-sum DP against the literal
 pure-Python oracle, the DP against the scan, the scan's unit table against
-math.gcd, its digit-at-a-time inner block against digit decoding and its
-decode boundaries under a small _CHUNK, the quadratic form's tiling under
-a small _CHUNK, the DP's cost rule, the int64 bounds the kernels enforce
-and the int32 bound of their rows."""
+math.gcd, its row builder on the inner block's grid and on decoded digits
+and its decode boundaries under a small _CHUNK against the literal e_j,
+linear and quadratic forms of every tuple, the quadratic form's tiling
+under a small _CHUNK, the DP's cost rule, the int64 bounds the kernels
+enforce and the int32 bound of their rows."""
 
 import itertools
 import math
@@ -157,12 +158,30 @@ def test_union_refused_before_any_allocation(monkeypatch):
         _kernels.count_sym_units_many(5, 2, [([1], True), ([], False)])
 
 
+def test_unit_table_only_for_unit_queries(monkeypatch):
+    # zero counts fold the raw rows and histograms with no constraint fold
+    # nothing, so neither builds the unit table
+    def no_table(m):
+        raise AssertionError("the unit table was built")
+
+    monkeypatch.setattr(_kernels, "_prime_bits", no_table)
+    assert _kernels.count_sym_zeros(6, 3, [1, 2]) == oracle.zeros(6, 3, [1, 2])
+    assert _kernels.lincong_histogram(6, 3, [1, 2, 3], ()).tolist() == oracle.lincong_hist(
+        6, 3, [1, 2, 3], ()
+    )
+    mat = [[1, 2, 0], [0, 3, 1], [4, 0, 2]]
+    assert _kernels.quadform_histogram(5, 3, mat).tolist() == oracle.quadform_hist(5, 3, mat)
+    with pytest.raises(AssertionError, match="unit table"):
+        _kernels.count_sym_units(6, 3, [1], True)
+
+
 @pytest.mark.parametrize("m", [2, 3, 128, 129, 16384, 16385, 16411])
 def test_scan_chunks_stay_within_chunk(m):
-    # above _CHUNK the inner block is empty, so no chunk holds m tuples
+    # above _CHUNK the inner block is empty, so no chunk holds m tuples;
+    # every feature of a chunk has the same tuples
     assert (_kernels._low_digits(m, 2) == 0) == (m > _kernels._CHUNK)
-    for rows, _ in itertools.islice(_kernels._scan(m, 2, [1, 2]), 4):
-        assert all(row.shape[0] <= _kernels._CHUNK for row in rows)
+    for rows, lin, q in itertools.islice(_kernels._scan(m, 2, [1, 2], [1, 2], [[1, 2], [3, 4]]), 4):
+        assert all(row.shape[0] == lin.shape[0] == q.shape[0] <= _kernels._CHUNK for row in rows)
 
 
 def test_product_rule_peak_is_checked(monkeypatch):
@@ -192,15 +211,54 @@ def test_unit_mask_matches_gcd(m, joint):
         rng.shuffle(row)
     bits = _kernels._prime_bits(m)
     taken = [bits.take(np.array(row, dtype=np.int64)) for row in rows]
-    before = [t.copy() for t in taken]
-    got = _kernels._unit_mask(taken, range(len(rows)), joint)
-    # the taken rows are shared between index sets: the fold never writes them
-    assert all((t == b).all() for t, b in zip(taken, before))
+    raw = [np.array(row, dtype=np.int64) for row in rows]
+    before = [t.copy() for t in taken + raw]
+    got = _kernels._fold(taken, range(len(rows)), joint) == 0
+    zeros = _kernels._fold(raw, range(len(rows)), None) == 0
+    # the rows are shared between queries: the fold never writes them
+    assert all((t == b).all() for t, b in zip(taken + raw, before))
     if joint:
         expected = [math.gcd(*col, m) == 1 for col in zip(*rows)]
     else:
         expected = [all(math.gcd(v, m) == 1 for v in col) for col in zip(*rows)]
     assert got.tolist() == expected
+    # a zero query folds the raw rows: 0 where every row is 0
+    assert zeros.tolist() == [not any(col) for col in zip(*rows)]
+
+
+def _literal(m, x, coeffs, mat):
+    """The literal rows of the tuple x over Z_m: e_0..e_len(x), the linear
+    form and x^T A x, each mod m."""
+    lin = sum(c * v for c, v in zip(coeffs or (), x)) % m
+    quad = sum(mat[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x))) % m
+    return [oracle.esym(j, x, m) for j in range(len(x) + 1)], lin, quad
+
+
+def _check_rows(got, m, tuples, jmax, coeffs, mat, dtype):
+    """The rows _rows built for the tuples, against the literal ones."""
+    e, lin, q, _ = got
+    want = [_literal(m, x, coeffs, mat) for x in tuples]
+    if jmax and tuples and len(tuples[0]):
+        assert e.dtype == dtype and e.shape[0] == min(jmax, len(tuples[0])) + 1
+        assert e[0].tolist() == [1] * len(tuples)  # e_0, which no query reads, stays 1
+        for j, row in enumerate(e[1:], 1):
+            assert row.tolist() == [w[0][j] for w in want], j
+    else:
+        assert e is None
+    if coeffs is None or not len(tuples[0]):
+        assert lin is None and q is None
+        return
+    assert lin.dtype == q.dtype == dtype
+    assert lin.tolist() == [w[1] for w in want]
+    # Q is left unreduced, below k * m**2
+    assert q.max() < max(1, len(tuples[0]) * m * m)
+    assert (q % m).tolist() == [w[2] for w in want]
+
+
+def _half(m, mat):
+    """The matrix s of _rows: s_ii = a_ii and s_ij = a_ij + a_ji, mod m."""
+    k = len(mat)
+    return [[(mat[i][j] + (mat[j][i] if i != j else 0)) % m for j in range(k)] for i in range(k)]
 
 
 INNER_GRID = [(m, d) for m in range(1, 8) for d in range(5)]
@@ -208,21 +266,21 @@ INNER_GRID = [(m, d) for m in range(1, 8) for d in range(5)]
 
 @pytest.mark.parametrize("m,d", INNER_GRID, ids=[f"m{m}-d{d}" for m, d in INNER_GRID])
 def test_inner_rows_match_digit_rows(m, d):
-    # the block built a digit at a time against the block decoded digit by
-    # digit, at every jmax that leaves some e_j rows, with and without an
-    # asymmetric linear form, in both row dtypes
-    t = np.arange(m**d, dtype=np.int64)
+    # the one row builder on the inner block's grid and on decoded digits,
+    # one per column, against the literal e_j, an asymmetric linear form and
+    # an asymmetric quadratic form of every tuple, at every jmax that leaves
+    # some e_j rows, with and without the forms, in both row dtypes
+    tuples = [tuple(reversed(t)) for t in itertools.product(range(m), repeat=d)]
+    mat = [[(3 * i + 2 * j + 1) % m for j in range(d)] for i in range(d)]
     for dtype in (np.int32, np.int64):
+        column = np.arange(m, dtype=dtype)[:, None]
+        index = np.arange(m**d)
+        digits = [(index // m**i % m).astype(dtype).reshape(1, -1) for i in range(d)]
         for jmax in range(d + 2):
-            for coeffs in (None, np.array([3, 1, 4, 1, 5][:d], dtype=dtype) % m):
-                got, got_lin = _kernels._inner_rows(m, d, jmax, coeffs, dtype)
-                rows, lin = _kernels._digit_rows(t, m, d, jmax, coeffs, dtype)
-                assert got.dtype == rows.dtype == dtype
-                assert got.tolist() == rows.tolist()
-                assert (got_lin is None) == (lin is None)
-                if lin is not None:
-                    assert got_lin.dtype == lin.dtype == dtype
-                    assert got_lin.tolist() == lin.tolist()
+            for coeffs, s in ((None, None), ([3, 1, 4, 1, 5][:d], _half(m, mat))):
+                for values in ([column] * d, digits):
+                    got = _kernels._rows(m, range(d), values, jmax, coeffs, s, (), dtype)
+                    _check_rows(got, m, tuples, jmax, coeffs, mat, dtype)
 
 
 def test_scan_dtype_bound():
@@ -235,14 +293,15 @@ def test_digit_rows_past_the_int32_bound():
     # at m = 46349 two digits multiply to (m - 1)**2 > 2**31: rows in int32
     # would wrap, so _check_scan's dtype must hold the literal e_j
     m, jmax = 46349, 2
-    dtype = _kernels._check_scan(m, 2, [jmax])
+    mat = [[m - 1, m - 2], [m - 3, m - 1]]
+    dtype = _kernels._check_scan(m, 2, [jmax], [m - 1, m - 2], mat)
+    assert dtype is np.int64
     rng = random.Random(m)
-    digits = [(m - 1, m - 1), (m - 2, m - 1), (m - 1, 1), (0, m - 1)]
-    digits += [(rng.randrange(m // 2, m), rng.randrange(m // 2, m)) for _ in range(200)]
-    t = np.array([x0 + m * x1 for x0, x1 in digits], dtype=np.int64)
-    rows, _ = _kernels._digit_rows(t, m, 2, jmax, None, dtype)
-    for j in range(jmax + 1):
-        assert rows[j].tolist() == [oracle.esym(j, xs, m) for xs in digits]
+    tuples = [(m - 1, m - 1), (m - 2, m - 1), (m - 1, 1), (0, m - 1)]
+    tuples += [(rng.randrange(m // 2, m), rng.randrange(m // 2, m)) for _ in range(200)]
+    digits = [np.array([x[i] for x in tuples], dtype=dtype).reshape(1, -1) for i in range(2)]
+    got = _kernels._rows(m, range(2), digits, jmax, [m - 1, m - 2], _half(m, mat), (), dtype)
+    _check_rows(got, m, tuples, jmax, [m - 1, m - 2], mat, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -269,31 +328,31 @@ DECODE_GRID = [
 @pytest.mark.parametrize("chunk,m,k,js", DECODE_GRID)
 def test_scan_decode_boundaries(monkeypatch, chunk, m, k, js):
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-    coeffs = np.array([(3 * i + 1) % m for i in range(k)], dtype=np.int64)
-    # the chunks, in order, against every index decoded digit by digit
-    chunks = list(_kernels._scan(m, k, js, coeffs))
-    assert all(lin.shape[0] <= chunk for _, lin in chunks)
-    # every row is reduced, so _unit_mask's clipped table lookup never clips
-    assert all(0 <= row.min() and row.max() < m for rows, _ in chunks for row in rows)
-    rows, lin = _kernels._digit_rows(
-        np.arange(m**k, dtype=np.int64), m, k, max(js), coeffs, np.int64
-    )
+    coeffs = [(3 * i + 1) % m for i in range(k)]
+    mat = [[(i + 2 * j + 1) % m for j in range(k)] for i in range(k)]
+    # the chunks, in order, against the literal rows of every tuple
+    chunks = list(_kernels._scan(m, k, js, coeffs, mat))
+    assert all(lin.shape[0] <= chunk for _, lin, _ in chunks)
+    # every row is reduced, so _fold's clipped table lookup never clips
+    rows = [row for got, lin, q in chunks for row in (*got, lin, q)]
+    assert all(0 <= row.min() and row.max() < m for row in rows)
+    tuples = [tuple(reversed(t)) for t in itertools.product(range(m), repeat=k)]
+    want = [_literal(m, x, coeffs, mat) for x in tuples]
     for i, j in enumerate(sorted(js)):
-        assert np.concatenate([got[i] for got, _ in chunks]).tolist() == rows[j].tolist()
-    assert np.concatenate([got for _, got in chunks]).tolist() == lin.tolist()
+        assert np.concatenate([got[i] for got, _, _ in chunks]).tolist() == [w[0][j] for w in want]
+    assert np.concatenate([lin for _, lin, _ in chunks]).tolist() == [w[1] for w in want]
+    assert np.concatenate([q for _, _, q in chunks]).tolist() == [w[2] for w in want]
     # every scan kernel against the literal oracle
     assert _kernels.count_sym_zeros(m, k, js) == oracle.zeros(m, k, js)
     for joint in (True, False):
         assert _kernels.count_sym_units(m, k, js, joint) == oracle.units(m, k, js, joint)
     # asymmetric coefficients: a coefficient applied to the wrong digit shows
-    coeffs = coeffs.tolist()
     assert _kernels.lincong_histogram(m, k, coeffs, js).tolist() == oracle.lincong_hist(
         m, k, coeffs, js
     )
     assert _kernels.lincong_histogram(m, k, coeffs, ()).tolist() == oracle.lincong_hist(
         m, k, coeffs, ()
     )
-    mat = [[(i + 2 * j + 1) % m for j in range(k)] for i in range(k)]
     assert _kernels.quadform_histogram(m, k, mat).tolist() == oracle.quadform_hist(m, k, mat)
 
 
@@ -333,18 +392,26 @@ def test_quadform_tiling_matches_oracle(monkeypatch, chunk, m, k, low):
 
 def test_quadform_dtype_bound():
     # int32 rows while k * p**2 stays below 2**31: the largest prime under
-    # the bound at k = 1 and k = 2, and the next prime past it
-    assert _kernels._check_quadform(46337, 1) is np.int32
-    assert _kernels._check_quadform(46349, 1) is np.int64
-    assert _kernels._check_quadform(32749, 2) is np.int32
-    assert _kernels._check_quadform(32771, 2) is np.int64
+    # the bound at k = 1 and k = 2, and the next prime past it.  Q at the
+    # largest coordinates, as the row builder leaves it, holds the literal
+    # form in the dtype chosen
+    for p, k, dtype in ((46337, 1, np.int32), (46349, 1, np.int64),
+                        (32749, 2, np.int32), (32771, 2, np.int64)):
+        mat = [[p - 1 - i - j for j in range(k)] for i in range(k)]
+        assert _kernels._check_scan(p, k, [], None, mat) is dtype
+        rng = random.Random(p)
+        tuples = [(p - 1,) * k, (p - 2,) * k]
+        tuples += [tuple(rng.randrange(p // 2, p) for _ in range(k)) for _ in range(200)]
+        digits = [np.array([x[i] for x in tuples], dtype=dtype).reshape(1, -1) for i in range(k)]
+        got = _kernels._rows(p, range(k), digits, 0, [1] * k, _half(p, mat), (), dtype)
+        _check_rows(got, p, tuples, 0, [1] * k, mat, dtype)
 
 
 def test_quadform_histogram_at_the_int32_edge():
     # a * x * x mod p with a = p - 1 reaches (p - 1)**2, just under 2**31,
     # in int32 rows
     p, a = 46337, 46336
-    assert _kernels._check_quadform(p, 1) is np.int32
+    assert _kernels._check_scan(p, 1, [], None, [[a]]) is np.int32
     expected = [0] * p
     for x in range(p):
         expected[a * x * x % p] += 1

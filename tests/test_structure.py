@@ -145,25 +145,41 @@ def test_unit_tests_read_the_prime_table():
 
 
 def test_one_scan_loop_for_unit_counts():
-    # the scan is looped over in two places: the zero count, and the one
-    # body that answers every unit count and histogram query, one set or many
+    # the walk over Z_m^k is looped over in one place, the query body that
+    # answers every zero count, unit count and histogram, one query or many
     tree = ast.parse((SRC / "_kernels.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    scan_loops = {
+    scan_loops = [
         name for name, func in functions.items()
         for node in ast.walk(func)
         if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
         and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "_scan"
+    ]
+    assert scan_loops == ["_query_scan"]
+    # every scan kernel reaches that loop
+    calls = {
+        name: {other for other in functions if other != name and _references(func, other)}
+        for name, func in functions.items()
     }
-    assert scan_loops == {"count_sym_zeros", "_unit_scan"}
-    for name in ("count_sym_units", "count_sym_units_many", "lincong_histogram", "lincong_histograms"):
-        assert _references(functions[name], "_unit_scan"), name
-    assert {
-        name for name, func in functions.items() if _references(func, "_unit_mask")
-    } == {"_unit_scan"}
-    assert {
-        name for name, func in functions.items() if _references(func, "_scan")
-    } == {"count_sym_zeros", "_unit_scan"}
+
+    def reaches(name, seen):
+        return name == "_query_scan" or any(
+            reaches(callee, seen | {callee}) for callee in calls[name] - seen
+        )
+
+    for name in ("count_sym_zeros", "count_sym_units", "count_sym_units_many",
+                 "lincong_histogram", "lincong_histograms", "quadform_histogram"):
+        assert reaches(name, {name}), name
+    for name in ("_scan", "_fold"):
+        assert {
+            user for user, func in functions.items() if _references(func, name)
+        } == {"_query_scan"}, name
+    # only the walk decodes prefixes and builds the inner block, on the one
+    # row builder
+    for name in ("_divmod", "_rows", "arange"):
+        assert {
+            user for user, func in functions.items() if _references(func, name)
+        } == {"_scan"}, name
 
 
 def test_every_value_stays_an_exact_integer():

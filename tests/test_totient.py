@@ -575,7 +575,7 @@ class TestBruteforceTable:
         def no_kernel(*args, **kwargs):
             raise AssertionError("the kernel ran")
 
-        for name in ("_unit_scan", "_scan", "_prime_bits"):
+        for name in ("_query_scan", "_scan", "_prime_bits"):
             monkeypatch.setattr(_kernels, name, no_kernel)
         with pytest.raises(BudgetExceededError, match=r"enumerating Z_50\^3 needs 125000 tuples"):
             _bruteforce_table(3, 50, budget=100)
