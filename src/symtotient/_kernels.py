@@ -45,7 +45,8 @@ forms stay below k*m**2.  Every reduction of an array is _reduce,
 a -= (a // m) * m in place: numpy divides an array by a scalar through
 libdivide, while % divides each element in hardware.  The DP's counts are
 at most p**k, int32 while p**k < 2**31, and its Newton sums stay below
-p**2 + p.
+p**2 + p.  Both engines also refuse an arity k < 1, in _check_int64,
+before they allocate.
 """
 
 import math
@@ -53,6 +54,7 @@ import operator
 
 import numpy as np
 
+from .arith import _arity
 from .arith import factorize
 
 _CHUNK = 1 << 14  # 64 KiB per int32 row, 128 KiB per int64: small enough to stay in cache
@@ -67,9 +69,11 @@ def backend() -> str:
 
 
 def _check_int64(m, k, peak):
-    """Refuse Z_m^k when its tuple count m**k or a kernel's largest value,
-    below `peak`, would reach 2**63.  Otherwise return the dtype of the
-    kernel's rows: int32 while peak < 2**31, else int64."""
+    """Refuse an arity k < 1, and Z_m^k when its tuple count m**k or a
+    kernel's largest value, below `peak`, would reach 2**63.  Otherwise
+    return the dtype of the kernel's rows: int32 while peak < 2**31, else
+    int64."""
+    _arity(k)
     # m >= 2 with k >= 63 is over the limit without computing m**k
     if (m > 1 and k >= 63) or m**k >= _INT64_LIMIT or peak >= _INT64_LIMIT:
         raise ValueError(
@@ -307,7 +311,7 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
         union = sorted(set().union(*sets))
         queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
     if counts and not all(at for at, _ in queries):
-        raise ValueError("a unit count needs a nonempty index set")
+        raise ValueError("a count needs a nonempty index set")
     out = None
     for rows, lin, q in _scan(m, k, union, coeffs, matrix):
         if out is None:

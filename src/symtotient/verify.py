@@ -3,9 +3,10 @@
 Each cell checks one theorem-level identity over a fixed parameter grid.
 The manifest maps cell names to suites so the CLI and the acceptance
 tests run the very same sweeps; adding a theorem is one manifest entry.
-Every budget-bound oracle call goes through `CellResult.attempt`, the one
-place where a grid point whose tuple space exceeds the active budget
-becomes a skip with a reason; no point is silently dropped.
+Every budget-bound oracle call goes through `CellResult.attempt`, once per
+grid point: the one place where a grid point whose tuple space exceeds the
+active budget becomes a skip with a reason, one for each check the refused
+value would have fed; no point is silently dropped.
 """
 
 import math
@@ -36,32 +37,44 @@ GRID_CAP = DEFAULT_BUDGET
 
 @dataclass
 class CellResult:
+    """One cell's checks: the number passed and the labels of those failed
+    and of those skipped over budget; failed and skipped count the lists."""
+
     name: str
     passed: int = 0
-    failed: int = 0
-    skipped: int = 0
     failures: list[str] = field(default_factory=list)
     skips: list[str] = field(default_factory=list)
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.skips)
 
     def check(self, ok: bool, label: str) -> None:
         if ok:
             self.passed += 1
         else:
-            self.failed += 1
             self.failures.append(label)
 
-    def skip(self, label: str) -> None:
-        self.skipped += 1
-        self.skips.append(label)
-
-    def attempt(self, label: str, fn):
-        """fn(), or None after recording the skip "<label> over budget" when
-        fn's enumeration exceeds the budget."""
+    def attempt(self, label: str, fn, groups: int = 1):
+        """fn(), called once, or None when fn's enumeration exceeds the
+        budget.  A refusal records the skip "<label> over budget" groups
+        times, once for each group of checks the value would have fed."""
         try:
             return fn()
         except BudgetExceededError:
-            self.skip(f"{label} over budget")
+            self.skips += [f"{label} over budget"] * groups
             return None
+
+    def compare(self, label: str, oracle, expected) -> None:
+        """Check expected == oracle() under label, or record the skip when the
+        oracle exceeds the budget."""
+        value = self.attempt(label, oracle)
+        if value is not None:
+            self.check(expected == value, label)
 
     def summary(self) -> str:
         total = self.passed + self.failed
@@ -83,13 +96,9 @@ def _e2_grid():
 def _closed_vs_enumeration(name: str, J, closed, budget) -> CellResult:
     res = CellResult(name)
     for k, p in _e2_grid():
-        label = f"k={k} p={p}"
-        brute = res.attempt(
-            label, lambda: count_zeros_bruteforce(SymSystem(k, J), p, budget=budget)
-        )
-        if brute is None:
-            continue
-        res.check(closed(k, p) == brute, label)
+        res.compare(f"k={k} p={p}",
+                    lambda: count_zeros_bruteforce(SymSystem(k, J), p, budget=budget),
+                    closed(k, p))
     return res
 
 
@@ -120,10 +129,7 @@ def cell_p2_closed(budget=None) -> CellResult:
         res.check(closed_count_e1e2(k, 2) == b12, f"e1e2 k={k}")
     for k in range(1, 21):
         for l in range(1, min(4, k) + 1):
-            bl = res.attempt(f"el l={l} k={k}", lambda: brute({l}, k))
-            if bl is None:
-                continue
-            res.check(count_zeros_mod2({l}, k) == bl, f"el l={l} k={k}")
+            res.compare(f"el l={l} k={k}", lambda: brute({l}, k), count_zeros_mod2({l}, k))
     res.check(closed_count_e2(3, 2) == 4, "spot N_3(e2,2)=4")
     res.check(count_zeros_mod2({3}, 3) == 7, "spot N_3(e3,2)=7")
     return res
@@ -146,15 +152,9 @@ def cell_recurrence(budget=None) -> CellResult:
     for p in (2, 3, 5, 7):
         for k in (3, 4, 5):
             for J in ({1}, {2}, {1, 2}):
-                ext = extend_with_ek(J, k, p)
-                label = f"J={sorted(J)} k={k} p={p}"
-                brute = res.attempt(
-                    label,
-                    lambda: count_zeros_bruteforce(SymSystem(k, J | {k}), p, budget=budget),
-                )
-                if brute is None:
-                    continue
-                res.check(ext == brute, label)
+                res.compare(f"J={sorted(J)} k={k} p={p}",
+                            lambda: count_zeros_bruteforce(SymSystem(k, J | {k}), p, budget=budget),
+                            extend_with_ek(J, k, p))
             res.check(
                 extend_with_ek({2}, k, p) == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
                 f"boundary(kp-1) k={k} p={p}",
@@ -219,13 +219,11 @@ def cell_product_forms(budget=None) -> CellResult:
     for k in (1, 2, 3):
         subsets = tt._nonempty_subsets(k)
         for n in range(1, 51):
-            table = None
+            table = res.attempt(f"n={n} k={k}", lambda: tt._bruteforce_table(k, n, budget),
+                                len(subsets))
+            if table is None:
+                continue
             for J in subsets:
-                # each J records its own skip; a refusal comes before the kernel
-                if table is None:
-                    table = res.attempt(f"n={n} k={k}", lambda: tt._bruteforce_table(k, n, budget))
-                    if table is None:
-                        continue
                 bj, bi = table[J]
                 sj = tt.TotientSpec(k, J, "joint", n)
                 si = tt.TotientSpec(k, J, "individual", n)
@@ -299,19 +297,13 @@ def cell_phi12(budget=None) -> CellResult:
     """The closed J={1,2} totient: against the J={1,k} product at k = 2 for
     n <= 500, and against enumeration for k in {2, 3}, n <= 40."""
     res = CellResult("phi12")
-    bad = None
-    for n in range(1, 501):
-        if tt.closed_phi_12(2, n) != tt.toth_phi_1k(2, n):
-            bad = n
-            break
+    bad = next((n for n in range(1, 501) if tt.closed_phi_12(2, n) != tt.toth_phi_1k(2, n)), None)
     res.check(bad is None, f"toth k=2 first mismatch n={bad}")
     for k in (2, 3):
         for n in range(1, 41):
             spec = tt.TotientSpec(k, {1, 2}, "individual", n)
-            brute = res.attempt(f"k={k} n={n}", lambda: tt.phi_bruteforce(spec, budget=budget))
-            if brute is None:
-                continue
-            res.check(tt.closed_phi_12(k, n) == brute, f"k={k} n={n}")
+            res.compare(f"k={k} n={n}", lambda: tt.phi_bruteforce(spec, budget=budget),
+                        tt.closed_phi_12(k, n))
     res.check(tt.closed_phi_12(2, 9) == 18, "spot phi_12(2,9)=18")
     return res
 
@@ -321,10 +313,7 @@ def cell_phi123(budget=None) -> CellResult:
     res = CellResult("phi123")
     for n in range(1, 41):
         spec = tt.TotientSpec(3, {1, 2, 3}, "individual", n)
-        brute = res.attempt(f"n={n}", lambda: tt.phi_bruteforce(spec, budget=budget))
-        if brute is None:
-            continue
-        res.check(tt.closed_phi_123(n) == brute, f"n={n}")
+        res.compare(f"n={n}", lambda: tt.phi_bruteforce(spec, budget=budget), tt.closed_phi_123(n))
     res.check(tt.closed_phi_123(5) == 40, "spot phi_123(5)=40")
     res.check(tt.closed_phi_123(2) == 1, "spot phi_123(2)=1")
     return res
@@ -341,15 +330,12 @@ def cell_menon(budget=None) -> CellResult:
     res = CellResult("menon")
     for k, J in ((1, frozenset({1})), (2, frozenset({1, 2})), (3, frozenset({1, 2, 3}))):
         for n in range(1, 41):
-            hist = None
+            hist = res.attempt(f"n={n} k={k}",
+                               lambda: cg.unit_fiber_histogram(n, k, J, budget=budget),
+                               len(MENON_WEIGHTS))
+            if hist is None:
+                continue
             for fname, f in MENON_WEIGHTS:
-                # each weight records its own skip; a refusal comes before the kernel
-                if hist is None:
-                    hist = res.attempt(
-                        f"n={n} k={k}", lambda: cg.unit_fiber_histogram(n, k, J, budget=budget)
-                    )
-                    if hist is None:
-                        continue
                 rhs = tt.menon_rhs(n, k, J, f, budget=budget)
                 res.check(tt._menon_sum(hist, n, f) == rhs, f"n={n} k={k} f={fname}")
     res.check(tt.menon_lhs(6, 1, {1}, identity) == 8, "classical n=6 gcd-sum = 8")
@@ -379,17 +365,12 @@ def cell_congruence_classes(budget=None) -> CellResult:
                 for J in families
             ]
             sets = [prob.constraint.indices for prob in probs]
-            hists = None
-            for i, (J, prob) in enumerate(zip(families, probs)):
-                # each J records its own skip; a refusal comes before the kernel
-                if hists is None:
-                    hists = res.attempt(
-                        f"n={n} k={k}",
-                        lambda: cg._solution_histograms(n, k, prob.coeffs, sets, budget),
-                    )
-                    if hists is None:
-                        continue
-                hist = hists[i]
+            hists = res.attempt(f"n={n} k={k}",
+                                lambda: cg._solution_histograms(n, k, (1,) * k, sets, budget),
+                                len(families))
+            if hists is None:
+                continue
+            for J, prob, hist in zip(families, probs, hists):
                 classes_ok = all(
                     int(hist[b]) == int(hist[math.gcd(b, n) % n]) for b in range(n)
                 )

@@ -154,8 +154,12 @@ def test_union_refused_before_any_allocation(monkeypatch):
     ):
         with pytest.raises(ValueError, match="int64"):
             call()
-    with pytest.raises(ValueError, match="nonempty index set"):
-        _kernels.count_sym_units_many(5, 2, [([1], True), ([], False)])
+    for call in (
+        lambda: _kernels.count_sym_units_many(5, 2, [([1], True), ([], False)]),
+        lambda: _kernels.count_sym_zeros(5, 2, []),
+    ):
+        with pytest.raises(ValueError, match="nonempty index set"):
+            call()
 
 
 def test_unit_table_only_for_unit_queries(monkeypatch):
@@ -470,6 +474,27 @@ def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
     # with numpy gone from the module, any allocation would raise another error
     monkeypatch.setattr(_kernels, "np", None)
     with pytest.raises(ValueError, match="int64"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _kernels.count_sym_zeros(5, 0, [1]),
+        lambda: _kernels.count_sym_units(5, 0, [1], True),
+        lambda: _kernels.count_sym_units_many(5, 0, [([1], True), ([1], False)]),
+        lambda: _kernels.lincong_histogram(5, 0, [], []),
+        lambda: _kernels.lincong_histograms(5, 0, [], [[1], []]),
+        lambda: _kernels.quadform_histogram(5, 0, []),
+        lambda: _kernels.count_sym_dp(5, 0, [1]),
+    ],
+    ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "dp"],
+)
+def test_arity_below_one_refused_before_any_allocation(monkeypatch, call):
+    # Z_m^0 has one empty tuple, which no tiling half holds; every kernel
+    # refuses k < 1 in the check that comes before its first allocation
+    monkeypatch.setattr(_kernels, "np", None)
+    with pytest.raises(ValueError, match="arity k must be >= 1"):
         call()
 
 

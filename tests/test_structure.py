@@ -263,3 +263,34 @@ def test_kernels_use_no_integer_matmul():
     assert matmuls == []
     for name in ("matmul", "dot"):
         assert _references(tree, name) == [], name
+
+
+def test_verify_cells_skip_only_through_attempt():
+    # a refused oracle becomes skips in CellResult.attempt alone, so no cell
+    # catches the budget's refusal, or anything else, itself
+    tree = ast.parse((SRC / "verify.py").read_text())
+    (cell_result,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CellResult"
+    ]
+    (attempt,) = [
+        node for node in cell_result.body
+        if isinstance(node, ast.FunctionDef) and node.name == "attempt"
+    ]
+    (imported,) = [
+        node.lineno for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and any(a.name == "BudgetExceededError" for a in node.names)
+    ]
+    assert [
+        line for line in _references(tree, "BudgetExceededError")
+        if line != imported and not attempt.lineno <= line <= attempt.end_lineno
+    ] == []
+    cells = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cell_")
+    ]
+    assert len(cells) == 15
+    assert [
+        cell.name for cell in cells
+        if any(isinstance(node, ast.Try) for node in ast.walk(cell))
+    ] == []

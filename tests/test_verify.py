@@ -1,4 +1,5 @@
-"""CellResult.attempt, the one place where an over-budget point becomes a skip;
+"""CellResult.attempt, the one place where an over-budget point becomes a skip,
+one oracle call per grid point even when it is refused, and CellResult.compare;
 the jordan cell's windowed reference and its power to catch an error; one
 e_1-fiber histogram per grid point in the menon and ramanujan cells, one
 unit-RHS count per grid point in the ramanujan cell, and one scan of Z_n^k
@@ -19,7 +20,10 @@ def test_attempt_returns_value():
 
 
 def test_attempt_over_budget_is_one_skip():
+    calls = []
+
     def over():
+        calls.append(None)
         raise BudgetExceededError("too many tuples")
 
     res = CellResult("c")
@@ -28,6 +32,26 @@ def test_attempt_over_budget_is_one_skip():
     assert res.skips == ["n=11 k=2 over budget"]
     assert (res.passed, res.failed) == (0, 0)
     assert res.summary() == "c: 0/0 ok, 1 skipped (n=11 k=2 over budget)"
+    # a value that would feed three groups of checks: one call, three skips
+    res = CellResult("c")
+    calls.clear()
+    assert res.attempt("n=11 k=2", over, groups=3) is None
+    assert len(calls) == 1
+    assert res.skipped == 3
+    assert res.skips == ["n=11 k=2 over budget"] * 3
+    assert res.summary() == "c: 0/0 ok, 3 skipped (n=11 k=2 over budget)"
+
+
+def test_compare_checks_or_skips():
+    def over():
+        raise BudgetExceededError("too many tuples")
+
+    res = CellResult("c")
+    res.compare("n=1", lambda: 5, 5)
+    res.compare("n=2", lambda: 5, 6)
+    res.compare("n=3", over, 5)
+    assert (res.passed, res.failures, res.skips) == (1, ["n=2"], ["n=3 over budget"])
+    assert (res.failed, res.skipped) == (1, 1)
 
 
 def test_attempt_lets_other_errors_through():
@@ -139,3 +163,30 @@ def test_one_scan_per_grid_point(monkeypatch, cell, scans):
     assert (res.failed, res.skipped) == (0, 0)
     assert len(calls) == scans
     assert len(set(calls)) == scans  # no (n, k) is scanned twice
+
+
+@pytest.mark.parametrize("budget", [None, 100])
+@pytest.mark.parametrize(
+    "cell, module, oracle, calls",
+    [
+        # one oracle call per (n, k), refused or not, however many index
+        # sets, weights or constraint families it feeds
+        (verify.cell_product_forms, totient, "_bruteforce_table", 3 * 50),
+        (verify.cell_menon, congruence, "unit_fiber_histogram", 3 * 40),
+        (verify.cell_congruence_classes, congruence, "_solution_histograms", 3 * 30),
+    ],
+)
+def test_one_oracle_call_per_grid_point(monkeypatch, budget, cell, module, oracle, calls):
+    seen = []
+    build = getattr(module, oracle)
+
+    def counted(*args, **kwargs):
+        seen.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(module, oracle, counted)
+    res = cell(budget=budget)
+    assert res.failed == 0
+    assert (res.skipped > 0) == (budget is not None)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls  # no (n, k) is asked for twice
