@@ -29,10 +29,12 @@ after the refusal, for unit queries only.
 
 The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
 visiting them, in O(k p^(jmax+1)) state updates against the scan's
-O(k p^k) tuples.  count_field makes one pass over F_p^k and owns the
-whole engine choice: the DP where it can run and max(js) < k, else the
-scan; _dp_pays names the inputs where that rule picks the slower engine.
-The scan kernels stay the DP's oracle.
+O(k p^k) tuples.  Both, and count_field, take count_sym_units's
+arguments (p, k, js, joint) and return its count at a prime p, where a
+unit is a nonzero value.  count_field makes one pass over F_p^k and owns
+the whole engine choice: the DP where it can run and max(js) < k, else
+the scan; _dp_pays names the inputs where that rule picks the slower
+engine.  The scan kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
@@ -379,9 +381,9 @@ def _dp_pays(p, k, jmax) -> bool:
     return jmax < k and _dp_refusal(p, jmax) is None
 
 
-def count_sym_dp(p: int, k: int, js, nonzero: bool = False) -> int:
-    """Tuples x in F_p^k with e_j(x) = 0 for every j in js, or with
-    nonzero=True e_j(x) != 0 for every j in js, counted by power sums.
+def count_sym_dp(p: int, k: int, js, joint: bool) -> int:
+    """count_sym_units(p, k, js, joint) at a prime p, counted by power sums:
+    the x in F_p^k whose e_j (j in js) are not all 0 (joint) or none 0.
 
     p is prime and above jmax = max(js).  The power sums P_i = sum x^i
     (i <= jmax) add over coordinates, so the number of x at each
@@ -423,27 +425,28 @@ def count_sym_dp(p: int, k: int, js, nonzero: bool = False) -> int:
         for i in range(1, j + 1):
             acc = (acc + (-1) ** (i - 1) * e[j - i] * psums[i - 1]) % p
         e.append(acc * pow(j, -1, p) % p)
-    keep = True  # e_jmax spans every axis, so keep ends up the state's shape
-    for j in js:
-        keep = keep & ((e[j] != 0) if nonzero else (e[j] == 0))
+    # at a prime a unit is a nonzero value; e_jmax spans every axis, so keep
+    # ends up the state's shape
+    fold = np.logical_or if joint else np.logical_and
+    keep = e[js[0]] != 0
+    for j in js[1:]:
+        keep = fold(keep, e[j] != 0)
     return int(counts[keep].sum())
 
 
-def count_field(p: int, k: int, js, nonzero: bool = False) -> int:
-    """One counting pass over F_p^k (p prime, js nonempty): tuples with every
-    e_j (j in js) zero, or with nonzero=True none zero.  It runs the
-    power-sum DP where _dp_pays(p, k, max(js)), that is where the DP can run
-    and max(js) < k (_dp_pays names the inputs where that misroutes), else
-    the scan.  With one index the scan counts zeros and takes them from
-    p**k: the zero test is the cheaper reduction."""
+def count_field(p: int, k: int, js, joint: bool) -> int:
+    """count_sym_units(p, k, js, joint) at a prime p (js nonempty), in one
+    counting pass over F_p^k: the tuples whose e_j (j in js) are not all 0
+    (joint) or none 0.  It runs the power-sum DP where _dp_pays(p, k,
+    max(js)), that is where the DP can run and max(js) < k (_dp_pays names
+    the inputs where that misroutes), else the scan.  Joint, or with one
+    index, the scan counts zeros and takes them from p**k: the zero test is
+    the cheaper reduction."""
     if _dp_pays(p, k, max(js)):
-        return count_sym_dp(p, k, js, nonzero)
-    if nonzero and len(js) > 1:  # at a prime, a unit is a nonzero value
-        return count_sym_units(p, k, js, joint=False)
-    zeros = count_sym_zeros(p, k, js)
-    return p**k - zeros if nonzero else zeros
-
-
+        return count_sym_dp(p, k, js, joint)
+    if joint or len(js) == 1:
+        return p**k - count_sym_zeros(p, k, js)
+    return count_sym_units(p, k, js, joint=False)
 
 
 def _tally(hist, values):

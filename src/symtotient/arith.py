@@ -25,6 +25,15 @@ class IntegralityError(RuntimeError):
     not a user error)."""
 
 
+def _exact_div(a: int, b: int, what: str) -> int:
+    """a // b where b provably divides a; IntegralityError, naming `what`,
+    when it does not."""
+    q, r = divmod(a, b)
+    if r:
+        raise IntegralityError(f"{what} = {a} is not divisible by {b}")
+    return q
+
+
 def _modulus(n: int) -> int:
     """n as an int: TypeError unless n is an integer, ValueError unless n >= 1."""
     n = operator.index(n)

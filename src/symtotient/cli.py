@@ -28,17 +28,10 @@ from . import congruence as cg
 from . import totient as tt
 from . import verify
 from ._kernels import backend
-from .arith import (
-    divisor_count,
-    euler_phi,
-    identity,
-    is_prime,
-    jordan_totient,
-    moebius,
-    one,
-)
+from .arith import euler_phi, is_prime, jordan_totient, moebius
 from .budget import BudgetExceededError, resolve_budget
 from .symfield import (
+    MODES,
     SymSystem,
     closed_count_e1e2,
     closed_count_e2,
@@ -172,7 +165,7 @@ def _ramanujan_routes(args):
     return params, closed, partial(cg.generalized_ramanujan_direct, *query)
 
 
-_WEIGHTS = {"id": identity, "one": one, "tau": divisor_count}
+_WEIGHTS = dict(verify.MENON_WEIGHTS)
 
 
 def _cmd_menon(args, out) -> int:
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--J", required=True, help='constraint indices, e.g. "1,2" or "1..k"')
-    p.add_argument("--mode", choices=("joint", "individual"), default="joint")
+    p.add_argument("--mode", choices=MODES, default="joint")
 
     p = add("zeros", routes=_zeros_routes, help="count simultaneous zeros over a prime field")
     p.add_argument("--p", type=int, required=True)
@@ -320,7 +313,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 from . import _kernels
 from .arith import (
-    IntegralityError,
     _check_prime,
     _chi3,
     _cyclotomic_integer,
+    _exact_div,
     _modulus,
     factorize,
     ramanujan_sum,
@@ -126,9 +126,8 @@ def count_unit_rhs(prob: CongruenceProblem, budget: int | None = None) -> int:
         if residues == {0}:  # a.x = 0 is never 1
             local = 0
         elif len(residues) == 1:
-            local, r = divmod(_local_units(k, J | {1}, p, False, budget), p - 1)
-            if r:
-                raise IntegralityError(f"unit-e_1 tuples over F_{p}^{k} not divisible by {p - 1}")
+            units = _local_units(k, J | {1}, p, False, budget)
+            local = _exact_div(units, p - 1, "the unit-e_1 tuples over F_p^k")
         else:
             check_budget(p**k, budget, f"enumerating F_{p}^{k}")
             hist = _kernels.lincong_histogram(p, k, prob.coeffs, prob.constraint.indices)
@@ -179,7 +178,8 @@ def generalized_ramanujan(m: int, n: int, k: int, J, budget: int | None = None) 
     g_k(1, n) * c(m, n), where g_k(1, n) counts unit-RHS solutions of the
     all-ones linear form under the constraints J."""
     m = operator.index(m)
-    prob = CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
+    system = SymSystem(k, J, "individual")
+    prob = CongruenceProblem((1,) * system.k, 1, n, system)
     return count_unit_rhs(prob, budget=budget) * ramanujan_sum(m, n)
 
 

@@ -284,10 +284,14 @@ def _closed_units(k: int, J: frozenset, p: int, joint: bool) -> int | None:
     return by_prime[p]
 
 
+def _nonempty_subsets(J) -> list[frozenset[int]]:
+    """The nonempty subsets of J, by size and then lexicographically."""
+    J = sorted(J)
+    return [frozenset(s) for r in range(1, len(J) + 1) for s in combinations(J, r)]
+
+
 def _closed_units_uncached(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    subsets = [J] if joint else [
-        frozenset(s) for r in range(1, len(J) + 1) for s in combinations(sorted(J), r)
-    ]
+    subsets = [J] if joint else _nonempty_subsets(J)
     total = 0
     for sub in subsets:
         z = _closed(sub, k, p)
@@ -302,17 +306,15 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     zero, for a checked k and J and a prime p: from closed zero counts when
     all close (memoized, see _closed_units), else one counting pass over
     F_p^k, charged p^k tuples against the budget.  The pass is
-    _kernels.count_field, which picks the engine: the power-sum DP where it
-    can run and max(J) < k, else the scan (_kernels._dp_pays names where
-    that picks the slower one).  The pass and its refusal are never
-    memoized."""
+    _kernels.count_field(p, k, J, joint), which counts the same tuples, in
+    the same mode, and picks the engine: the power-sum DP where it can run
+    and max(J) < k, else the scan (_kernels._dp_pays names where that picks
+    the slower one).  The pass and its refusal are never memoized."""
     closed = _closed_units(k, J, p, joint)
     if closed is not None:
         return closed
     check_budget(p**k, budget, f"enumerating F_{p}^{k}")
-    if joint:
-        return p**k - _kernels.count_field(p, k, sorted(J))
-    return _kernels.count_field(p, k, sorted(J), nonzero=True)
+    return _kernels.count_field(p, k, sorted(J), joint)
 
 
 def count_zeros(system: SymSystem, p: int, budget: int | None = None) -> int:

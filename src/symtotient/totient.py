@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith import _LPF, _LPF_LIMIT, IntegralityError, _arity, _chi3, _modulus, factorize
+from .arith import _LPF, _LPF_LIMIT, _arity, _exact_div, _modulus, euler_phi, factorize
 from .budget import check_budget
-from .congruence import unit_fiber_histogram
-from .symfield import _count_e1e2, _count_e2, _indices, _local_units, _mode
+from .congruence import g3_closed, unit_fiber_histogram
+from .symfield import _count_e1e2, _count_e2, _indices, _local_units, _mode, _nonempty_subsets
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,6 @@ def _enumerate(spec: TotientSpec, mode: str, budget: int | None) -> int:
     return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=mode == "joint")
 
 
-def _nonempty_subsets(k: int) -> list[frozenset[int]]:
-    """The nonempty J in [1, k], by size and then lexicographically."""
-    return [
-        frozenset(J)
-        for size in range(1, k + 1)
-        for J in itertools.combinations(range(1, k + 1), size)
-    ]
-
-
 def _bruteforce_table(k: int, n: int, budget: int | None = None) -> dict:
     """{J: (joint, individual)} for every nonempty J in [1, k], the values
     varphi_bruteforce and phi_bruteforce give, from one enumeration of Z_n^k
@@ -136,7 +127,7 @@ def _bruteforce_table(k: int, n: int, budget: int | None = None) -> dict:
     full = TotientSpec(k, range(1, k + 1), "joint", n)  # n, then k, as every spec checks them
     k, n = full.k, full.n
     check_budget(n**k, budget, f"enumerating Z_{n}^{k}")
-    subsets = _nonempty_subsets(k)
+    subsets = _nonempty_subsets(range(1, k + 1))
     counts = _kernels.count_sym_units_many(
         n, k, [(J, joint) for joint in (True, False) for J in subsets]
     )
@@ -194,11 +185,11 @@ def closed_phi_123(n: int) -> int:
     """Individual totient for J = {1, 2, 3} at k = 3, fully closed.
 
     Per prime power the factor is p^(3(a-1)) (p-1) (p^2 - 4p + 6 + (-3|p)).
+    Each of the euler_phi(n) unit values m of e_1 carries one fiber of
+    x1 + x2 + x3 = m with e_2 and e_3 units, and every such fiber has
+    g3_closed(1, n) tuples, so the value is euler_phi(n) * g3_closed(1, n).
     """
-    out = 1
-    for p, a in factorize(n):
-        out *= p ** (3 * (a - 1)) * (p - 1) * (p * p - 4 * p + 6 + _chi3(p))
-    return out
+    return euler_phi(n) * g3_closed(1, n)
 
 
 def toth_phi_1k(k: int, n: int) -> int:
@@ -212,11 +203,8 @@ def toth_phi_1k(k: int, n: int) -> int:
     k = _arity(k, 2)
     out = 1
     for p, a in factorize(n):
-        num = (p - 1) * ((p - 1) ** k - (-1) ** k)
-        q, r = divmod(num, p)
-        if r:
-            raise IntegralityError(f"(p-1)((p-1)^k - (-1)^k) not divisible by p={p}")
-        out *= p ** (k * (a - 1)) * q
+        local = _exact_div((p - 1) * ((p - 1) ** k - (-1) ** k), p, "(p-1)((p-1)^k - (-1)^k)")
+        out *= p ** (k * (a - 1)) * local
     return out
 
 
@@ -250,7 +238,7 @@ def menon_rhs(n: int, k: int, J, f, budget: int | None = None) -> int:
     check at the end."""
     spec = TotientSpec(k, _menon_indices(J, k), "individual", n)
     total = phi(spec, budget=budget) * _menon_divisor_sum(f, spec.n)
-    return _exact_int(total, "Menon right-hand side")
+    return _exact_div(total.numerator, total.denominator, "Menon right-hand side")
 
 
 def _menon_divisor_sum(f, n: int) -> Fraction:
@@ -275,9 +263,3 @@ def _menon_divisor_sum(f, n: int) -> Fraction:
             if d % p == 0:
                 g[d] -= g[d // p]
     return sum(Fraction(g[d], totients[d]) for d in order)
-
-
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise IntegralityError(f"{what} evaluated to the non-integer {value}")
-    return int(value)

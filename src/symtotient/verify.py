@@ -20,6 +20,7 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .symfield import (
     QuadraticForm,
     SymSystem,
+    _nonempty_subsets,
     closed_count_e1e2,
     closed_count_e2,
     count_zeros_bruteforce,
@@ -217,7 +218,7 @@ def cell_product_forms(budget=None) -> CellResult:
     enumerated joint and individual values of every J at once."""
     res = CellResult("product-forms")
     for k in (1, 2, 3):
-        subsets = tt._nonempty_subsets(k)
+        subsets = _nonempty_subsets(range(1, k + 1))
         for n in range(1, 51):
             table = res.attempt(f"n={n} k={k}", lambda: tt._bruteforce_table(k, n, budget),
                                 len(subsets))

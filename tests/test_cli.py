@@ -266,6 +266,18 @@ def test_disagreement_prints_both_records(monkeypatch, capsys):
     assert err == "error: closed-form and brute-force disagree: 576 != 17\n"
 
 
+def test_internal_error_is_not_an_input_error(monkeypatch, capsys):
+    # every lookup on a parsed choice is guarded by argparse, so a KeyError is
+    # a library fault: it propagates, not exit 2 as if the input were invalid
+    def fault(spec, budget=None):
+        raise KeyError("x")
+
+    monkeypatch.setattr(totient, "varphi", fault)
+    with pytest.raises(KeyError, match="x"):
+        main(["totient", "--n", "12", "--k", "3", "--J", "2"])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -93,6 +93,7 @@ REFUSALS = {
     "g4_closed-m": lambda: g4_closed(1.5, 7),
     # refused before the counting pass that budget 0 would refuse
     "generalized_ramanujan-m": lambda: generalized_ramanujan(1.5, 7, 4, {3}, budget=0),
+    "generalized_ramanujan-k": lambda: generalized_ramanujan(1, 7, 2.0, {1}),
     "generalized_ramanujan_direct-m": lambda: generalized_ramanujan_direct(1.5, 7, 2, {2}),
     "quad_form_count-b": lambda: quad_form_count(QuadraticForm(5, [[1, 0], [0, 1]]), 1.5),
     "nu-b": lambda: nu(1.5, 5),

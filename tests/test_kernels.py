@@ -486,9 +486,11 @@ def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
         lambda: _kernels.lincong_histogram(5, 0, [], []),
         lambda: _kernels.lincong_histograms(5, 0, [], [[1], []]),
         lambda: _kernels.quadform_histogram(5, 0, []),
-        lambda: _kernels.count_sym_dp(5, 0, [1]),
+        lambda: _kernels.count_sym_dp(5, 0, [1], True),
+        lambda: _kernels.count_sym_dp(5, 0, [1], False),
     ],
-    ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "dp"],
+    ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "dp",
+         "dp_individual"],
 )
 def test_arity_below_one_refused_before_any_allocation(monkeypatch, call):
     # Z_m^0 has one empty tuple, which no tiling half holds; every kernel
@@ -510,8 +512,8 @@ DP_GRID = [
 
 @pytest.mark.parametrize("p,k,J", DP_GRID, ids=[f"p{p}-k{k}-J{sorted(J)}" for p, k, J in DP_GRID])
 def test_dp_matches_oracle(p, k, J):
-    assert _kernels.count_sym_dp(p, k, J) == oracle.zeros(p, k, J)
-    assert _kernels.count_sym_dp(p, k, J, nonzero=True) == oracle.units(p, k, J, joint=False)
+    for joint in (True, False):
+        assert _kernels.count_sym_dp(p, k, J, joint) == oracle.units(p, k, J, joint), joint
 
 
 @st.composite
@@ -529,19 +531,20 @@ def dp_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_dp_matches_scan(case):
     p, k, js = case
-    assert _kernels.count_sym_dp(p, k, js) == _kernels.count_sym_zeros(p, k, js)
-    assert _kernels.count_sym_dp(p, k, js, nonzero=True) == _kernels.count_sym_units(
-        p, k, js, joint=False
-    )
+    for joint in (True, False):
+        assert _kernels.count_sym_dp(p, k, js, joint) == _kernels.count_sym_units(
+            p, k, js, joint
+        ), joint
 
 
 def test_dp_counts_past_2_31():
     # the DP keeps int64 counts once p**k reaches 2**31; at J = {1} a single
-    # state holds p**(k-1) >= 2**31 tuples.  The closed link checks them.
+    # state holds p**(k-1) >= 2**31 tuples.  The closed link checks them: the
+    # joint count leaves out exactly the common zeros.
     for p, k, js in ((2, 33, [1]), (3, 21, [1]), (3, 20, [2]), (5, 14, [1, 2]), (7, 12, [2])):
         assert p**k >= 1 << 31
-        assert _kernels.count_sym_dp(p, k, js) == count_zeros_closed(js, k, p)
-    assert _kernels.count_sym_dp(3, 21, [1], nonzero=True) == 3**21 - 3**20
+        assert _kernels.count_sym_dp(p, k, js, True) == p**k - count_zeros_closed(js, k, p)
+    assert _kernels.count_sym_dp(3, 21, [1], False) == 3**21 - 3**20
 
 
 @pytest.mark.parametrize(
@@ -556,8 +559,9 @@ def test_dp_counts_past_2_31():
 )
 def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
     monkeypatch.setattr(_kernels, "np", None)
-    with pytest.raises(ValueError, match=match):
-        _kernels.count_sym_dp(p, k, js)
+    for joint in (True, False):
+        with pytest.raises(ValueError, match=match):
+            _kernels.count_sym_dp(p, k, js, joint)
 
 
 @pytest.mark.parametrize(
@@ -591,8 +595,8 @@ def test_cost_rule_never_picks_a_refused_dp():
     "p,k,js",
     [(23, 4, [3]), (7, 4, [3]), (5, 6, [1, 2, 3, 4, 5, 6]), (5, 5, [1, 4]), (7, 4, [4])],
 )
-@pytest.mark.parametrize("nonzero", [False, True])
-def test_count_field_runs_one_engine(monkeypatch, p, k, js, nonzero):
+@pytest.mark.parametrize("joint", [True, False])
+def test_count_field_runs_one_engine(monkeypatch, p, k, js, joint):
     ran = []
 
     def counted(kernel):
@@ -604,10 +608,10 @@ def test_count_field_runs_one_engine(monkeypatch, p, k, js, nonzero):
 
     for name in ("count_sym_dp", "count_sym_zeros", "count_sym_units"):
         monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
-    got = _kernels.count_field(p, k, js, nonzero)
-    # with one index the scan counts zeros: the unit test is the slower reduction
-    scan = "count_sym_units" if nonzero and len(js) > 1 else "count_sym_zeros"
+    got = _kernels.count_field(p, k, js, joint)
+    # joint, or with one index, the scan counts zeros: the unit test is the
+    # slower reduction
+    scan = "count_sym_zeros" if joint or len(js) == 1 else "count_sym_units"
     assert ran == ["count_sym_dp" if _kernels._dp_pays(p, k, max(js)) else scan]
-    expected = oracle.units(p, k, js, joint=False) if nonzero else oracle.zeros(p, k, js)
-    assert got == expected
+    assert got == oracle.units(p, k, js, joint)
 

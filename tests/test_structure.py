@@ -124,6 +124,71 @@ def test_shared_facts_have_one_home():
         or isinstance(node, ast.ImportFrom) and node.module == "numpy"
     }
     assert numpy_importers == {"_kernels.py"}
+    # IntegralityError is raised in arith alone: by _exact_div, the one exact
+    # division that checks, and by the cyclotomic reduction
+    raisers = {
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "IntegralityError"
+    }
+    assert raisers == {"arith.py"}
+    # the nonempty subsets of an index set come in one order, symfield's
+    (subsets,) = [
+        node for node in trees["symfield.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_nonempty_subsets"
+    ]
+    combination_users = [
+        (name, line) for name, tree in trees.items()
+        for line in _references(tree, "combinations")
+        if not (name == "symfield.py" and subsets.lineno <= line <= subsets.end_lineno)
+    ]
+    assert combination_users == [
+        ("symfield.py", node.lineno) for node in trees["symfield.py"].body
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+    ]
+    # one contract for a count over F_p^k: count_sym_units's (p, k, js, joint)
+    functions = {
+        node.name: node for node in trees["_kernels.py"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [name for name, func in functions.items()
+            if "nonzero" in [a.arg for a in func.args.args]] == []
+    assert {
+        name: [a.arg for a in functions[name].args.args]
+        for name in ("count_field", "count_sym_dp", "count_sym_units")
+    } == {
+        "count_field": ["p", "k", "js", "joint"],
+        "count_sym_dp": ["p", "k", "js", "joint"],
+        "count_sym_units": ["m", "k", "js", "joint"],
+    }
+    # the CLI reads the Menon weights and the modes from their homes
+    for name in ("identity", "divisor_count", "one"):
+        assert _references(trees["cli.py"], name) == [], name
+    assert [
+        node.lineno for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.Tuple)
+        and [getattr(e, "value", None) for e in node.elts] == ["joint", "individual"]
+    ] == []
+    # the g_3 factor p^2 - 4p + 6 + (-3|p) is written once, in g3_closed
+    assert sum(source.count("4 * p + 6") for source in sources.values()) == 1
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to export; every other module reads what it imports
+    unused = []
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append((path.name, node.lineno, bound))
+    assert unused == []
 
 
 def test_unit_tests_read_the_prime_table():

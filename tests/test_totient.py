@@ -6,19 +6,16 @@ import pytest
 
 from symtotient import _kernels, arith, symfield, totient
 from symtotient.arith import (
-    dirichlet_convolve_mu, divisor_count, divisors, euler_phi, identity, jordan_totient, one,
-    primes_in_range,
+    IntegralityError, _exact_div, dirichlet_convolve_mu, divisor_count, divisors, euler_phi,
+    identity, jordan_totient, one, primes_in_range,
 )
 from symtotient.budget import BudgetExceededError
-from symtotient.symfield import SymSystem, count_zeros_bruteforce
+from symtotient.symfield import SymSystem, _nonempty_subsets, count_zeros_bruteforce
 from symtotient.totient import (
-    IntegralityError,
     RANGE_WINDOW,
     TotientSpec,
     _bruteforce_table,
-    _exact_int,
     _menon_divisor_sum,
-    _nonempty_subsets,
     _product_form,
     _product_form_range,
     closed_phi_12,
@@ -290,7 +287,7 @@ class TestProductFormRange:
     @pytest.mark.parametrize("joint", [True, False])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_equals_per_n_across_window_edges(self, monkeypatch, k, joint):
-        for J in _nonempty_subsets(k):
+        for J in _nonempty_subsets(range(1, k + 1)):
             # with 3 in J at k = 4 no count closes at odd p (TestPerPrimeFallback):
             # each prime takes a counting pass, which the default budget allows
             # up to p = 66, so these cross the edges of a shrunk window
@@ -490,10 +487,13 @@ class TestUnitFiberHistogram:
 
 
 class TestIntegralityGuard:
-    def test_exact_int(self):
-        assert _exact_int(Fraction(8, 2), "test") == 4
-        with pytest.raises(IntegralityError):
-            _exact_int(Fraction(1, 2), "test")
+    def test_exact_div(self):
+        assert _exact_div(8, 2, "eight") == 4
+        assert _exact_div(-9, 3, "minus nine") == -3
+        # the message names the quantity, a library bug and not an input error
+        message = "^Menon right-hand side = 1 is not divisible by 2$"
+        with pytest.raises(IntegralityError, match=message):
+            _exact_div(1, 2, "Menon right-hand side")
 
 
 class TestConcurrency:
