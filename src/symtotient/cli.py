@@ -154,7 +154,9 @@ def _congruence_routes(args):
             )
         return cg.count_unit_rhs(prob, budget=budget)
 
-    params = [("n", args.n), ("b", args.b), ("coeffs", args.coeffs), ("J", _jtext(J))]
+    # the parsed coefficients, in order and unreduced: the raw text may hold spaces
+    params = [("n", args.n), ("b", args.b), ("coeffs", ",".join(map(str, coeffs))),
+              ("J", _jtext(J))]
     return params, closed, partial(cg.count_bruteforce, prob)
 
 
@@ -201,8 +203,7 @@ def _cmd_table(args, out) -> int:
     for name in param_names:
         text = getattr(args, f"{name}_range")
         if text is None:
-            print(f"error: quantity {args.quantity} needs --{name}-range", file=sys.stderr)
-            return EXIT_DISAGREE
+            raise ValueError(f"quantity {args.quantity} needs --{name}-range")
         values = list(parse_range(text))
         if name == "p":
             values = [p for p in values if is_prime(p)]

@@ -13,10 +13,12 @@ forms never enumerate: the recurrence builds its k prefix bases once,
 bottom-up, asking at most k - 1 closed counts, and a J with a base that
 has no closed form gets None, not a count.
 
-_local_units is the one per-prime rule behind count_zeros and the
-totients' product forms: the number of tuples in F_p^k whose e_j are not
-all zero (joint) or none zero (individual), from closed zero counts when
-every count it needs closes, else from one counting pass.  The closed
+_local_units is the one per-prime rule behind count_zeros, the
+totients' product forms and the unit-right-hand-side congruences: the
+number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
+(individual).  It is one function that reads top to bottom: the memo
+lookup, then the sum of closed zero counts that stops at the first count
+with no closed form, then one budget-checked counting pass.  The closed
 local count is memoized for the life of the process in _CLOSED_UNITS,
 keyed by (k, J, joint) and then by p, and so is its absence (None: some
 zero count it needs has no closed form).  A closed count charges no
@@ -255,7 +257,7 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
         return count_zeros_mod2(J, k)
     if not J:
         return p**k
-    if J == frozenset(range(1, k + 1)):
+    if len(J) == k:  # J lies in [1, k], so this is the full set
         return 1
     if J == frozenset({1}):
         return p ** (k - 1)
@@ -273,44 +275,38 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
 _CLOSED_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | None]] = {}
 
 
-def _closed_units(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    """_local_units from closed zero counts alone, or None when one of the
-    counts it needs has no closed form; memoized in _CLOSED_UNITS."""
-    by_prime = _CLOSED_UNITS.get((k, J, joint))
-    if by_prime is None:  # setdefault: racing threads share one dict
-        by_prime = _CLOSED_UNITS.setdefault((k, J, joint), {})
-    if p not in by_prime:  # racing threads may both fill it, with one value
-        by_prime[p] = _closed_units_uncached(k, J, p, joint)
-    return by_prime[p]
-
-
 def _nonempty_subsets(J) -> list[frozenset[int]]:
     """The nonempty subsets of J, by size and then lexicographically."""
     J = sorted(J)
     return [frozenset(s) for r in range(1, len(J) + 1) for s in combinations(J, r)]
 
 
-def _closed_units_uncached(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    subsets = [J] if joint else _nonempty_subsets(J)
-    total = 0
-    for sub in subsets:
-        z = _closed(sub, k, p)
-        if z is None:  # one gap already sends the prime to a counting pass
-            return None
-        total += (1 if joint else (-1) ** (len(sub) + 1)) * (p**k - z)
-    return total
-
-
 def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
-    zero, for a checked k and J and a prime p: from closed zero counts when
-    all close (memoized, see _closed_units), else one counting pass over
-    F_p^k, charged p^k tuples against the budget.  The pass is
+    zero, for a checked k and J and a prime p.  First the memo
+    _CLOSED_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
+    the closed zero count of J (joint), or the alternating sum of p^k minus
+    the closed zero count over the nonempty subsets of J in their fixed
+    order (individual), stopping at the first subset with no closed count
+    and memoizing None for the prime.  Where there is no closed count, one
+    counting pass over F_p^k, charged p^k tuples against the budget:
     _kernels.count_field(p, k, J, joint), which counts the same tuples, in
     the same mode, and picks the engine: the power-sum DP where it can run
     and max(J) < k, else the scan (_kernels._dp_pays names where that picks
     the slower one).  The pass and its refusal are never memoized."""
-    closed = _closed_units(k, J, p, joint)
+    by_prime = _CLOSED_UNITS.get((k, J, joint))
+    if by_prime is None:  # setdefault: racing threads share one dict
+        by_prime = _CLOSED_UNITS.setdefault((k, J, joint), {})
+    if p not in by_prime:  # racing threads may both fill it, with one value
+        space, total = p**k, 0
+        for sub in [J] if joint else _nonempty_subsets(J):
+            z = _closed(sub, k, p)
+            if z is None:  # one gap already sends the prime to a counting pass
+                total = None
+                break
+            total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
+        by_prime[p] = total
+    closed = by_prime[p]
     if closed is not None:
         return closed
     check_budget(p**k, budget, f"enumerating F_{p}^{k}")

@@ -5,8 +5,13 @@ The manifest maps cell names to suites so the CLI and the acceptance
 tests run the very same sweeps; adding a theorem is one manifest entry.
 Every budget-bound oracle call goes through `CellResult.attempt`, once per
 grid point: the one place where a grid point whose tuple space exceeds the
-active budget becomes a skip with a reason, one for each check the refused
-value would have fed; no point is silently dropped.
+active budget becomes skips with a reason, one for each group of checks
+the refused value would have fed, not one per check.  A group can hold
+several checks: 3 per family in congruence-classes, 2 per index set in
+product-forms, 2 in relation and in p2-closed's pair.  cell_quadform
+records one skip for a refused (k, p) stratum and drops that stratum's
+remaining samples with it, so its skip count understates the checks left
+undone.
 """
 
 import math

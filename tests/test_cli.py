@@ -110,6 +110,16 @@ class TestCongruenceCommand:
         assert code == 2
         assert "gcd(b, n)" in err
 
+    @pytest.mark.parametrize("text, shown", [(" 1, 2", "1,2"), ("01,+2", "1,2"), ("-3,7", "-3,7")])
+    def test_coeffs_echo_the_parsed_integers(self, capsys, text, shown):
+        # the record is space-separated key=value pairs, so spaces in the raw
+        # text would split it; sign and order stay, nothing is reduced mod n
+        code, out, _ = run_cli(
+            capsys, "congruence", "--n", "5", "--b", "1", f"--coeffs={text}", "--J", "1",
+        )
+        assert code == 0
+        assert out.split()[1:5] == ["n=5", "b=1", f"coeffs={shown}", "J=1"]
+
 
 class TestMenonCommand:
     def test_classical(self, capsys):

@@ -76,6 +76,33 @@ def test_engine_choice_stays_in_kernels():
     assert lens == []
 
 
+def test_per_prime_rule_is_one_function():
+    # _local_units holds the memo step and the closed sum itself, so the
+    # memo is read nowhere else in symfield but at its declaration
+    tree = ast.parse((SRC / "symfield.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_closed_units", "_closed_units_uncached"):
+        assert name not in functions, name
+    (declared,) = [
+        node.lineno for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "_CLOSED_UNITS"
+    ]
+    local_units = functions["_local_units"]
+    assert [
+        line for line in _references(tree, "_CLOSED_UNITS")
+        if line != declared and not local_units.lineno <= line <= local_units.end_lineno
+    ] == []
+    # every caller of _closed has checked J against [1, k], so the full set
+    # is the one of size k, with no set built to compare against
+    assert [
+        node.lineno for node in ast.walk(functions["_closed"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "frozenset"
+        and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id == "range" for arg in node.args)
+    ] == []
+
+
 def test_one_validity_check_per_input_kind():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     text = "".join(sources.values())
