@@ -38,17 +38,19 @@ engine.  The scan kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
-value would reach 2**63; below that, the scan's rows are int32 wherever
-that value stays below 2**31, else int64 (_check_scan picks the dtype
-with the refusal, from one peak per request).  The digit recurrence and
-the linear form reduce mod m at each step and stay below m**2 + m; the
-product rule sums at most jmax + 1 terms below m**2 each; Q and its cross
-forms stay below k*m**2.  Every reduction of an array is _reduce,
-a -= (a // m) * m in place: numpy divides an array by a scalar through
-libdivide, while % divides each element in hardware.  The DP's counts are
-at most p**k, int32 while p**k < 2**31, and its Newton sums stay below
-p**2 + p.  Both engines also refuse an arity k < 1, in _check_int64,
-before they allocate.
+value would reach 2**63.  Below that, _check_int64 picks the scan's row
+dtype with the refusal, from one peak per request (_check_scan): the
+narrowest of int8, int16, int32 and int64 that holds the peak, so a
+narrower row costs fewer bytes a pass.  The digit recurrence and the
+linear form reduce mod m at each step and stay below m**2 + m (int8 up to
+m = 10, int16 up to 180, int32 up to 46340); the product rule sums at
+most jmax + 1 terms below m**2 each (int16 up to m = 90 at jmax = 3); Q
+and its cross forms stay below k*m**2.  Every reduction of an array is
+_reduce, a -= (a // m) * m in place: numpy divides an array by a scalar
+through libdivide, while % divides each element in hardware.  The DP's
+counts are at most p**k, int32 while p**k < 2**31, and its Newton sums
+stay below p**2 + p.  Both engines also refuse an arity k < 1, in
+_check_int64, before they allocate.
 """
 
 import math
@@ -60,8 +62,9 @@ from .arith import _arity
 from .arith import factorize
 
 _CHUNK = 1 << 14  # 64 KiB per int32 row, 128 KiB per int64: small enough to stay in cache
-_INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
+# the row dtypes, narrowest first, each with its largest value
+_ROW_DTYPES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64))
 _DP_CELLS = 1 << 20  # cap on the DP's tiled state, (2p)**jmax cells: at most 8 MiB
 
 
@@ -71,17 +74,19 @@ def backend() -> str:
 
 
 def _check_int64(m, k, peak):
-    """Refuse an arity k < 1, and Z_m^k when its tuple count m**k or a
-    kernel's largest value, below `peak`, would reach 2**63.  Otherwise
-    return the dtype of the kernel's rows: int32 while peak < 2**31, else
-    int64."""
+    """Refuse an arity k < 1, and Z_m^k when its tuple count m**k or
+    `peak`, the kernel's largest intermediate value, would reach 2**63.
+    Otherwise return the dtype of the kernel's rows, the one place it is
+    picked: the narrowest of int8, int16, int32 and int64 whose maximum is
+    at least peak."""
     _arity(k)
     # m >= 2 with k >= 63 is over the limit without computing m**k
     if (m > 1 and k >= 63) or m**k >= _INT64_LIMIT or peak >= _INT64_LIMIT:
         raise ValueError(
-            f"Z_{m}^{k} is too large for the int64 kernels (m**k and {peak} must be < 2**63)"
+            f"Z_{m}^{k} is too large for the int64 kernels (the tuple count m**k and "
+            f"the largest intermediate value {peak} must be < 2**63)"
         )
-    return np.int32 if peak < _INT32_LIMIT else np.int64
+    return next(dtype for top, dtype in _ROW_DTYPES if top >= peak)
 
 
 def _low_digits(m, k):
@@ -94,13 +99,16 @@ def _low_digits(m, k):
 
 
 def _check_scan(m, k, js, coeffs=None, matrix=None):
-    """The row dtype of _scan(m, k, js, coeffs, matrix), the one place it is
-    chosen, from the peak of the features asked for; it refuses first,
-    before any allocation, a tuple count m**k or a peak that would reach
-    2**63.  The e_j recurrence and the linear form stay below m**2 + m, and
-    where both halves of a tuple have digits the product rule sums at most
-    jmax + 1 terms below m**2 each.  Q stays below k*m**2 (see _scan)."""
-    peak = k * m * m if matrix is not None else 0
+    """The row dtype of _scan(m, k, js, coeffs, matrix), by _check_int64
+    from the peak of the features asked for; it refuses first, before any
+    allocation, a tuple count m**k or a peak that would reach 2**63.  The
+    digits stay below m.  The e_j recurrence and the linear form stay below
+    m**2 + m, and where both halves of a tuple have digits the product rule
+    sums at most jmax + 1 terms below m**2 each.  Q stays below k*m**2 (see
+    _scan).  So e_j rows are int8 up to m = 10, int16 up to m = 180 and
+    int32 up to m = 46340, and with max(js) = 3 on both halves int16 up to
+    m = 90."""
+    peak = k * m * m if matrix is not None else m
     if js or coeffs is not None:
         terms = max(js, default=0) + 1 if 0 < _low_digits(m, k) < k else 1
         peak = max(peak, m * m + m, terms * m * m)
@@ -343,6 +351,12 @@ def count_sym_units(m: int, k: int, js, joint: bool) -> int:
     gcd(e_j, m) == 1 separately.
     """
     return _query_scan(m, k, [(js, joint)])[0]
+
+
+def count_sym_zeros_many(m: int, k: int, sets) -> list[int]:
+    """count_sym_zeros(m, k, js) for each js in sets, from one scan of
+    Z_m^k."""
+    return _query_scan(m, k, [(js, None) for js in sets])
 
 
 def count_sym_units_many(m: int, k: int, queries) -> list[int]:

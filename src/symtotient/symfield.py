@@ -140,6 +140,17 @@ def count_zeros_bruteforce(system: SymSystem, p: int, budget: int | None = None)
     return _kernels.count_sym_zeros(p, system.k, system.indices)
 
 
+def _bruteforce_zeros(k: int, p: int, sets, budget: int | None = None) -> dict:
+    """{J: count_zeros_bruteforce(SymSystem(k, J), p)} for every nonempty J
+    in sets, from one enumeration of F_p^k charged once against the
+    budget."""
+    sets = [_indices(J, k) for J in sets]
+    p = _check_prime(p)
+    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
+    counts = _kernels.count_sym_zeros_many(p, k, [sorted(J) for J in sets])
+    return dict(zip(sets, counts))
+
+
 def count_zeros_mod2(J, k: int) -> int:
     """Zeros of {e_j : j in J} over F_2^k as an exact sieved binomial sum.
 

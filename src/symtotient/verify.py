@@ -3,6 +3,7 @@
 Each cell checks one theorem-level identity over a fixed parameter grid.
 The manifest maps cell names to suites so the CLI and the acceptance
 tests run the very same sweeps; adding a theorem is one manifest entry.
+
 Every budget-bound oracle call goes through `CellResult.attempt`, once per
 grid point: the one place where a grid point whose tuple space exceeds the
 active budget becomes skips with a reason, one for each group of checks
@@ -12,8 +13,22 @@ product-forms, 2 in relation and in p2-closed's pair.  cell_quadform
 records one skip for a refused (k, p) stratum and drops that stratum's
 remaining samples with it, so its skip count understates the checks left
 undone.
+
+An oracle table that several cells read is enumerated once per sweep:
+run_suite opens a table store for the sweep, and each such read goes
+through _once, keyed by the table function, the space, the index-set
+family and the budget.  e2 and e1e2 read one ({2}, {1,2}) zero table of
+F_p^k per grid point; p2-closed one zero table of F_2^k per k, over
+{1,2} and {l} for l <= min(4, k); recurrence one per (p, k), over the
+three J | {k}; product-forms, relation, phi12 and phi123 share
+totient._bruteforce_table(k, n), every J's joint and individual values.
+A refusal is never stored, so every read of a refused table is refused
+again and becomes its own skips.  A cell called outside run_suite
+enumerates on every read.  menon, congruence-classes, g3-g4, ramanujan
+and quadform read their own histograms.
 """
 
+import contextvars
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -25,10 +40,10 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .symfield import (
     QuadraticForm,
     SymSystem,
+    _bruteforce_zeros,
     _nonempty_subsets,
     closed_count_e1e2,
     closed_count_e2,
-    count_zeros_bruteforce,
     count_zeros_mod2,
     e2_matrix,
     extend_with_ek,
@@ -39,6 +54,33 @@ from .symfield import (
 # The sweep grids are pinned to the default budget; shrinking the runtime
 # budget skips the cells that no longer fit instead of shrinking the grid.
 GRID_CAP = DEFAULT_BUDGET
+
+# The table store of the sweep run_suite is running: key -> table, or None
+# outside a sweep.
+_TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar("tables", default=None)
+
+
+def _once(key, fn):
+    """fn(), enumerated once per sweep: the first read under key stores the
+    table in the sweep's store and later reads of the sweep take it from
+    there.  Outside run_suite, fn() on every read.  A refusal raises
+    through and is not stored."""
+    store = _TABLES.get()
+    if store is None:
+        return fn()
+    if key not in store:
+        store[key] = fn()
+    return store[key]
+
+
+def _zeros_table(k: int, p: int, sets, budget):
+    """symfield._bruteforce_zeros(k, p, sets, budget), once per sweep."""
+    return _once(("zeros", k, p, sets, budget), lambda: _bruteforce_zeros(k, p, sets, budget))
+
+
+def _units_table(k: int, n: int, budget):
+    """totient._bruteforce_table(k, n, budget), once per sweep."""
+    return _once(("units", k, n, budget), lambda: tt._bruteforce_table(k, n, budget))
 
 
 @dataclass
@@ -99,43 +141,49 @@ def _e2_grid():
                 yield k, p
 
 
+_E2_SETS = (frozenset({2}), frozenset({1, 2}))
+
+
 def _closed_vs_enumeration(name: str, J, closed, budget) -> CellResult:
     res = CellResult(name)
     for k, p in _e2_grid():
-        res.compare(f"k={k} p={p}",
-                    lambda: count_zeros_bruteforce(SymSystem(k, J), p, budget=budget),
-                    closed(k, p))
+        res.compare(f"k={k} p={p}", lambda: _zeros_table(k, p, _E2_SETS, budget)[J], closed(k, p))
     return res
 
 
 def cell_e2(budget=None) -> CellResult:
     """Closed e_2 count == enumeration over every in-cap (k, p), odd p <= 31,
     2 <= k <= 6; the grid contains the degenerate cells (4,3) and (6,5)."""
-    return _closed_vs_enumeration("e2", {2}, closed_count_e2, budget)
+    return _closed_vs_enumeration("e2", _E2_SETS[0], closed_count_e2, budget)
 
 
 def cell_e1e2(budget=None) -> CellResult:
     """Closed (e_1, e_2) count == enumeration over the same grid."""
-    return _closed_vs_enumeration("e1e2", {1, 2}, closed_count_e1e2, budget)
+    return _closed_vs_enumeration("e1e2", _E2_SETS[1], closed_count_e1e2, budget)
 
 
 def cell_p2_closed(budget=None) -> CellResult:
-    """All sieved-binomial closed forms at p = 2 against enumeration, k <= 20."""
+    """All sieved-binomial closed forms at p = 2 against enumeration, k <= 20,
+    read off one zero table of F_2^k per k."""
     res = CellResult("p2-closed")
 
-    def brute(J, k):
-        return count_zeros_bruteforce(SymSystem(k, J), 2, budget=budget)
+    def table(k):
+        # every index set the cell asks of F_2^k: {l} for l <= min(4, k), {1, 2}
+        sets = [frozenset({l}) for l in range(1, min(4, k) + 1)]
+        if k >= 2:
+            sets.append(frozenset({1, 2}))
+        return _zeros_table(k, 2, tuple(sets), budget)
 
     for k in range(2, 21):
-        pair = res.attempt(f"k={k}", lambda: (brute({2}, k), brute({1, 2}, k)))
+        pair = res.attempt(f"k={k}", lambda: table(k))
         if pair is None:
             continue
-        b2, b12 = pair
-        res.check(closed_count_e2(k, 2) == b2, f"e2 k={k}")
-        res.check(closed_count_e1e2(k, 2) == b12, f"e1e2 k={k}")
+        res.check(closed_count_e2(k, 2) == pair[frozenset({2})], f"e2 k={k}")
+        res.check(closed_count_e1e2(k, 2) == pair[frozenset({1, 2})], f"e1e2 k={k}")
     for k in range(1, 21):
         for l in range(1, min(4, k) + 1):
-            res.compare(f"el l={l} k={k}", lambda: brute({l}, k), count_zeros_mod2({l}, k))
+            res.compare(f"el l={l} k={k}", lambda: table(k)[frozenset({l})],
+                        count_zeros_mod2({l}, k))
     res.check(closed_count_e2(3, 2) == 4, "spot N_3(e2,2)=4")
     res.check(count_zeros_mod2({3}, 3) == 7, "spot N_3(e3,2)=7")
     return res
@@ -152,14 +200,17 @@ def _stated_sum_ek(closed, boundary: int, k: int, p: int) -> int:
 
 def cell_recurrence(budget=None) -> CellResult:
     """The append-e_k recurrence against enumeration for J in {1},{2},{1,2},
-    3 <= k <= 5, p in {2,3,5,7}; plus the two theorem-stated sums whose
-    boundary terms the recurrence must reproduce."""
+    3 <= k <= 5, p in {2,3,5,7}, read off one zero table per (p, k); plus
+    the two theorem-stated sums whose boundary terms the recurrence must
+    reproduce."""
     res = CellResult("recurrence")
+    bases = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
     for p in (2, 3, 5, 7):
         for k in (3, 4, 5):
-            for J in ({1}, {2}, {1, 2}):
+            sets = tuple(J | {k} for J in bases)
+            for J in bases:
                 res.compare(f"J={sorted(J)} k={k} p={p}",
-                            lambda: count_zeros_bruteforce(SymSystem(k, J | {k}), p, budget=budget),
+                            lambda: _zeros_table(k, p, sets, budget)[J | {k}],
                             extend_with_ek(J, k, p))
             res.check(
                 extend_with_ek({2}, k, p) == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
@@ -225,7 +276,7 @@ def cell_product_forms(budget=None) -> CellResult:
     for k in (1, 2, 3):
         subsets = _nonempty_subsets(range(1, k + 1))
         for n in range(1, 51):
-            table = res.attempt(f"n={n} k={k}", lambda: tt._bruteforce_table(k, n, budget),
+            table = res.attempt(f"n={n} k={k}", lambda: _units_table(k, n, budget),
                                 len(subsets))
             if table is None:
                 continue
@@ -247,7 +298,7 @@ def cell_relation(budget=None) -> CellResult:
     for p in (3, 5):
         for a in (1, 2):
             n = p**a
-            table = res.attempt(f"n={n}", lambda: tt._bruteforce_table(k, n, budget))
+            table = res.attempt(f"n={n}", lambda: _units_table(k, n, budget))
             if table is None:
                 continue
             alt_joint = sum((-1) ** (len(J) + 1) * joint for J, (joint, _) in table.items())
@@ -301,25 +352,26 @@ def cell_jordan(budget=None) -> CellResult:
 
 def cell_phi12(budget=None) -> CellResult:
     """The closed J={1,2} totient: against the J={1,k} product at k = 2 for
-    n <= 500, and against enumeration for k in {2, 3}, n <= 40."""
+    n <= 500, and against the enumerated individual value of
+    totient._bruteforce_table for k in {2, 3}, n <= 40."""
     res = CellResult("phi12")
     bad = next((n for n in range(1, 501) if tt.closed_phi_12(2, n) != tt.toth_phi_1k(2, n)), None)
     res.check(bad is None, f"toth k=2 first mismatch n={bad}")
     for k in (2, 3):
         for n in range(1, 41):
-            spec = tt.TotientSpec(k, {1, 2}, "individual", n)
-            res.compare(f"k={k} n={n}", lambda: tt.phi_bruteforce(spec, budget=budget),
+            res.compare(f"k={k} n={n}", lambda: _units_table(k, n, budget)[frozenset({1, 2})][1],
                         tt.closed_phi_12(k, n))
     res.check(tt.closed_phi_12(2, 9) == 18, "spot phi_12(2,9)=18")
     return res
 
 
 def cell_phi123(budget=None) -> CellResult:
-    """The closed J={1,2,3} totient against enumeration for n <= 40."""
+    """The closed J={1,2,3} totient against the enumerated individual value
+    of totient._bruteforce_table for n <= 40."""
     res = CellResult("phi123")
+    full = frozenset({1, 2, 3})
     for n in range(1, 41):
-        spec = tt.TotientSpec(3, {1, 2, 3}, "individual", n)
-        res.compare(f"n={n}", lambda: tt.phi_bruteforce(spec, budget=budget), tt.closed_phi_123(n))
+        res.compare(f"n={n}", lambda: _units_table(3, n, budget)[full][1], tt.closed_phi_123(n))
     res.check(tt.closed_phi_123(5) == 40, "spot phi_123(5)=40")
     res.check(tt.closed_phi_123(2) == 1, "spot phi_123(2)=1")
     return res
@@ -477,11 +529,12 @@ SUITES = ("all",) + tuple(dict.fromkeys(suite for suite, _, _ in MANIFEST))
 
 
 def run_suite(suite: str = "all", budget: int | None = None) -> list[CellResult]:
-    """Run every manifest cell in the suite, in manifest order."""
+    """Run every manifest cell in the suite, in manifest order, with one
+    table store for the sweep (see _once)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    results = []
-    for cell_suite, _, fn in MANIFEST:
-        if suite in ("all", cell_suite):
-            results.append(fn(budget=budget))
-    return results
+    token = _TABLES.set({})
+    try:
+        return [fn(budget=budget) for cell_suite, _, fn in MANIFEST if suite in ("all", cell_suite)]
+    finally:
+        _TABLES.reset(token)

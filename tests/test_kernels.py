@@ -4,7 +4,7 @@ math.gcd, its row builder on the inner block's grid and on decoded digits
 and its decode boundaries under a small _CHUNK against the literal e_j,
 linear and quadratic forms of every tuple, the quadratic form's tiling
 under a small _CHUNK, the DP's cost rule, the int64 bounds the kernels
-enforce and the int32 bound of their rows."""
+enforce and the int8, int16, int32 and int64 tiers of their rows."""
 
 import itertools
 import math
@@ -273,10 +273,13 @@ def test_inner_rows_match_digit_rows(m, d):
     # the one row builder on the inner block's grid and on decoded digits,
     # one per column, against the literal e_j, an asymmetric linear form and
     # an asymmetric quadratic form of every tuple, at every jmax that leaves
-    # some e_j rows, with and without the forms, in both row dtypes
+    # some e_j rows, with and without the forms, in every row dtype that
+    # holds their peak, m**2 + m for e_j and d * m**2 for Q
     tuples = [tuple(reversed(t)) for t in itertools.product(range(m), repeat=d)]
     mat = [[(3 * i + 2 * j + 1) % m for j in range(d)] for i in range(d)]
-    for dtype in (np.int32, np.int64):
+    for top, dtype in _kernels._ROW_DTYPES:
+        if top < max(m * m + m, d * m * m):
+            continue
         column = np.arange(m, dtype=dtype)[:, None]
         index = np.arange(m**d)
         digits = [(index // m**i % m).astype(dtype).reshape(1, -1) for i in range(d)]
@@ -287,10 +290,76 @@ def test_inner_rows_match_digit_rows(m, d):
                     _check_rows(got, m, tuples, jmax, coeffs, mat, dtype)
 
 
-def test_scan_dtype_bound():
-    # int32 rows while the scan's peak, here m**2 + m, stays below 2**31
-    assert _kernels._check_scan(46340, 2, [2]) is np.int32
-    assert _kernels._check_scan(46341, 2, [2]) is np.int64
+# (m, k, js, matrix, dtype): each tier's last modulus and the first past it
+TIER_EDGES = [
+    # e_j rows with no product rule, peak m**2 + m: 110 and 132, 32580 and
+    # 32942, 2147441940 and 2147488622
+    (10, 2, [2], None, np.int8),
+    (11, 2, [2], None, np.int16),
+    (180, 1, [1], None, np.int16),
+    (181, 1, [1], None, np.int32),
+    (46340, 2, [2], None, np.int32),
+    (46341, 2, [2], None, np.int64),
+    # the product rule with max J = 3 on both halves, peak 4 m**2: 32400, 33124
+    (90, 3, [3], None, np.int16),
+    (91, 3, [3], None, np.int32),
+    # a quadratic form alone, peak k m**2: 121 and 144, 98 and 128, 32258 and 32768
+    (11, 1, [], [[1]], np.int8),
+    (12, 1, [], [[1]], np.int16),
+    (7, 2, [], [[1, 0], [0, 1]], np.int8),
+    (8, 2, [], [[1, 0], [0, 1]], np.int16),
+    (127, 2, [], [[1, 0], [0, 1]], np.int16),
+    (128, 2, [], [[1, 0], [0, 1]], np.int32),
+]
+
+
+@pytest.mark.parametrize("m,k,js,mat,dtype", TIER_EDGES)
+def test_scan_dtype_bound(m, k, js, mat, dtype):
+    # the narrowest dtype whose maximum holds the scan's peak, at each tier's edge
+    if js and max(js) == 3:
+        assert 0 < _kernels._low_digits(m, k) < k
+    assert _kernels._check_scan(m, k, js, None, mat) is dtype
+
+
+# (chunk, m, k, dtype): a scan at each tier-edge modulus, with e_j rows
+# and a linear form of large coefficients.  A larger _CHUNK keeps 180**2
+# and 181**2 tuples in the inner block, so their e_2 rows take no product
+# rule; a smaller one splits 90**2 and 91**2, whose e_2 product rule then
+# sums 3 terms below m**2 each
+EDGE_SCANS = [
+    (1 << 14, 10, 2, np.int8),
+    (1 << 14, 11, 2, np.int16),
+    (1 << 12, 90, 2, np.int16),
+    (1 << 12, 91, 2, np.int16),
+    (1 << 15, 180, 2, np.int16),
+    (1 << 15, 181, 2, np.int32),
+    (1 << 14, 46340, 1, np.int32),
+    (1 << 14, 46341, 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("chunk,m,k,dtype", EDGE_SCANS)
+def test_scan_at_tier_edges_matches_oracle(monkeypatch, chunk, m, k, dtype):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    js = list(range(1, k + 1))
+    coeffs = [m - 1, m - 2][:k]
+    assert _kernels._check_scan(m, k, js, coeffs) is dtype
+    assert _kernels.count_sym_zeros(m, k, js) == oracle.zeros(m, k, js)
+    for joint in (True, False):
+        assert _kernels.count_sym_units(m, k, js, joint) == oracle.units(m, k, js, joint)
+    assert _kernels.lincong_histogram(m, k, coeffs, js).tolist() == oracle.lincong_hist(
+        m, k, coeffs, js
+    )
+
+
+@pytest.mark.parametrize("m,k,mat,dtype", [
+    (m, k, [[m - 1, m - 2], [m - 3, m - 1]] if k == 2 else [[m - 1]], dtype)
+    for m, k, _, _, dtype in TIER_EDGES[8:]
+])
+def test_quadform_at_tier_edges_matches_oracle(m, k, mat, dtype):
+    # the form's largest entries take Q to its peak in the narrowest dtype
+    assert _kernels._check_scan(m, k, [], None, mat) is dtype
+    assert _kernels.quadform_histogram(m, k, mat).tolist() == oracle.quadform_hist(m, k, mat)
 
 
 def test_digit_rows_past_the_int32_bound():
@@ -308,12 +377,22 @@ def test_digit_rows_past_the_int32_bound():
     _check_rows(got, m, tuples, jmax, [m - 1, m - 2], mat, dtype)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("m", [1, 2, 3, 23, 181, 46340])
+# (m, dtype) wherever _check_scan can pick the dtype for m: m**2 + m fits it
+REDUCE_CASES = [
+    (m, dtype)
+    for top, dtype in _kernels._ROW_DTYPES
+    for m in (1, 2, 3, 10, 23, 90, 180, 181, 46340)
+    if m * m + m <= top
+]
+
+
+@pytest.mark.parametrize(
+    "m,dtype", REDUCE_CASES, ids=[f"{m}-{np.dtype(d).name}" for m, d in REDUCE_CASES]
+)
 def test_reduce_matches_mod(m, dtype):
     # on every value up to a scan's peak, 4 m**2 + m here, or the top 10**5
-    # values below 2**31 at the int32 edge
-    top = min(4 * m * m + m, _kernels._INT32_LIMIT)
+    # values up to the dtype's maximum
+    top = min(4 * m * m + m, int(np.iinfo(dtype).max) + 1)
     a = np.arange(max(0, top - 10**5), top, dtype=dtype)
     assert (_kernels._reduce(a.copy(), m) == a % m).all()
 
@@ -475,6 +554,13 @@ def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
     monkeypatch.setattr(_kernels, "np", None)
     with pytest.raises(ValueError, match="int64"):
         call()
+
+
+def test_int64_refusal_names_its_numbers():
+    # 5**30 > 2**63; the DP's largest intermediate value is p**2 + p = 30
+    with pytest.raises(ValueError, match=r"tuple count m\*\*k and the largest intermediate "
+                                         r"value 30 must be < 2\*\*63"):
+        _kernels.count_sym_dp(5, 30, [3], True)
 
 
 @pytest.mark.parametrize(

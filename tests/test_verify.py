@@ -3,7 +3,9 @@ one oracle call per grid point even when it is refused, and CellResult.compare;
 the jordan cell's windowed reference and its power to catch an error; one
 e_1-fiber histogram per grid point in the menon and ramanujan cells, one
 unit-RHS count per grid point in the ramanujan cell, and one scan of Z_n^k
-per grid point in the cells that enumerate every index set."""
+per grid point in the cells that enumerate every index set; in one sweep,
+one enumeration per shared table, no stored refusal, and every cell's
+result the same as the cell's alone."""
 
 import pytest
 
@@ -190,3 +192,68 @@ def test_one_oracle_call_per_grid_point(monkeypatch, budget, cell, module, oracl
     assert (res.skipped > 0) == (budget is not None)
     assert len(seen) == calls
     assert len(set(seen)) == calls  # no (n, k) is asked for twice
+
+
+def test_one_sweep_enumerates_each_shared_table_once(monkeypatch):
+    # in one run_suite("all") the cells that read a table an earlier cell
+    # enumerated make no scan: e1e2 reads e2's ({2}, {1,2}) tables, and
+    # relation, phi12 and phi123 product-forms' _bruteforce_table(k, n);
+    # p2-closed scans F_2^k once per k, recurrence once per (p, k)
+    scans = {}
+    cell = [None]
+    scan = _kernels._scan
+
+    def counted(*args, **kwargs):
+        scans[cell[0]] = scans.get(cell[0], 0) + 1
+        return scan(*args, **kwargs)
+
+    def named(name, fn):
+        def run(budget=None):
+            cell[0] = name
+            return fn(budget=budget)
+
+        return run
+
+    monkeypatch.setattr(_kernels, "_scan", counted)
+    monkeypatch.setattr(verify, "MANIFEST", tuple(
+        (suite, name, named(name, fn)) for suite, name, fn in verify.MANIFEST
+    ))
+    results = verify.run_suite("all")
+    assert all(res.failed == res.skipped == 0 for res in results)
+    assert [scans.get(name, 0) for name in ("e1e2", "relation", "phi12", "phi123")] == [0] * 4
+    assert (scans["p2-closed"], scans["recurrence"]) == (20, 12)
+    assert (scans["e2"], scans["product-forms"]) == (43, 3 * 50)
+    assert verify._TABLES.get() is None  # the store is closed with the sweep
+
+
+@pytest.mark.parametrize("budget", [None, 0, 100])
+def test_each_cell_in_a_sweep_matches_the_cell_alone(budget):
+    # a cell reads the same values from the sweep's store as it enumerates
+    # on its own, and a refused table is refused at every read
+    swept = verify.run_suite("all", budget=budget)
+    alone = [fn(budget=budget) for _, _, fn in verify.MANIFEST]
+    assert [(r.name, r.passed, r.failures, r.skips) for r in swept] == [
+        (r.name, r.passed, r.failures, r.skips) for r in alone
+    ]
+    assert any(r.skips for r in swept) == (budget is not None)
+
+
+def test_a_refused_table_is_not_stored(monkeypatch):
+    # inside a sweep a refusal raises through _once and stores nothing, so
+    # the next read asks again; a value is stored at its first read
+    calls = []
+
+    def refused():
+        calls.append(None)
+        raise BudgetExceededError("too many tuples")
+
+    token = verify._TABLES.set({})
+    try:
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                verify._once("key", refused)
+        assert verify._once("key", lambda: 7) == verify._once("key", lambda: 8) == 7
+    finally:
+        verify._TABLES.reset(token)
+    assert len(calls) == 2
+    assert verify._once("key", lambda: 8) == 8  # outside a sweep: every read runs
