@@ -165,7 +165,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
         wheel = (4, 2, 4, 2, 4, 6, 2, 6)
         i = 0
         while n >= _LPF_LIMIT and d * d <= n and d <= _TRIAL_LIMIT:
-            n = _divide_out(n, d, out)
+            if n % d == 0:  # most d divide nothing: no call for them
+                n = _divide_out(n, d, out)
             d += wheel[i]
             i = (i + 1) % 8
         if n >= _LPF_LIMIT:

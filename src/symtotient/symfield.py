@@ -18,14 +18,16 @@ totients' product forms and the unit-right-hand-side congruences: the
 number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
 (individual).  It is one function that reads top to bottom: the memo
 lookup, then the sum of closed zero counts that stops at the first count
-with no closed form, then one budget-checked counting pass.  The closed
-local count is memoized for the life of the process in _CLOSED_UNITS,
-keyed by (k, J, joint) and then by p, and so is its absence (None: some
-zero count it needs has no closed form).  A closed count charges no
-budget, so one memo serves every budget.  Counting passes and budget
-refusals are never memoized: each call that needs a pass checks its
-budget and makes the pass again.  The memo has no size limit; it grows by
-under 100 bytes per distinct (k, J, mode, p) asked for.
+with no closed form, then one budget-checked counting pass.  Every local
+count is memoized for the life of the process in _LOCAL_UNITS, keyed by
+(k, J, joint) and then by p.  A closed count charges no budget and is
+kept as it is.  A prime with no closed count charges p^k: it is kept as
+(None, p^k) until its first counting pass and as (value, p^k) after it.
+Every read of a counted entry makes the budget check its pass made, so a
+budget that would refuse the pass refuses the memoized count too, and one
+memo serves every budget.  A budget refusal is never memoized.  The memo
+has no size limit; it grows by under 100 bytes per distinct
+(k, J, mode, p) asked for.
 """
 
 import functools
@@ -281,9 +283,10 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
     return None
 
 
-# (k, J, joint) -> {p: closed local unit count or None}; one J frozenset is
-# kept per (k, J, mode), not per prime.  Unbounded: see the module docstring.
-_CLOSED_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | None]] = {}
+# (k, J, joint) -> {p: closed local unit count, or (counted local unit count,
+# or None before its pass, p^k)}; one J frozenset is kept per (k, J, mode),
+# not per prime.  Unbounded: see the module docstring.
+_LOCAL_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | tuple[int | None, int]]] = {}
 
 
 def _nonempty_subsets(J) -> list[frozenset[int]]:
@@ -294,21 +297,25 @@ def _nonempty_subsets(J) -> list[frozenset[int]]:
 
 def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
-    zero, for a checked k and J and a prime p.  First the memo
-    _CLOSED_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
+    zero, for a checked k and J and a prime p.  First the memo entry
+    _LOCAL_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
     the closed zero count of J (joint), or the alternating sum of p^k minus
     the closed zero count over the nonempty subsets of J in their fixed
-    order (individual), stopping at the first subset with no closed count
-    and memoizing None for the prime.  Where there is no closed count, one
-    counting pass over F_p^k, charged p^k tuples against the budget:
-    _kernels.count_field(p, k, J, joint), which counts the same tuples, in
-    the same mode, and picks the engine: the power-sum DP where it can run
-    and max(J) < k, else the scan (_kernels._dp_pays names where that picks
-    the slower one).  The pass and its refusal are never memoized."""
-    by_prime = _CLOSED_UNITS.get((k, J, joint))
+    order (individual), stopping at the first subset with no closed count.
+    A closed count is memoized as it is and charges nothing.  Otherwise the
+    prime is memoized as (None, p^k), and every read is charged p^k tuples
+    against the budget, whether or not its count is memoized yet.  After
+    the check comes the memoized count, or the one counting pass over F_p^k
+    that fills it: _kernels.count_field(p, k, J, joint), which counts the
+    same tuples, in the same mode, and picks the engine: the power-sum DP
+    where it can run and max(J) < k, else the scan (_kernels._dp_pays names
+    where that picks the slower one).  A budget refusal is never
+    memoized."""
+    by_prime = _LOCAL_UNITS.get((k, J, joint))
     if by_prime is None:  # setdefault: racing threads share one dict
-        by_prime = _CLOSED_UNITS.setdefault((k, J, joint), {})
-    if p not in by_prime:  # racing threads may both fill it, with one value
+        by_prime = _LOCAL_UNITS.setdefault((k, J, joint), {})
+    entry = by_prime.get(p)
+    if entry is None:
         space, total = p**k, 0
         for sub in [J] if joint else _nonempty_subsets(J):
             z = _closed(sub, k, p)
@@ -316,19 +323,23 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
                 total = None
                 break
             total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
-        by_prime[p] = total
-    closed = by_prime[p]
-    if closed is not None:
-        return closed
-    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
-    return _kernels.count_field(p, k, sorted(J), joint)
+        # setdefault: a racing thread's counted value is not reset to None
+        entry = by_prime.setdefault(p, (None, space) if total is None else total)
+    if isinstance(entry, int):  # a closed count, which charges nothing
+        return entry
+    count, charge = entry
+    check_budget(charge, budget, f"enumerating F_{p}^{k}")
+    if count is None:  # racing threads may both make the pass, with one value
+        count = _kernels.count_field(p, k, sorted(J), joint)
+        by_prime[p] = (count, charge)
+    return count
 
 
 def count_zeros(system: SymSystem, p: int, budget: int | None = None) -> int:
     """Zero count of the system over F_p^k by the per-prime rule of
-    _local_units, in joint mode: the closed form when one is known (memoized),
-    otherwise one counting pass over F_p^k, charged p^k tuples against the
-    budget.  count_zeros_bruteforce always scans."""
+    _local_units, in joint mode: the closed form when one is known, otherwise
+    one counting pass over F_p^k, charged p^k tuples against the budget on
+    every call; both are memoized.  count_zeros_bruteforce always scans."""
     p = _check_prime(p)
     return p**system.k - _local_units(system.k, system.J, p, True, budget)
 

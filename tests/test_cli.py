@@ -263,6 +263,17 @@ def test_closed_probe_enumerates_nothing_twice(monkeypatch, capsys):
     assert (code, out, calls) == (3, "", [])
 
 
+def test_warm_memo_keeps_the_method_label(capsys):
+    # the second run reads memoized counts, each charged its space, so the
+    # budget-0 probe still refuses and the label still tells of the passes
+    argv = ("totient", "--n", "35", "--k", "4", "--J", "1,3")
+    cold = run_cli(capsys, *argv)
+    assert cold[0] == 0 and cold[1].endswith("method=per-prime-enumeration\n")
+    assert run_cli(capsys, *argv) == cold
+    code, out, _ = run_cli(capsys, *argv, "--budget", "0")
+    assert (code, out) == (3, "")
+
+
 def test_disagreement_prints_both_records(monkeypatch, capsys):
     monkeypatch.setattr(totient, "varphi_bruteforce", lambda spec, budget=None: 17)
     code, out, err = run_cli(

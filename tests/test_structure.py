@@ -85,11 +85,11 @@ def test_per_prime_rule_is_one_function():
         assert name not in functions, name
     (declared,) = [
         node.lineno for node in tree.body
-        if isinstance(node, ast.AnnAssign) and node.target.id == "_CLOSED_UNITS"
+        if isinstance(node, ast.AnnAssign) and node.target.id == "_LOCAL_UNITS"
     ]
     local_units = functions["_local_units"]
     assert [
-        line for line in _references(tree, "_CLOSED_UNITS")
+        line for line in _references(tree, "_LOCAL_UNITS")
         if line != declared and not local_units.lineno <= line <= local_units.end_lineno
     ] == []
     # every caller of _closed has checked J against [1, k], so the full set

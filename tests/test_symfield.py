@@ -244,8 +244,8 @@ class TestDispatch:
 
     def test_count_zeros_falls_back_to_one_counting_pass(self):
         # F_5^4 goes to the scan, F_11^4 and F_11^5 to the DP, by the cost
-        # rule; passes and refusals are never memoized, so a budget too small
-        # for F_11^k refuses after a pass over the same space
+        # rule; a memoized pass is charged its space on every read, so a
+        # budget too small for F_11^k refuses after a pass over the same space
         assert count_zeros(SymSystem(4, {3}), 5) == oracle.zeros(5, 4, {3})
         assert count_zeros(SymSystem(4, {3}), 11) == oracle.zeros(11, 4, {3})
         assert count_zeros(SymSystem(5, {3}), 11) == _kernels.count_sym_zeros(11, 5, [3])

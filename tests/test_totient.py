@@ -10,7 +10,7 @@ from symtotient.arith import (
     identity, jordan_totient, one, primes_in_range,
 )
 from symtotient.budget import BudgetExceededError
-from symtotient.symfield import SymSystem, _nonempty_subsets, count_zeros_bruteforce
+from symtotient.symfield import MODES, SymSystem, _nonempty_subsets, count_zeros_bruteforce
 from symtotient.totient import (
     RANGE_WINDOW,
     TotientSpec,
@@ -219,8 +219,9 @@ class TestPerPrimeFallback:
 
 
 class TestClosedUnitsMemo:
-    # closed local unit counts are memoized per (k, J, mode) and p; counting
-    # passes and budget refusals are not
+    # local unit counts, closed and counted, are memoized per (k, J, mode) and
+    # p; every read of a counted one is charged p^k against the budget, as
+    # its pass was, and budget refusals are not memoized
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -258,12 +259,34 @@ class TestClosedUnitsMemo:
         with pytest.raises(BudgetExceededError, match="F_11"):
             varphi(spec, budget=100)
 
-    def test_every_call_makes_its_own_pass(self, monkeypatch):
+    def test_a_repeat_makes_no_second_pass(self, monkeypatch):
         spec = TotientSpec(4, {3}, "joint", 11)
         passes = self._count(monkeypatch, _kernels, "count_field")
         first = varphi(spec)
         assert varphi(spec) == first
-        assert [p for p, *_ in passes] == [11, 11]
+        assert [p for p, *_ in passes] == [11]
+
+    def test_warm_counted_entry_is_charged_its_space(self, monkeypatch):
+        spec = TotientSpec(4, {3}, "joint", 11)
+        first = varphi(spec)
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            varphi(spec, budget=11**4 - 1)
+        assert varphi(spec, budget=11**4) == first == 11**4 - oracle.zeros(11, 4, {3})
+        assert passes == []
+
+    def test_cold_refusal_stores_no_value(self, monkeypatch):
+        spec = TotientSpec(4, {3}, "joint", 11)
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            varphi(spec, budget=100)
+        assert passes == []
+        assert varphi(spec) == 11**4 - oracle.zeros(11, 4, {3})
+        assert [p for p, *_ in passes] == [11]
+        # the value the pass stored is still charged: the refusal stands
+        with pytest.raises(BudgetExceededError, match="F_11"):
+            varphi(spec, budget=100)
+        assert len(passes) == 1
 
     @pytest.mark.parametrize("first", ["joint", "individual"])
     def test_modes_have_their_own_entries(self, first):
@@ -330,6 +353,7 @@ class TestProductFormRange:
             return count_field(p, *rest, **kwargs)
 
         expected = varphi(TotientSpec(4, {3}, "joint", 60))
+        symfield._LOCAL_UNITS.clear()  # varphi memoized the counts at 3 and 5
         monkeypatch.setattr(totient, "_local_units", counted_units)
         monkeypatch.setattr(_kernels, "count_field", counted_passes)
         values = _product_form_range(4, frozenset({3}), True, 60, None)
@@ -510,7 +534,10 @@ class TestConcurrency:
     def test_threads_filling_a_cold_memo_agree_with_serial(self):
         # threads race to create each (k, J, mode) entry from cold, and each
         # prime is asked once per entry, so a lost update would stay lost:
-        # every entry and every value must match a serial fill
+        # every entry and every value must match a serial fill.  J = {3} at
+        # k = 4 has no closed count at odd p, so those entries are counted,
+        # by the scan at p = 3 and the DP above it, while calls whose budget
+        # is one tuple short of F_p^4 race to read them and must refuse
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -518,19 +545,30 @@ class TestConcurrency:
         specs = [TotientSpec(k, J, mode, p) for k in range(2, 7) for J, mode in (
             ({1, 2}, "individual"), ({1, k}, "individual"), (range(1, k + 1), "joint")
         ) for p in primes]
-        run = lambda s: (varphi if s.mode == "joint" else phi)(s)
-        serial = [run(s) for s in specs]
-        serial_memo = {key: dict(by_prime) for key, by_prime in symfield._CLOSED_UNITS.items()}
-        symfield._CLOSED_UNITS.clear()
+        counted = [TotientSpec(4, {3}, mode, p) for mode in MODES for p in primes if p < 40]
+        run = lambda s, budget=None: (varphi if s.mode == "joint" else phi)(s, budget)
+
+        def refused(s):
+            with pytest.raises(BudgetExceededError, match=f"F_{s.n}\\^4"):
+                run(s, s.n**4 - 1)
+
+        serial = [run(s) for s in specs + counted]
+        serial_memo = {key: dict(by_prime) for key, by_prime in symfield._LOCAL_UNITS.items()}
+        symfield._LOCAL_UNITS.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(run, s) for s in specs]
+                futures = [pool.submit(run, s) for s in specs + counted]
+                refusals = [pool.submit(refused, s) for s in counted]
                 assert [f.result(timeout=60) for f in futures] == serial
+                for f in refusals:
+                    f.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert symfield._CLOSED_UNITS == serial_memo
+        assert symfield._LOCAL_UNITS == serial_memo
+        for s in counted:
+            refused(s)
 
 
 class TestBudget:
