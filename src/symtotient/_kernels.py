@@ -25,16 +25,25 @@ bits is 0, jointly coprime to m when the AND is.  A query counts the
 tuples it keeps, or tallies a histogram of the linear form or of Q over
 them; several queries share one scan over the union of their index sets.
 The table costs 2 bytes per residue, at most 2 * m**k bytes, and is built
-after the refusal, for unit queries only.
+after the refusal, for unit queries only.  A pattern query (_PATTERN)
+tallies the zero counts of every subset of its index set instead (by
+the OR of each subset's raw rows, or past _FOLD_PATTERN indices by one
+bincount of each tuple's pattern), and returns the zero-pattern
+histogram they invert to.
 
-The DP (count_sym_dp) counts x in F_p^k by their power sums instead of
-visiting them, in O(k p^(jmax+1)) state updates against the scan's
-O(k p^k) tuples.  Both, and count_field, take count_sym_units's
-arguments (p, k, js, joint) and return its count at a prime p, where a
-unit is a nonzero value.  count_field makes one pass over F_p^k and owns
-the whole engine choice: the DP where it can run and max(js) < k, else
-the scan; _dp_pays names the inputs where that rule picks the slower
-engine.  The scan kernels stay the DP's oracle.
+The zero-pattern histogram over indices i_0 < i_1 < ... counts, for each
+bitmask z, the tuples whose e_{i_b} vanish for exactly the bits b of z.
+At a prime a unit is a nonzero value, so every count_sym_units query
+(S, joint) with S within the indices is a short sum over it
+(pattern_units).  The DP (count_sym_dp) counts x in F_p^k by their power
+sums instead of visiting them, in O(k p^(jmax+1)) state updates against
+the scan's O(k p^k) tuples, and its Newton rows give the pattern over
+[1, jmax].  count_field makes one pass over F_p^k, returns the count of
+count_sym_units's (p, k, js, joint) with the pass's pattern, and owns the
+whole engine choice: the DP where it can run and max(js) < k, with its
+pattern over [1, max(js)], else the scan, with its pattern over js;
+_dp_pays names the inputs where that rule picks the slower engine.  The
+scan's unit and zero kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
@@ -49,7 +58,8 @@ and its cross forms stay below k*m**2.  Every reduction of an array is
 _reduce, a -= (a // m) * m in place: numpy divides an array by a scalar
 through libdivide, while % divides each element in hardware.  The DP's
 counts are at most p**k, int32 while p**k < 2**31, and its Newton sums
-stay below p**2 + p.  Both engines also refuse an arity k < 1, in
+stay below p**2 + p; its pattern sums are int64, and every pattern
+reading is in Python ints.  Both engines also refuse an arity k < 1, in
 _check_int64, before they allocate.
 """
 
@@ -66,6 +76,12 @@ _INT64_LIMIT = 1 << 63
 # the row dtypes, narrowest first, each with its largest value
 _ROW_DTYPES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64))
 _DP_CELLS = 1 << 20  # cap on the DP's tiled state, (2p)**jmax cells: at most 8 MiB
+_PATTERN = "pattern"  # the query kind of _query_scan that tallies zero patterns
+# up to this many indices a pattern query ORs every subset of its rows; on
+# a 16K chunk of int8 rows that took 5, 12 and 34 us at 1, 2 and 3 indices
+# and 75 us at 4, where one bincount of the patterns took 65 us (72-83 us
+# at 1-3 indices; numpy 2.4, 2-vCPU VM)
+_FOLD_PATTERN = 3
 
 
 def backend() -> str:
@@ -297,6 +313,53 @@ def _fold(rows, at, joint):
     return acc
 
 
+def _zeta(values, supersets, sign=1):
+    """A new list: for every bitmask s over log2(len(values)) bits, the sum
+    of values over the masks that contain s (supersets) or lie within s,
+    one step per bit in Python ints; sign=-1 inverts that sum.  The lists
+    are short, 2**len(js) entries, where numpy's cost per call would
+    dominate."""
+    sums = list(values)
+    bit = 1
+    while bit < len(sums):
+        for s in range(len(sums)):
+            if s & bit:
+                if supersets:
+                    sums[s ^ bit] += sign * sums[s]
+                else:
+                    sums[s] += sign * sums[s ^ bit]
+        bit <<= 1
+    return sums
+
+
+def _tally_pattern(acc, rows, at):
+    """Add one chunk to a pattern query's tally over the positions `at`.
+    Up to _FOLD_PATTERN positions acc is a list of zero counts: acc[s], for
+    every bitmask s, takes the tuples whose rows at[i] are 0 for each bit
+    i of s (acc[0] takes every tuple), by the OR of each subset's rows and
+    count_nonzero, 2**len(at) - 1 reductions that allocate nothing per
+    tuple but the ORs.  Past it acc is the histogram itself, an int64
+    array, and takes one bincount of each tuple's pattern (bit i set where
+    rows[at[i]] is 0), whose cost does not double with each position."""
+    if len(at) <= _FOLD_PATTERN:
+        ors = [rows[at[0]]]  # ors[s - 1]: the OR of the rows in s, a position at a time
+        for r in at[1:]:
+            row = rows[r]
+            ors += [row, *[o | row for o in ors]]
+        size = ors[0].shape[0]
+        acc[0] += size
+        for s, row in enumerate(ors, 1):
+            acc[s] += size - int(np.count_nonzero(row))
+        return
+    dtype = np.uint16 if len(at) <= 16 else np.int64  # at most 62 positions: m**k < 2**63
+    code = np.zeros(rows[at[0]].shape[0], dtype=dtype)
+    for i, r in enumerate(at):
+        bit = (rows[r] == 0).astype(dtype)
+        bit <<= i
+        code |= bit
+    _tally(acc, code)
+
+
 def _query_scan(m, k, queries, coeffs=None, matrix=None):
     """The one loop over _scan: one scan over the union of the index sets
     answers every query, a pair (js, joint).  joint=None keeps the tuples
@@ -306,6 +369,10 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
     query the number of tuples kept (js nonempty); with coeffs, the
     histogram over b of the kept tuples with sum(coeffs[i] x_i) = b
     (mod m); with matrix, of those with x^T A x = b (mod m).
+    joint=_PATTERN, without coeffs or matrix, returns instead the zero-
+    pattern histogram over sorted(js), from the zero counts of every
+    subset of js or one bincount of each tuple's pattern (see
+    _tally_pattern).
 
     A single query takes the scan's rows as its own.  The results, and the
     unit table for unit queries only, are allocated after the scan's
@@ -325,18 +392,32 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
     out = None
     for rows, lin, q in _scan(m, k, union, coeffs, matrix):
         if out is None:
-            units = union and any(joint is not None for _, joint in queries)
+            units = union and any(joint in (True, False) for _, joint in queries)
             bits = _prime_bits(m) if units else None
-            out = [0 if counts else np.zeros(m, dtype=np.int64) for _ in queries]
+            # a pattern query folds zero counts, or tallies its histogram (_tally_pattern)
+            out = [
+                ([0] * (1 << len(at)) if len(at) <= _FOLD_PATTERN
+                 else np.zeros(1 << len(at), dtype=np.int64)) if joint is _PATTERN
+                else 0 if counts else np.zeros(m, dtype=np.int64)
+                for at, joint in queries
+            ]
         values = q if lin is None else lin
         taken = None if bits is None else [bits.take(row, mode="clip") for row in rows]
         for i, (at, joint) in enumerate(queries):
+            if joint is _PATTERN:
+                _tally_pattern(out[i], rows, at)
+                continue
             acc = _fold(rows if joint is None else taken, at, joint) if at else None
             if counts:
                 out[i] += acc.shape[0] - int(np.count_nonzero(acc))
             else:  # an empty js keeps every tuple
                 _tally(out[i], values if acc is None else values[acc == 0])
-    return out
+    # a folded pattern query's zero counts are the superset sums of its histogram
+    return [
+        o if joint is not _PATTERN else o.tolist() if len(at) > _FOLD_PATTERN
+        else _zeta(o, True, -1)
+        for o, (at, joint) in zip(out, queries)
+    ]
 
 
 def count_sym_zeros(m: int, k: int, js) -> int:
@@ -388,30 +469,38 @@ def _dp_pays(p, k, jmax) -> bool:
     wins at 5^4 (DP 0.09 against scan 0.04 ms), 7^4 (0.12 against 0.05
     ms), 13^4 (0.23 against 0.10 ms) and 23^4 (0.79 against 0.50 ms).  The
     other known slower DP routes, 7^6 with 5 in J (3.3 against 0.34 ms) and
-    11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Sending ties to
-    the scan would also make phi's individual passes with |J| >= 2 run
-    count_sym_units, the slower scan reduction, so the choice waits for a
-    cost model that prices the reduction (ROADMAP item 5)."""
+    11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Both engines
+    end in the same zero-pattern reading, so no reduction is cheaper on one
+    side; but the DP's pattern covers every index in [1, jmax] and so
+    answers every index set up to jmax at the prime, where the scan's
+    covers js only.  Pricing that against the scan's lead at a tie waits
+    for a cost model (ROADMAP item 5)."""
     return jmax < k and _dp_refusal(p, jmax) is None
 
 
-def count_sym_dp(p: int, k: int, js, joint: bool) -> int:
+def count_sym_dp(p: int, k: int, js, joint):
     """count_sym_units(p, k, js, joint) at a prime p, counted by power sums:
     the x in F_p^k whose e_j (j in js) are not all 0 (joint) or none 0.
+    Both are read off the zero-pattern histogram of e_1..e_jmax, jmax =
+    max(js), which joint=_PATTERN returns instead, as _query_scan's query
+    kind does: hist[z] is the number of x whose e_j vanish for
+    exactly the j with bit j - 1 of z set.
 
-    p is prime and above jmax = max(js).  The power sums P_i = sum x^i
-    (i <= jmax) add over coordinates, so the number of x at each
-    (P_1, ..., P_jmax) in Z_p^jmax is the k-fold cyclic convolution of the
-    p points (v, v^2, ..., v^jmax): k - 1 steps of p shifted adds of one
-    p^jmax array, O(k p^(jmax+1)) in all.  Newton's identities,
+    p is prime and above jmax.  The power sums P_i = sum x^i (i <= jmax)
+    add over coordinates, so the number of x at each (P_1, ..., P_jmax) in
+    Z_p^jmax is the k-fold cyclic convolution of the p points (v, v^2,
+    ..., v^jmax): k - 1 steps of p shifted adds of one p^jmax array,
+    O(k p^(jmax+1)) in all.  Newton's identities,
     j e_j = sum_{i<=j} (-1)^(i-1) e_{j-i} P_i with j invertible mod p, then
-    give e_1..e_jmax at every state.
+    give e_1..e_jmax at every state, so each state has one zero pattern.
+    The states of each of the 2**jmax patterns are summed in int64, with
+    no float weights, after one stable sort of the p**jmax states by
+    pattern.
 
     Refuses with ValueError, before it allocates anything, p <= jmax, a
     tiled state (2p)**jmax over _DP_CELLS cells, and p**k >= 2**63.
     """
-    js = sorted(js)
-    jmax = js[-1]
+    jmax = max(js)
     reason = _dp_refusal(p, jmax)
     if reason is not None:
         raise ValueError(reason)
@@ -431,36 +520,84 @@ def count_sym_dp(p: int, k: int, js, joint: bool) -> int:
         for window in windows:
             counts += tiled[window]
         del tiled  # the largest array: free it before the next tile and the Newton pass
-    # on the open grid of power sums, e_j spans the axes of P_1..P_j only
+    # on the open grid of power sums, e_j spans the axes of P_1..P_j only,
+    # and its zero bit broadcasts over the rest
     psums = np.ogrid[tuple(slice(0, p) for _ in shape)]
     e = [1]
+    # under the cap jmax <= 5 (p > jmax and (2p)**jmax <= 2**20), so 8 bits hold a pattern
+    code = np.zeros(shape, dtype=np.uint8)
     for j in range(1, jmax + 1):
         acc = 0
         for i in range(1, j + 1):
             acc = (acc + (-1) ** (i - 1) * e[j - i] * psums[i - 1]) % p
         e.append(acc * pow(j, -1, p) % p)
-    # at a prime a unit is a nonzero value; e_jmax spans every axis, so keep
-    # ends up the state's shape
-    fold = np.logical_or if joint else np.logical_and
-    keep = e[js[0]] != 0
-    for j in js[1:]:
-        keep = fold(keep, e[j] != 0)
-    return int(counts[keep].sum())
+        code |= (e[j] == 0).astype(np.uint8) << j - 1
+    # the states in pattern order (a stable sort of uint8 keys is a radix
+    # sort), summed per pattern in int64 with no float weights
+    code = code.reshape(-1)
+    sizes = np.bincount(code, minlength=1 << jmax)
+    present = np.flatnonzero(sizes)
+    starts = np.cumsum(sizes)[present] - sizes[present]
+    grouped = counts.reshape(-1)[np.argsort(code, kind="stable")]
+    hist = [0] * (1 << jmax)
+    for z, total in zip(present.tolist(), np.add.reduceat(grouped, starts, dtype=np.int64).tolist()):
+        hist[z] = total
+    if joint is _PATTERN:
+        return hist
+    return _units_by_mask(hist, joint)[_mask(range(1, jmax + 1), js)]
 
 
-def count_field(p: int, k: int, js, joint: bool) -> int:
-    """count_sym_units(p, k, js, joint) at a prime p (js nonempty), in one
-    counting pass over F_p^k: the tuples whose e_j (j in js) are not all 0
-    (joint) or none 0.  It runs the power-sum DP where _dp_pays(p, k,
-    max(js)), that is where the DP can run and max(js) < k (_dp_pays names
-    the inputs where that misroutes), else the scan.  Joint, or with one
-    index, the scan counts zeros and takes them from p**k: the zero test is
-    the cheaper reduction."""
-    if _dp_pays(p, k, max(js)):
-        return count_sym_dp(p, k, js, joint)
-    if joint or len(js) == 1:
-        return p**k - count_sym_zeros(p, k, js)
-    return count_sym_units(p, k, js, joint=False)
+def _units_by_mask(hist, joint):
+    """count_sym_units at a prime for every mask s over the pattern's
+    indices, read off its zero-pattern histogram (see pattern_units), as a
+    list indexed by s."""
+    sums = _zeta(hist, joint)
+    if joint:  # sums[s]: the patterns that contain s
+        return [sums[0] - v for v in sums]
+    full = len(sums) - 1  # sums[t]: the patterns within t
+    return [sums[full ^ s] for s in range(len(sums))]
+
+
+def _mask(indices, js):
+    """The bitmask over the pattern's indices of the index set js."""
+    return sum(1 << indices.index(j) for j in set(js))
+
+
+def pattern_units(indices, hist, joint: bool) -> dict[frozenset[int], int]:
+    """count_sym_units(p, k, S, joint) at a prime p for every nonempty S
+    within `indices`, read off a zero-pattern histogram over them: hist[z]
+    counts the x in F_p^k whose e_j vanish for exactly the j = indices[i]
+    with bit i of z set.  At a prime a unit is a nonzero value, so a joint
+    count keeps the patterns that do not contain S, p**k less the sum over
+    the supersets of S, and an individual count keeps the patterns
+    disjoint from S, the sum over the subsets of its complement.  One
+    zeta transform, len(indices) steps, gives the sum for every S."""
+    units = _units_by_mask(hist, joint)
+    return {
+        frozenset(j for i, j in enumerate(indices) if s >> i & 1): units[s]
+        for s in range(1, len(units))
+    }
+
+
+def count_field(p: int, k: int, js, joint: bool) -> tuple[int, tuple[int, ...], list[int]]:
+    """count_sym_units(p, k, js, joint) at a prime p (js nonempty), from one
+    counting pass over F_p^k, returned as (count, indices, hist) with the
+    pass's zero-pattern histogram, which pattern_units reads for every
+    other nonempty index set within indices and either mode.  The pass runs
+    the power-sum DP where _dp_pays(p, k, max(js)), that is where the DP
+    can run and max(js) < k, and its pattern covers every index in
+    [1, max(js)], which the DP's Newton rows already hold.  Else it runs
+    the scan, whose pattern covers sorted(js) only, so that it builds no
+    extra rows.  hist[z] counts the tuples whose e_j vanish for exactly
+    the j = indices[i] with bit i of z set: 2**len(indices) bins."""
+    jmax = max(js)
+    if _dp_pays(p, k, jmax):
+        indices = tuple(range(1, jmax + 1))
+        hist = count_sym_dp(p, k, js, _PATTERN)
+    else:
+        indices = tuple(sorted(set(js)))
+        (hist,) = _query_scan(p, k, [(indices, _PATTERN)])
+    return _units_by_mask(hist, joint)[_mask(indices, js)], indices, hist
 
 
 def _tally(hist, values):

@@ -3,8 +3,10 @@ pure-Python oracle, the DP against the scan, the scan's unit table against
 math.gcd, its row builder on the inner block's grid and on decoded digits
 and its decode boundaries under a small _CHUNK against the literal e_j,
 linear and quadratic forms of every tuple, the quadratic form's tiling
-under a small _CHUNK, the DP's cost rule, the int64 bounds the kernels
-enforce and the int8, int16, int32 and int64 tiers of their rows."""
+under a small _CHUNK, the DP's cost rule, the zero-pattern histogram of
+either engine against the scan's unit and zero counts and the literal
+oracle, the int64 bounds the kernels enforce and the int8, int16, int32
+and int64 tiers of their rows."""
 
 import itertools
 import math
@@ -692,12 +694,90 @@ def test_count_field_runs_one_engine(monkeypatch, p, k, js, joint):
 
         return wrapper
 
-    for name in ("count_sym_dp", "count_sym_zeros", "count_sym_units"):
+    for name in ("count_sym_dp", "_query_scan"):
         monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
-    got = _kernels.count_field(p, k, js, joint)
-    # joint, or with one index, the scan counts zeros: the unit test is the
-    # slower reduction
-    scan = "count_sym_zeros" if joint or len(js) == 1 else "count_sym_units"
-    assert ran == ["count_sym_dp" if _kernels._dp_pays(p, k, max(js)) else scan]
-    assert got == oracle.units(p, k, js, joint)
+    count, indices, hist = _kernels.count_field(p, k, js, joint)
+    # either engine ends in a zero-pattern histogram, read for every query
+    dp = _kernels._dp_pays(p, k, max(js))
+    assert ran == ["count_sym_dp" if dp else "_query_scan"]
+    assert indices == (tuple(range(1, max(js) + 1)) if dp else tuple(sorted(js)))
+    assert len(hist) == 2 ** len(indices) and sum(hist) == p**k
+    assert count == oracle.units(p, k, js, joint)
 
+
+def _every_query(p, k, indices):
+    """Every (S, joint) with S a nonempty subset of indices, by one scan."""
+    return [(sorted(S), joint) for S in oracle.nonempty_subsets(indices) for joint in (True, False)]
+
+
+# (p, k, js, route): the DP at p > max(js) and max(js) < k; the scan where
+# p <= max(js), where js holds k, under the DP's tiled cap, and past
+# _FOLD_PATTERN indices, where the scan tallies its patterns by bincount
+PATTERN_CASES = [
+    (5, 4, [3], "dp"),
+    (7, 4, [3], "dp"),
+    (13, 5, [3], "dp"),
+    (7, 6, [1, 4], "dp"),
+    (3, 7, [1, 2, 3], "scan"),
+    (5, 5, [2, 5], "scan"),
+    (17, 5, [2, 4], "scan"),  # (2 * 17)**4 cells are over the DP's cap
+    (3, 6, [1, 2, 3, 4, 5], "scan"),
+]
+
+
+@pytest.mark.parametrize("p,k,js,route", PATTERN_CASES,
+                         ids=[f"p{p}-k{k}-J{js}" for p, k, js, _ in PATTERN_CASES])
+def test_pattern_answers_every_subset(p, k, js, route):
+    count, indices, hist = _kernels.count_field(p, k, js, True)
+    assert ("dp" if _kernels._dp_pays(p, k, max(js)) else "scan") == route
+    queries = _every_query(p, k, indices)
+    expected = dict(zip(
+        [(frozenset(S), joint) for S, joint in queries],
+        _kernels.count_sym_units_many(p, k, queries),
+    ))
+    for joint in (True, False):
+        for S, value in _kernels.pattern_units(indices, hist, joint).items():
+            assert value == expected[(S, joint)], (sorted(S), joint)
+            assert type(value) is int
+    # at a prime the zero count of S is p**k less its joint unit count
+    for S in oracle.nonempty_subsets(indices):
+        assert p**k - expected[(S, True)] == _kernels.count_sym_zeros(p, k, sorted(S))
+    assert count == expected[(frozenset(js), True)]
+    assert _kernels.count_field(p, k, js, False)[0] == expected[(frozenset(js), False)]
+
+
+@pytest.mark.parametrize("p,k,js", [(5, 4, [3]), (3, 5, [1, 2, 3]), (3, 4, [2, 4])])
+def test_pattern_matches_the_literal_oracle(p, k, js):
+    _, indices, hist = _kernels.count_field(p, k, js, True)
+    expected = [0] * 2 ** len(indices)
+    for t in itertools.product(range(p), repeat=k):
+        expected[sum(1 << i for i, j in enumerate(indices) if oracle.esym(j, t, p) == 0)] += 1
+    assert list(hist) == expected
+    for joint in (True, False):
+        for S, value in _kernels.pattern_units(indices, hist, joint).items():
+            assert value == oracle.units(p, k, S, joint), (sorted(S), joint)
+
+
+@pytest.mark.parametrize("chunk,p,k,js", [(8, 3, 5, [1, 2, 3]), (27, 3, 6, [1, 2, 3, 4, 5])])
+def test_pattern_under_a_small_chunk(monkeypatch, chunk, p, k, js):
+    # many chunks, each folded or tallied into the same zero counts
+    expected = _kernels.count_field(p, k, js, True)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    assert _kernels._low_digits(p, k) < k
+    assert _kernels.count_field(p, k, js, True) == expected
+
+
+def test_pattern_past_2_31_on_the_dp():
+    # 5**14 >= 2**31, so the DP keeps int64 counts; the closed counts of
+    # {1}, {2} and {1, 2} check every cell of the pattern
+    p, k = 5, 14
+    assert p**k >= 1 << 31 and _kernels._dp_pays(p, k, 2)
+    count, indices, hist = _kernels.count_field(p, k, [1, 2], True)
+    assert indices == (1, 2) and sum(hist) == p**k
+    zeros = {S: count_zeros_closed(S, k, p) for S in oracle.nonempty_subsets(indices)}
+    assert count == p**k - zeros[frozenset({1, 2})]
+    assert _kernels.pattern_units(indices, hist, True) == {S: p**k - z for S, z in zeros.items()}
+    individual = _kernels.pattern_units(indices, hist, False)
+    for S in zeros:
+        expected = sum((-1) ** (len(T) + 1) * (p**k - zeros[T]) for T in oracle.nonempty_subsets(S))
+        assert individual[S] == expected, sorted(S)

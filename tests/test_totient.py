@@ -192,17 +192,25 @@ class TestPerPrimeFallback:
 
     def test_closed_counts_stop_at_the_first_gap(self, monkeypatch):
         # subsets run {1}, {2}, {3}, ...; {3} has no closed count at k = 6, so
-        # each of 3, 5 and 7 asks for three closed counts, not all 63
-        asked = []
-        closed = symfield._closed
+        # each of 3, 5 and 7 asks for three closed counts, not all 63, before
+        # its pass (the pass's fill then asks about the sets it answers)
+        asked, passes = [], []
+        closed, count_field = symfield._closed, _kernels.count_field
 
         def counted(sub, k, p):
             asked.append(p)
             return closed(sub, k, p)
 
+        def counted_pass(p, *rest):
+            passes.append(len(asked))
+            return count_field(p, *rest)
+
         monkeypatch.setattr(symfield, "_closed", counted)
+        monkeypatch.setattr(_kernels, "count_field", counted_pass)
         assert phi(TotientSpec(6, frozenset(range(1, 7)), "individual", 105)) == 785268000
-        assert asked == [3, 3, 3, 5, 5, 5, 7, 7, 7]
+        assert len(passes) == 3
+        for p, before in zip((3, 5, 7), passes):
+            assert [q for q in asked[:before] if q == p] == [p, p, p]
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
@@ -220,8 +228,9 @@ class TestPerPrimeFallback:
 
 class TestClosedUnitsMemo:
     # local unit counts, closed and counted, are memoized per (k, J, mode) and
-    # p; every read of a counted one is charged p^k against the budget, as
-    # its pass was, and budget refusals are not memoized
+    # p; a pass also fills the counted entries of every set its pattern
+    # answers; every read of a counted one, filled or not, is charged p^k
+    # against the budget, as a pass is, and budget refusals are not memoized
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -287,6 +296,67 @@ class TestClosedUnitsMemo:
         with pytest.raises(BudgetExceededError, match="F_11"):
             varphi(spec, budget=100)
         assert len(passes) == 1
+
+    # J = {3} and every set that holds it have no closed count at k = 4
+    # and odd p, and the DP's pattern at p = 7 covers [1, 3]
+    OPEN_AT_4 = ({3}, {1, 3}, {2, 3}, {1, 2, 3})
+
+    def test_one_pass_answers_every_open_set(self, monkeypatch):
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        assert varphi(TotientSpec(4, {3}, "joint", 7)) == oracle.units(7, 4, {3}, joint=True)
+        for J in self.OPEN_AT_4:
+            assert varphi(TotientSpec(4, J, "joint", 7)) == oracle.units(7, 4, J, joint=True)
+            assert phi(TotientSpec(4, J, "individual", 7)) == oracle.units(7, 4, J, joint=False)
+            assert symfield.count_zeros(SymSystem(4, J), 7) == oracle.zeros(7, 4, J)
+        assert [p for p, *_ in passes] == [7]
+
+    def test_closed_set_is_not_filled(self, monkeypatch):
+        # {1, 2} lies in the pass's indices but closes: it keeps its bare
+        # count, which charges nothing, so budget 0 still answers it
+        varphi(TotientSpec(4, {3}, "joint", 7))
+        for joint in (True, False):
+            assert 7 not in symfield._LOCAL_UNITS.get((4, frozenset({1, 2}), joint), {})
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        assert phi(TotientSpec(4, {1, 2}, "individual", 7), budget=0) == oracle.units(
+            7, 4, {1, 2}, joint=False
+        )
+        assert varphi(TotientSpec(4, {1, 2}, "joint", 7), budget=0) == 7**4 - oracle.zeros(
+            7, 4, {1, 2}
+        )
+        assert passes == []
+
+    def test_filled_sibling_is_charged_its_space(self, monkeypatch):
+        varphi(TotientSpec(4, {3}, "joint", 7))
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        for J in self.OPEN_AT_4[1:]:
+            for mode, fn in (("joint", varphi), ("individual", phi)):
+                spec = TotientSpec(4, J, mode, 7)
+                with pytest.raises(BudgetExceededError, match="F_7"):
+                    fn(spec, budget=7**4 - 1)
+                assert fn(spec, budget=7**4) == oracle.units(7, 4, J, joint=mode == "joint")
+        assert passes == []
+
+    def test_cold_refusal_fills_no_sibling(self, monkeypatch):
+        with pytest.raises(BudgetExceededError, match="F_7"):
+            varphi(TotientSpec(4, {3}, "joint", 7), budget=100)
+        assert [
+            (key, entry) for key, by_prime in symfield._LOCAL_UNITS.items()
+            for entry in by_prime.values() if not isinstance(entry, int) and entry[0] is not None
+        ] == []
+        assert set(symfield._LOCAL_UNITS) == {(4, frozenset({3}), True)}
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        assert phi(TotientSpec(4, {1, 3}, "individual", 7)) == oracle.units(7, 4, {1, 3}, False)
+        assert varphi(TotientSpec(4, {3}, "joint", 7)) == oracle.units(7, 4, {3}, True)
+        assert [p for p, *_ in passes] == [7]
+
+    def test_fill_never_overwrites_a_counted_value(self, monkeypatch):
+        # a planted counted value survives a later pass that answers its set
+        symfield._LOCAL_UNITS[(4, frozenset({1, 3}), True)] = {7: (-1, 7**4)}
+        varphi(TotientSpec(4, {3}, "joint", 7))
+        assert symfield._LOCAL_UNITS[(4, frozenset({1, 3}), True)] == {7: (-1, 7**4)}
+        assert symfield._LOCAL_UNITS[(4, frozenset({2, 3}), True)][7] == (
+            oracle.units(7, 4, {2, 3}, joint=True), 7**4
+        )
 
     @pytest.mark.parametrize("first", ["joint", "individual"])
     def test_modes_have_their_own_entries(self, first):
@@ -534,10 +604,12 @@ class TestConcurrency:
     def test_threads_filling_a_cold_memo_agree_with_serial(self):
         # threads race to create each (k, J, mode) entry from cold, and each
         # prime is asked once per entry, so a lost update would stay lost:
-        # every entry and every value must match a serial fill.  J = {3} at
-        # k = 4 has no closed count at odd p, so those entries are counted,
-        # by the scan at p = 3 and the DP above it, while calls whose budget
-        # is one tuple short of F_p^4 race to read them and must refuse
+        # every entry and every value must match a serial fill.  J = {3} and
+        # the sets that hold it at k = 4 have no closed count at odd p, so
+        # those entries are counted, by the scan at p = 3 and the DP above
+        # it, whose pass also fills the others' entries while threads race
+        # to read them; calls whose budget is one tuple short of F_p^4 must
+        # refuse, filled or not
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -545,7 +617,8 @@ class TestConcurrency:
         specs = [TotientSpec(k, J, mode, p) for k in range(2, 7) for J, mode in (
             ({1, 2}, "individual"), ({1, k}, "individual"), (range(1, k + 1), "joint")
         ) for p in primes]
-        counted = [TotientSpec(4, {3}, mode, p) for mode in MODES for p in primes if p < 40]
+        counted = [TotientSpec(4, J, mode, p) for J in TestClosedUnitsMemo.OPEN_AT_4
+                   for mode in MODES for p in primes if p < 40]
         run = lambda s, budget=None: (varphi if s.mode == "joint" else phi)(s, budget)
 
         def refused(s):
