@@ -25,11 +25,7 @@ bits is 0, jointly coprime to m when the AND is.  A query counts the
 tuples it keeps, or tallies a histogram of the linear form or of Q over
 them; several queries share one scan over the union of their index sets.
 The table costs 2 bytes per residue, at most 2 * m**k bytes, and is built
-after the refusal, for unit queries only.  A pattern query (_PATTERN)
-tallies the zero counts of every subset of its index set instead (by
-the OR of each subset's raw rows, or past _FOLD_PATTERN indices by one
-bincount of each tuple's pattern), and returns the zero-pattern
-histogram they invert to.
+after the refusal, for unit queries only.
 
 The zero-pattern histogram over indices i_0 < i_1 < ... counts, for each
 bitmask z, the tuples whose e_{i_b} vanish for exactly the bits b of z.
@@ -38,12 +34,15 @@ At a prime a unit is a nonzero value, so every count_sym_units query
 (pattern_units).  The DP (count_sym_dp) counts x in F_p^k by their power
 sums instead of visiting them, in O(k p^(jmax+1)) state updates against
 the scan's O(k p^k) tuples, and its Newton rows give the pattern over
-[1, jmax].  count_field makes one pass over F_p^k, returns the count of
+[1, jmax].  The scan's pattern over js is the inverse superset sum of
+the zero counts of every nonempty subset of js, zero queries that share
+one scan.  count_field makes one pass over F_p^k, returns the count of
 count_sym_units's (p, k, js, joint) with the pass's pattern, and owns the
 whole engine choice: the DP where it can run and max(js) < k, with its
-pattern over [1, max(js)], else the scan, with its pattern over js;
-_dp_pays names the inputs where that rule picks the slower engine.  The
-scan's unit and zero kernels stay the DP's oracle.
+pattern over [1, max(js)], else the scan, with its pattern over js up to
+_SCAN_PATTERN indices and no pattern past them; _dp_pays names the
+inputs where that rule picks the slower engine.  The scan's unit and
+zero kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
@@ -76,12 +75,14 @@ _INT64_LIMIT = 1 << 63
 # the row dtypes, narrowest first, each with its largest value
 _ROW_DTYPES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64))
 _DP_CELLS = 1 << 20  # cap on the DP's tiled state, (2p)**jmax cells: at most 8 MiB
-_PATTERN = "pattern"  # the query kind of _query_scan that tallies zero patterns
-# up to this many indices a pattern query ORs every subset of its rows; on
-# a 16K chunk of int8 rows that took 5, 12 and 34 us at 1, 2 and 3 indices
-# and 75 us at 4, where one bincount of the patterns took 65 us (72-83 us
-# at 1-3 indices; numpy 2.4, 2-vCPU VM)
-_FOLD_PATTERN = 3
+# the most indices whose zero pattern the scan tallies: 2**n - 1 zero
+# queries a chunk, where counting js alone takes one.  Against that one
+# count a joint pass took 1-4% longer at two indices and 31% at three
+# (count_field, best of 40-200 on a 2-vCPU VM: {3, 5} at 13^5 and 23^5,
+# {1, 3, 5} at 13^5, {2, 3, 4} at 23^4, {1, 2, 3} at 3^8).  On
+# enum-queries a workload pass made 17-19 passes at two and 14-16 at
+# three, in the same 6-7 ms.
+_SCAN_PATTERN = 2
 
 
 def backend() -> str:
@@ -190,31 +191,41 @@ def _rows(m, coords, values, jmax, coeffs, s, extra, dtype):
     return e, lin, q, forms
 
 
-def _product_rule(outer, inner, j, m):
-    """e_j mod m of each outer prefix followed by each inner block tuple,
-    flat over the (outer, inner) grid, from the rows outer[i] of shape
-    (b, 1) and inner[i] of shape (w,): e_j = sum_i e_i(outer) e_{j-i}(inner).
-    A factor e_0 = 1 costs no product, and a half with no coordinates
-    (None) has only e_0, so the other's row comes back as it is."""
-    if outer is None or inner is None:
-        half = inner if outer is None else outer[..., 0]
-        return half[j] if j < len(half) else np.zeros(half.shape[1], dtype=half.dtype)
-    low, high = max(0, j - len(inner) + 1), min(j, len(outer) - 1)
+def _product_rule(inner, j, m, depth):
+    """The e_j mod m of each outer prefix followed by each inner block
+    tuple, flat over the (outer, inner) grid, as a function of a chunk's
+    outer block: e_j = sum_i e_i(outer) e_{j-i}(inner), from the block's
+    rows outer[i] of shape (b, 1), i <= depth, and the inner rows inner[i]
+    of shape (w,).  Which terms the sum has depends on j and on the row
+    counts of the halves only, so they are picked here, once per scan, and
+    a chunk makes only the products.  A factor e_0 = 1 costs no product,
+    and a half with no coordinates has only e_0: with no inner block
+    (inner None) the outer row comes back as it is."""
+    if inner is None:
+        if j <= depth:
+            return lambda outer: outer[j, :, 0]
+        return lambda outer: np.zeros(outer.shape[1], dtype=outer.dtype)
+    low, high = max(0, j - len(inner) + 1), min(j, depth)
     if low > high:  # j > k: no tuple has a j-subset
-        return np.zeros(outer.shape[1] * inner.shape[1], dtype=outer.dtype)
+        return lambda outer: np.zeros(outer.shape[1] * inner.shape[1], dtype=outer.dtype)
     if j == 1:  # e_1 = e_1(outer) + e_1(inner): no product
-        return _reduce(outer[1] + inner[1], m).reshape(-1)
+        return lambda outer: _reduce(outer[1] + inner[1], m).reshape(-1)
     # both halves have e_1, so there is a product, a fresh array that takes
     # the sum in place; a factor e_0 = 1 leaves a half's row, not written
-    first = max(low, 1)
-    row = outer[first] * inner[j - first]
-    for i in range(first + 1, min(high, j - 1) + 1):
-        row += outer[i] * inner[j - i]
-    if low == 0:
-        row += inner[j]
-    if high == j:
-        row += outer[j]
-    return _reduce(row, m).reshape(-1)
+    (first, factor), *terms = [(i, inner[j - i]) for i in range(max(low, 1), min(high, j - 1) + 1)]
+    lone = inner[j] if low == 0 else None
+
+    def rule(outer):
+        row = outer[first] * factor
+        for i, w in terms:
+            row += outer[i] * w
+        if lone is not None:
+            row += lone
+        if high == j:
+            row += outer[j]
+        return _reduce(row, m).reshape(-1)
+
+    return rule
 
 
 def _join(outer, inner, part, m, cross=()):
@@ -263,9 +274,10 @@ def _scan(m, k, js, coeffs=None, matrix=None):
     column = np.arange(m, dtype=dtype)[:, None]
     inner, lin_in, q_in, _ = _rows(m, range(low), [column] * low, jmax, coeffs, s, (), dtype)
     q_in = None if q_in is None else _reduce(q_in, m)
-    if low == k:
-        yield [_product_rule(None, inner, j, m) for j in js], lin_in, q_in
+    if low == k:  # one chunk, the block itself; e_j with j > k is 0
+        yield [inner[j] if j <= k else np.zeros(m**k, dtype) for j in js], lin_in, q_in
         return
+    rules = [_product_rule(inner, j, m, min(jmax, k - low)) for j in js]
     terms = [] if s is None else [j for j in range(low) if any(s[j][low:])]
     outside = range(low, k)  # the coordinates of the outer prefixes
     prefixes = m ** (k - low)
@@ -282,7 +294,7 @@ def _scan(m, k, js, coeffs=None, matrix=None):
         for start in range(0, size, batch):
             part = slice(start, start + batch)
             block = None if outer is None else outer[:, part, None]
-            rows = [_product_rule(block, inner, j, m) for j in js]
+            rows = [rule(block) for rule in rules]
             yield rows, _join(lin_out, lin_in, part, m), _join(q_out, q_in, part, m, cross)
 
 
@@ -332,34 +344,6 @@ def _zeta(values, supersets, sign=1):
     return sums
 
 
-def _tally_pattern(acc, rows, at):
-    """Add one chunk to a pattern query's tally over the positions `at`.
-    Up to _FOLD_PATTERN positions acc is a list of zero counts: acc[s], for
-    every bitmask s, takes the tuples whose rows at[i] are 0 for each bit
-    i of s (acc[0] takes every tuple), by the OR of each subset's rows and
-    count_nonzero, 2**len(at) - 1 reductions that allocate nothing per
-    tuple but the ORs.  Past it acc is the histogram itself, an int64
-    array, and takes one bincount of each tuple's pattern (bit i set where
-    rows[at[i]] is 0), whose cost does not double with each position."""
-    if len(at) <= _FOLD_PATTERN:
-        ors = [rows[at[0]]]  # ors[s - 1]: the OR of the rows in s, a position at a time
-        for r in at[1:]:
-            row = rows[r]
-            ors += [row, *[o | row for o in ors]]
-        size = ors[0].shape[0]
-        acc[0] += size
-        for s, row in enumerate(ors, 1):
-            acc[s] += size - int(np.count_nonzero(row))
-        return
-    dtype = np.uint16 if len(at) <= 16 else np.int64  # at most 62 positions: m**k < 2**63
-    code = np.zeros(rows[at[0]].shape[0], dtype=dtype)
-    for i, r in enumerate(at):
-        bit = (rows[r] == 0).astype(dtype)
-        bit <<= i
-        code |= bit
-    _tally(acc, code)
-
-
 def _query_scan(m, k, queries, coeffs=None, matrix=None):
     """The one loop over _scan: one scan over the union of the index sets
     answers every query, a pair (js, joint).  joint=None keeps the tuples
@@ -369,10 +353,6 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
     query the number of tuples kept (js nonempty); with coeffs, the
     histogram over b of the kept tuples with sum(coeffs[i] x_i) = b
     (mod m); with matrix, of those with x^T A x = b (mod m).
-    joint=_PATTERN, without coeffs or matrix, returns instead the zero-
-    pattern histogram over sorted(js), from the zero counts of every
-    subset of js or one bincount of each tuple's pattern (see
-    _tally_pattern).
 
     A single query takes the scan's rows as its own.  The results, and the
     unit table for unit queries only, are allocated after the scan's
@@ -392,32 +372,18 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
     out = None
     for rows, lin, q in _scan(m, k, union, coeffs, matrix):
         if out is None:
-            units = union and any(joint in (True, False) for _, joint in queries)
+            units = union and any(joint is not None for _, joint in queries)
             bits = _prime_bits(m) if units else None
-            # a pattern query folds zero counts, or tallies its histogram (_tally_pattern)
-            out = [
-                ([0] * (1 << len(at)) if len(at) <= _FOLD_PATTERN
-                 else np.zeros(1 << len(at), dtype=np.int64)) if joint is _PATTERN
-                else 0 if counts else np.zeros(m, dtype=np.int64)
-                for at, joint in queries
-            ]
+            out = [0 if counts else np.zeros(m, dtype=np.int64) for _ in queries]
         values = q if lin is None else lin
         taken = None if bits is None else [bits.take(row, mode="clip") for row in rows]
         for i, (at, joint) in enumerate(queries):
-            if joint is _PATTERN:
-                _tally_pattern(out[i], rows, at)
-                continue
             acc = _fold(rows if joint is None else taken, at, joint) if at else None
             if counts:
                 out[i] += acc.shape[0] - int(np.count_nonzero(acc))
             else:  # an empty js keeps every tuple
                 _tally(out[i], values if acc is None else values[acc == 0])
-    # a folded pattern query's zero counts are the superset sums of its histogram
-    return [
-        o if joint is not _PATTERN else o.tolist() if len(at) > _FOLD_PATTERN
-        else _zeta(o, True, -1)
-        for o, (at, joint) in zip(out, queries)
-    ]
+    return out
 
 
 def count_sym_zeros(m: int, k: int, js) -> int:
@@ -469,12 +435,14 @@ def _dp_pays(p, k, jmax) -> bool:
     wins at 5^4 (DP 0.09 against scan 0.04 ms), 7^4 (0.12 against 0.05
     ms), 13^4 (0.23 against 0.10 ms) and 23^4 (0.79 against 0.50 ms).  The
     other known slower DP routes, 7^6 with 5 in J (3.3 against 0.34 ms) and
-    11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Both engines
-    end in the same zero-pattern reading, so no reduction is cheaper on one
-    side; but the DP's pattern covers every index in [1, jmax] and so
-    answers every index set up to jmax at the prime, where the scan's
-    covers js only.  Pricing that against the scan's lead at a tie waits
-    for a cost model (ROADMAP item 5)."""
+    11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Up to
+    _SCAN_PATTERN indices both engines end in the same zero-pattern
+    reading, so no reduction is cheaper on one side; past it the scan's
+    individual count is count_sym_units, the slower reduction.  And the
+    DP's pattern covers every index in [1, jmax], so it answers every
+    index set up to jmax at the prime, where the scan's covers js only.
+    Pricing both against the scan's lead at a tie waits for a cost model
+    (ROADMAP item 5)."""
     return jmax < k and _dp_refusal(p, jmax) is None
 
 
@@ -482,9 +450,9 @@ def count_sym_dp(p: int, k: int, js, joint):
     """count_sym_units(p, k, js, joint) at a prime p, counted by power sums:
     the x in F_p^k whose e_j (j in js) are not all 0 (joint) or none 0.
     Both are read off the zero-pattern histogram of e_1..e_jmax, jmax =
-    max(js), which joint=_PATTERN returns instead, as _query_scan's query
-    kind does: hist[z] is the number of x whose e_j vanish for
-    exactly the j with bit j - 1 of z set.
+    max(js), which joint=None returns instead, as a zero query of
+    _query_scan asks for zeros and not units: hist[z] is the number of x
+    whose e_j vanish for exactly the j with bit j - 1 of z set.
 
     p is prime and above jmax.  The power sums P_i = sum x^i (i <= jmax)
     add over coordinates, so the number of x at each (P_1, ..., P_jmax) in
@@ -540,17 +508,25 @@ def count_sym_dp(p: int, k: int, js, joint):
     starts = np.cumsum(sizes)[present] - sizes[present]
     grouped = counts.reshape(-1)[np.argsort(code, kind="stable")]
     hist = [0] * (1 << jmax)
-    for z, total in zip(present.tolist(), np.add.reduceat(grouped, starts, dtype=np.int64).tolist()):
+    totals = np.add.reduceat(grouped, starts, dtype=np.int64).tolist()
+    for z, total in zip(present.tolist(), totals):
         hist[z] = total
-    if joint is _PATTERN:
+    if joint is None:
         return hist
-    return _units_by_mask(hist, joint)[_mask(range(1, jmax + 1), js)]
+    return pattern_units(hist, joint)[_mask(range(1, jmax + 1), js)]
 
 
-def _units_by_mask(hist, joint):
-    """count_sym_units at a prime for every mask s over the pattern's
-    indices, read off its zero-pattern histogram (see pattern_units), as a
-    list indexed by s."""
+def pattern_units(hist, joint: bool) -> list[int]:
+    """count_sym_units(p, k, S, joint) at a prime p for every S within the
+    indices of a zero-pattern histogram, as a list indexed by the bitmask
+    of S over them: hist[z] counts the x in F_p^k whose e_j vanish for
+    exactly the j = indices[i] with bit i of z set.  At a prime a unit is
+    a nonzero value, so a joint count keeps the patterns that do not
+    contain S, p**k less the sum over the supersets of S, and an
+    individual count keeps the patterns disjoint from S, the sum over the
+    subsets of its complement.  One zeta transform, len(indices) steps,
+    gives the sum for every S; the empty S (mask 0) reads 0 joint and p**k
+    individual."""
     sums = _zeta(hist, joint)
     if joint:  # sums[s]: the patterns that contain s
         return [sums[0] - v for v in sums]
@@ -563,41 +539,38 @@ def _mask(indices, js):
     return sum(1 << indices.index(j) for j in set(js))
 
 
-def pattern_units(indices, hist, joint: bool) -> dict[frozenset[int], int]:
-    """count_sym_units(p, k, S, joint) at a prime p for every nonempty S
-    within `indices`, read off a zero-pattern histogram over them: hist[z]
-    counts the x in F_p^k whose e_j vanish for exactly the j = indices[i]
-    with bit i of z set.  At a prime a unit is a nonzero value, so a joint
-    count keeps the patterns that do not contain S, p**k less the sum over
-    the supersets of S, and an individual count keeps the patterns
-    disjoint from S, the sum over the subsets of its complement.  One
-    zeta transform, len(indices) steps, gives the sum for every S."""
-    units = _units_by_mask(hist, joint)
-    return {
-        frozenset(j for i, j in enumerate(indices) if s >> i & 1): units[s]
-        for s in range(1, len(units))
-    }
-
-
 def count_field(p: int, k: int, js, joint: bool) -> tuple[int, tuple[int, ...], list[int]]:
     """count_sym_units(p, k, js, joint) at a prime p (js nonempty), from one
     counting pass over F_p^k, returned as (count, indices, hist) with the
     pass's zero-pattern histogram, which pattern_units reads for every
-    other nonempty index set within indices and either mode.  The pass runs
-    the power-sum DP where _dp_pays(p, k, max(js)), that is where the DP
-    can run and max(js) < k, and its pattern covers every index in
-    [1, max(js)], which the DP's Newton rows already hold.  Else it runs
-    the scan, whose pattern covers sorted(js) only, so that it builds no
-    extra rows.  hist[z] counts the tuples whose e_j vanish for exactly
-    the j = indices[i] with bit i of z set: 2**len(indices) bins."""
+    other index set within indices and either mode: hist[z] counts the
+    tuples whose e_j vanish for exactly the j = indices[i] with bit i of z
+    set, 2**len(indices) bins.  The pass runs the power-sum DP where
+    _dp_pays(p, k, max(js)), that is where the DP can run and max(js) < k,
+    and its pattern covers every index in [1, max(js)], which the DP's
+    Newton rows already hold.  Else it runs the scan, whose pattern covers
+    sorted(js) only, so that it builds no extra rows: the zero counts of
+    every nonempty subset of js, one zero query each, inverted by their
+    superset sums.  Those are 2**len(js) - 1 reductions a chunk against
+    the one of a single count, so past _SCAN_PATTERN indices the scan
+    counts js alone, as count_sym_zeros (joint) or count_sym_units
+    (individual), and returns the empty pattern, indices () and hist
+    [p**k], which answers no other set."""
     jmax = max(js)
     if _dp_pays(p, k, jmax):
         indices = tuple(range(1, jmax + 1))
-        hist = count_sym_dp(p, k, js, _PATTERN)
-    else:
-        indices = tuple(sorted(set(js)))
-        (hist,) = _query_scan(p, k, [(indices, _PATTERN)])
-    return _units_by_mask(hist, joint)[_mask(indices, js)], indices, hist
+        hist = count_sym_dp(p, k, js, None)
+        return pattern_units(hist, joint)[_mask(indices, js)], indices, hist
+    indices = tuple(sorted(set(js)))
+    if len(indices) > _SCAN_PATTERN:
+        count = p**k - count_sym_zeros(p, k, js) if joint else count_sym_units(p, k, js, False)
+        return count, (), [p**k]
+    subsets = [[]]  # subsets[s]: the indices[i] with bit i of s set
+    for j in indices:
+        subsets += [S + [j] for S in subsets]
+    hist = _zeta([p**k, *_query_scan(p, k, [(S, None) for S in subsets[1:]])], True, -1)
+    # the pattern covers js alone: its first bin has no e_j zero, its last every one
+    return (p**k - hist[-1] if joint else hist[0]), indices, hist
 
 
 def _tally(hist, values):

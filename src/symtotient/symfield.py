@@ -17,19 +17,19 @@ _local_units is the one per-prime rule behind count_zeros, the
 totients' product forms and the unit-right-hand-side congruences: the
 number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
 (individual).  It is one function that reads top to bottom: the memo
-lookup, then the sum of closed zero counts (_closed_sum) that stops at
-the first count with no closed form, then one budget-checked counting
-pass.  Every local count is memoized for the life of the process in
-_LOCAL_UNITS, keyed by (k, J, joint) and then by p.  A closed count
-charges no budget and is kept as it is.  A prime with no closed count
-charges p^k: it is kept as (None, p^k) until its first counting pass and
-as (value, p^k) after it.  A pass returns its zero-pattern histogram,
-which answers every (S, mode) with S within the pass's indices (all of
-[1, max J] on the DP, J itself on the scan), so it also fills each such
-entry that would need a pass of its own, as (value, p^k): one pass per
-prime serves every index set it covers.  Every read of a counted entry,
-filled or not, makes the budget check a pass makes, so a budget that
-would refuse the pass refuses the memoized count too, and one memo
+lookup, then the sum of closed zero counts that stops at the first count
+with no closed form, then one budget-checked counting pass.  Every local
+count is memoized for the life of the process in _LOCAL_UNITS, keyed by
+(k, J, joint) and then by p.  A closed count charges no budget and is
+kept as it is.  A prime with no closed count charges p^k: it is kept as
+(None, p^k) until its first counting pass and as (value, p^k) after it.
+A pass returns its zero-pattern histogram, which answers every (S, mode)
+with S within the pass's indices (all of [1, max J] on the DP, J itself
+on the scan up to two indices, none past them), so it also fills each
+such entry that would need a pass of its own, as (value, p^k): one pass
+per prime serves every index set it covers.  Every read of a counted
+entry, filled or not, makes the budget check a pass makes, so a budget
+that would refuse the pass refuses the memoized count too, and one memo
 serves every budget.  A budget refusal is never memoized and fills
 nothing.  The memo has no size limit; it grows by under 100 bytes per
 distinct (k, J, mode, p) asked for or filled.
@@ -300,44 +300,57 @@ def _nonempty_subsets(J) -> list[frozenset[int]]:
     return [frozenset(s) for r in range(1, len(J) + 1) for s in combinations(J, r)]
 
 
-def _closed_sum(k: int, J: frozenset, p: int, joint: bool) -> int | None:
-    """The local unit count from closed zero counts: p^k minus the closed
-    zero count of J (joint), or the alternating sum of p^k minus the closed
-    zero count over the nonempty subsets of J in their fixed order
-    (individual).  None at the first subset with no closed count."""
-    space, total = p**k, 0
-    for sub in [J] if joint else _nonempty_subsets(J):
-        z = _closed(sub, k, p)
-        if z is None:  # one gap already sends the prime to a counting pass
-            return None
-        total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
-    return total
+def _open_sets(k: int, indices, p: int):
+    """The index sets within indices and which of them have no closed local
+    count, as three lists by bitmask s (bit i for indices[i]): the set of
+    s; open in joint mode, where the set has no closed zero count; and
+    open in individual mode, where some nonempty subset of it has none.
+    One _closed call per nonempty set, then one pass over the masks per
+    index: 2**len(indices) steps each, not one closed sum per set."""
+    n = len(indices)
+    sets = [frozenset(j for i, j in enumerate(indices) if s >> i & 1) for s in range(1 << n)]
+    joint = [False] + [_closed(S, k, p) is None for S in sets[1:]]
+    individual = list(joint)
+    for i in range(n):
+        for s in range(1 << n):
+            if s >> i & 1 and individual[s ^ 1 << i]:
+                individual[s] = True
+    return sets, joint, individual
 
 
 def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
     zero, for a checked k and J and a prime p.  First the memo entry
-    _LOCAL_UNITS[(k, J, joint)][p]; on a miss, _closed_sum.  A closed count
-    is memoized as it is and charges nothing.  Otherwise the prime is
-    memoized as (None, p^k), and every read is charged p^k tuples against
-    the budget, whether or not its count is memoized yet.  After the check
-    comes the memoized count, or the one counting pass over F_p^k that
-    fills it: _kernels.count_field(p, k, J, joint), which counts the same
-    tuples, in the same mode, and picks the engine.  The pass also returns
-    its zero-pattern histogram, which answers every (S, mode) with S within
-    its indices; each such entry that would need a pass of its own (its
-    closed sum has a gap, and it is absent or not yet counted) is filled as
-    (value, p^k), charged as its own pass would be.  A closed entry is left
-    as it is and a counted value is never overwritten.  A budget refusal is
-    never memoized, and fills nothing."""
+    _LOCAL_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
+    the closed zero count of J (joint), or the alternating sum of p^k minus
+    the closed zero count over the nonempty subsets of J in their fixed
+    order (individual), stopping at the first subset with no closed count.
+    A closed count is memoized as it is and charges nothing.  Otherwise the
+    prime is memoized as (None, p^k), and every read is charged p^k tuples
+    against the budget, whether or not its count is memoized yet.  After
+    the check comes the memoized count, or the one counting pass over F_p^k
+    that fills it: _kernels.count_field(p, k, J, joint), which counts the
+    same tuples, in the same mode, and picks the engine.  The pass also
+    returns its zero-pattern histogram, which answers every (S, mode) with
+    S within its indices; each such entry that would need a pass of its
+    own (it is open, see _open_sets, and absent or not yet counted) is
+    filled as (value, p^k), charged as its own pass would be.  A closed
+    entry is left as it is and a counted value is never overwritten.  A
+    budget refusal is never memoized, and fills nothing."""
     by_prime = _LOCAL_UNITS.get((k, J, joint))
     if by_prime is None:  # setdefault: racing threads share one dict
         by_prime = _LOCAL_UNITS.setdefault((k, J, joint), {})
     entry = by_prime.get(p)
     if entry is None:
-        total = _closed_sum(k, J, p, joint)
+        space, total = p**k, 0
+        for sub in [J] if joint else _nonempty_subsets(J):
+            z = _closed(sub, k, p)
+            if z is None:  # one gap already sends the prime to a counting pass
+                total = None
+                break
+            total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
         # setdefault: a racing thread's counted value is not reset to None
-        entry = by_prime.setdefault(p, (None, p**k) if total is None else total)
+        entry = by_prime.setdefault(p, (None, space) if total is None else total)
     if isinstance(entry, int):  # a closed count, which charges nothing
         return entry
     count, charge = entry
@@ -346,13 +359,12 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     if count is None:  # racing threads may both make the pass, with one value
         count, indices, hist = _kernels.count_field(p, k, sorted(J), joint)
         by_prime[p] = (count, charge)
-        for mode in (True, False):  # the sets the pass answers too
-            for S, value in _kernels.pattern_units(indices, hist, mode).items():
-                sibling = _LOCAL_UNITS.get((k, S, mode), {}).get(p)
-                needs_pass = sibling == (None, charge) or (
-                    sibling is None and _closed_sum(k, S, p, mode) is None
-                )
-                if needs_pass:
+        sets, *open_by_mode = _open_sets(k, indices, p)
+        for mode, is_open in zip((True, False), open_by_mode):  # the sets the pass answers too
+            for S, needs_pass, value in zip(sets, is_open, _kernels.pattern_units(hist, mode)):
+                # absent or (None, p^k): a closed int or a counted value stays
+                sibling = _LOCAL_UNITS.get((k, S, mode), {}).get(p, (None, charge))
+                if needs_pass and sibling == (None, charge):
                     _LOCAL_UNITS.setdefault((k, S, mode), {})[p] = (value, charge)
     return count
 

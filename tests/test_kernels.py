@@ -697,10 +697,14 @@ def test_count_field_runs_one_engine(monkeypatch, p, k, js, joint):
     for name in ("count_sym_dp", "_query_scan"):
         monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
     count, indices, hist = _kernels.count_field(p, k, js, joint)
-    # either engine ends in a zero-pattern histogram, read for every query
+    # either engine ends in a zero-pattern histogram, read for every query;
+    # past _SCAN_PATTERN indices the scan's is empty
     dp = _kernels._dp_pays(p, k, max(js))
     assert ran == ["count_sym_dp" if dp else "_query_scan"]
-    assert indices == (tuple(range(1, max(js) + 1)) if dp else tuple(sorted(js)))
+    if dp:
+        assert indices == tuple(range(1, max(js) + 1))
+    else:
+        assert indices == (tuple(sorted(js)) if len(js) <= _kernels._SCAN_PATTERN else ())
     assert len(hist) == 2 ** len(indices) and sum(hist) == p**k
     assert count == oracle.units(p, k, js, joint)
 
@@ -710,18 +714,25 @@ def _every_query(p, k, indices):
     return [(sorted(S), joint) for S in oracle.nonempty_subsets(indices) for joint in (True, False)]
 
 
+def _readings(indices, hist, joint):
+    """pattern_units keyed by index set: every nonempty S within indices."""
+    units = _kernels.pattern_units(hist, joint)
+    return {
+        frozenset(j for i, j in enumerate(indices) if s >> i & 1): units[s]
+        for s in range(1, len(units))
+    }
+
+
 # (p, k, js, route): the DP at p > max(js) and max(js) < k; the scan where
-# p <= max(js), where js holds k, under the DP's tiled cap, and past
-# _FOLD_PATTERN indices, where the scan tallies its patterns by bincount
+# p <= max(js), where js holds k, and under the DP's tiled cap
 PATTERN_CASES = [
     (5, 4, [3], "dp"),
     (7, 4, [3], "dp"),
     (13, 5, [3], "dp"),
     (7, 6, [1, 4], "dp"),
-    (3, 7, [1, 2, 3], "scan"),
+    (3, 7, [1, 3], "scan"),
     (5, 5, [2, 5], "scan"),
     (17, 5, [2, 4], "scan"),  # (2 * 17)**4 cells are over the DP's cap
-    (3, 6, [1, 2, 3, 4, 5], "scan"),
 ]
 
 
@@ -730,13 +741,16 @@ PATTERN_CASES = [
 def test_pattern_answers_every_subset(p, k, js, route):
     count, indices, hist = _kernels.count_field(p, k, js, True)
     assert ("dp" if _kernels._dp_pays(p, k, max(js)) else "scan") == route
+    assert set(js) <= set(indices)
     queries = _every_query(p, k, indices)
     expected = dict(zip(
         [(frozenset(S), joint) for S, joint in queries],
         _kernels.count_sym_units_many(p, k, queries),
     ))
     for joint in (True, False):
-        for S, value in _kernels.pattern_units(indices, hist, joint).items():
+        readings = _readings(indices, hist, joint)
+        assert len(readings) == 2 ** len(indices) - 1
+        for S, value in readings.items():
             assert value == expected[(S, joint)], (sorted(S), joint)
             assert type(value) is int
     # at a prime the zero count of S is p**k less its joint unit count
@@ -746,7 +760,7 @@ def test_pattern_answers_every_subset(p, k, js, route):
     assert _kernels.count_field(p, k, js, False)[0] == expected[(frozenset(js), False)]
 
 
-@pytest.mark.parametrize("p,k,js", [(5, 4, [3]), (3, 5, [1, 2, 3]), (3, 4, [2, 4])])
+@pytest.mark.parametrize("p,k,js", [(5, 4, [3]), (3, 5, [2, 3]), (3, 4, [2, 4])])
 def test_pattern_matches_the_literal_oracle(p, k, js):
     _, indices, hist = _kernels.count_field(p, k, js, True)
     expected = [0] * 2 ** len(indices)
@@ -754,13 +768,13 @@ def test_pattern_matches_the_literal_oracle(p, k, js):
         expected[sum(1 << i for i, j in enumerate(indices) if oracle.esym(j, t, p) == 0)] += 1
     assert list(hist) == expected
     for joint in (True, False):
-        for S, value in _kernels.pattern_units(indices, hist, joint).items():
+        for S, value in _readings(indices, hist, joint).items():
             assert value == oracle.units(p, k, S, joint), (sorted(S), joint)
 
 
-@pytest.mark.parametrize("chunk,p,k,js", [(8, 3, 5, [1, 2, 3]), (27, 3, 6, [1, 2, 3, 4, 5])])
+@pytest.mark.parametrize("chunk,p,k,js", [(8, 3, 5, [1, 3]), (27, 3, 6, [2, 6])])
 def test_pattern_under_a_small_chunk(monkeypatch, chunk, p, k, js):
-    # many chunks, each folded or tallied into the same zero counts
+    # many chunks, each adding to the same zero counts
     expected = _kernels.count_field(p, k, js, True)
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     assert _kernels._low_digits(p, k) < k
@@ -776,8 +790,28 @@ def test_pattern_past_2_31_on_the_dp():
     assert indices == (1, 2) and sum(hist) == p**k
     zeros = {S: count_zeros_closed(S, k, p) for S in oracle.nonempty_subsets(indices)}
     assert count == p**k - zeros[frozenset({1, 2})]
-    assert _kernels.pattern_units(indices, hist, True) == {S: p**k - z for S, z in zeros.items()}
-    individual = _kernels.pattern_units(indices, hist, False)
+    assert _readings(indices, hist, True) == {S: p**k - z for S, z in zeros.items()}
+    individual = _readings(indices, hist, False)
     for S in zeros:
         expected = sum((-1) ** (len(T) + 1) * (p**k - zeros[T]) for T in oracle.nonempty_subsets(S))
         assert individual[S] == expected, sorted(S)
+
+
+@pytest.mark.parametrize("p,k,js", [(3, 7, [1, 2, 3]), (3, 6, [1, 2, 3, 4, 5])])
+@pytest.mark.parametrize("joint", [True, False])
+def test_scan_past_its_pattern_counts_js_alone(monkeypatch, p, k, js, joint):
+    # past _SCAN_PATTERN indices the scan makes the one count of js, by one
+    # query, and its empty pattern answers no other set
+    assert len(js) > _kernels._SCAN_PATTERN and not _kernels._dp_pays(p, k, max(js))
+    queries = []
+    query_scan = _kernels._query_scan
+
+    def counted(m, k, asked, *rest):
+        queries.append(asked)
+        return query_scan(m, k, asked, *rest)
+
+    monkeypatch.setattr(_kernels, "_query_scan", counted)
+    count, indices, hist = _kernels.count_field(p, k, js, joint)
+    assert (count, indices, hist) == (oracle.units(p, k, js, joint), (), [p**k])
+    assert queries == [[(js, None if joint else False)]]
+    assert _kernels.pattern_units(hist, joint) == [0 if joint else p**k]

@@ -192,25 +192,18 @@ class TestPerPrimeFallback:
 
     def test_closed_counts_stop_at_the_first_gap(self, monkeypatch):
         # subsets run {1}, {2}, {3}, ...; {3} has no closed count at k = 6, so
-        # each of 3, 5 and 7 asks for three closed counts, not all 63, before
-        # its pass (the pass's fill then asks about the sets it answers)
-        asked, passes = [], []
-        closed, count_field = symfield._closed, _kernels.count_field
+        # each of 3, 5 and 7 asks for three closed counts, not all 63; the
+        # scan over six indices returns no pattern, so no fill asks more
+        asked = []
+        closed = symfield._closed
 
         def counted(sub, k, p):
             asked.append(p)
             return closed(sub, k, p)
 
-        def counted_pass(p, *rest):
-            passes.append(len(asked))
-            return count_field(p, *rest)
-
         monkeypatch.setattr(symfield, "_closed", counted)
-        monkeypatch.setattr(_kernels, "count_field", counted_pass)
         assert phi(TotientSpec(6, frozenset(range(1, 7)), "individual", 105)) == 785268000
-        assert len(passes) == 3
-        for p, before in zip((3, 5, 7), passes):
-            assert [q for q in asked[:before] if q == p] == [p, p, p]
+        assert asked == [3, 3, 3, 5, 5, 5, 7, 7, 7]
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
@@ -348,6 +341,31 @@ class TestClosedUnitsMemo:
         assert phi(TotientSpec(4, {1, 3}, "individual", 7)) == oracle.units(7, 4, {1, 3}, False)
         assert varphi(TotientSpec(4, {3}, "joint", 7)) == oracle.units(7, 4, {3}, True)
         assert [p for p, *_ in passes] == [7]
+
+    def test_a_fill_asks_each_set_once(self, monkeypatch):
+        # the DP's pattern at 7^6 with J = {5} covers [1, 5]: the fill asks
+        # one closed count per nonempty set within it, 31 for both modes,
+        # not one closed sum per set and mode
+        asked = self._count(monkeypatch, symfield, "_closed")
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        assert _kernels._dp_pays(7, 6, 5)
+        assert varphi(TotientSpec(6, {5}, "joint", 7)) == _kernels.count_sym_units(7, 6, [5], True)
+        assert len(passes) == 1
+        assert len(asked) == 1 + 31
+        assert len({S for S, *_ in asked[1:]}) == 31
+        for J in ({1, 5}, {3, 4}, {1, 2, 3, 4, 5}):
+            for mode, fn in (("joint", varphi), ("individual", phi)):
+                expected = _kernels.count_sym_units(7, 6, sorted(J), mode == "joint")
+                assert fn(TotientSpec(6, J, mode, 7)) == expected, (sorted(J), mode)
+        assert len(passes) == 1
+
+    def test_open_sets_inherit_a_subsets_gap_in_individual_mode(self):
+        # at k = 4, {4} and {3, 4} close (k is in J) and {3} does not: the
+        # individual count of {3, 4} sums over {3}, so it is open too
+        sets, joint, individual = symfield._open_sets(4, (3, 4), 5)
+        assert sets == [frozenset(), frozenset({3}), frozenset({4}), frozenset({3, 4})]
+        assert joint == [False, True, False, False]
+        assert individual == [False, True, False, True]
 
     def test_fill_never_overwrites_a_counted_value(self, monkeypatch):
         # a planted counted value survives a later pass that answers its set
