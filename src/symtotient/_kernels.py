@@ -30,19 +30,19 @@ after the refusal, for unit queries only.
 The zero-pattern histogram over indices i_0 < i_1 < ... counts, for each
 bitmask z, the tuples whose e_{i_b} vanish for exactly the bits b of z.
 At a prime a unit is a nonzero value, so every count_sym_units query
-(S, joint) with S within the indices is a short sum over it
-(pattern_units).  The DP (count_sym_dp) counts x in F_p^k by their power
-sums instead of visiting them, in O(k p^(jmax+1)) state updates against
-the scan's O(k p^k) tuples, and its Newton rows give the pattern over
-[1, jmax].  The scan's pattern over js is the inverse superset sum of
-the zero counts of every nonempty subset of js, zero queries that share
-one scan.  count_field makes one pass over F_p^k, returns the count of
-count_sym_units's (p, k, js, joint) with the pass's pattern, and owns the
-whole engine choice: the DP where it can run and max(js) < k, with its
-pattern over [1, max(js)], else the scan, with its pattern over js up to
-_SCAN_PATTERN indices and no pattern past them; _dp_pays names the
-inputs where that rule picks the slower engine.  The scan's unit and
-zero kernels stay the DP's oracle.
+(S, joint) with S within the indices is a short sum over it.  The DP
+(count_sym_dp) counts x in F_p^k by their power sums instead of visiting
+them, in O(k p^(jmax+1)) state updates against the scan's O(k p^k)
+tuples, and its Newton rows give the pattern over [1, jmax].  The scan's
+pattern over js is the inverse superset sum of the zero counts of every
+nonempty subset of js, zero queries that share one scan.  count_field
+makes one pass over F_p^k and owns the whole engine choice: the DP where
+it can run and max(js) < k, with its pattern over [1, max(js)], else the
+scan, with its pattern over js up to _SCAN_PATTERN indices and the one
+count of js past them; _dp_pays names the inputs where that rule picks
+the slower engine.  It returns every local count its pass answers, keyed
+(frozenset(S), joint), so the pattern's bitmask layout never leaves this
+module.  The scan's unit and zero kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
@@ -62,7 +62,6 @@ reading is in Python ints.  Both engines also refuse an arity k < 1, in
 _check_int64, before they allocate.
 """
 
-import math
 import operator
 
 import numpy as np
@@ -354,19 +353,14 @@ def _query_scan(m, k, queries, coeffs=None, matrix=None):
     histogram over b of the kept tuples with sum(coeffs[i] x_i) = b
     (mod m); with matrix, of those with x^T A x = b (mod m).
 
-    A single query takes the scan's rows as its own.  The results, and the
-    unit table for unit queries only, are allocated after the scan's
-    refusal.  Per chunk each row is read from the table once; rows are
-    reduced below m, so mode="clip" only drops take's bounds check."""
+    The results, and the unit table for unit queries only, are allocated
+    after the scan's refusal.  Per chunk each row is read from the table
+    once; rows are reduced below m, so mode="clip" only drops take's
+    bounds check."""
     counts = coeffs is None and matrix is None
-    if len(queries) == 1:
-        ((js, joint),) = queries
-        union = sorted(set(js))
-        queries = [(range(len(union)), joint)]
-    else:
-        sets = [sorted(set(js)) for js, _ in queries]
-        union = sorted(set().union(*sets))
-        queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
+    sets = [sorted(set(js)) for js, _ in queries]
+    union = sorted(set().union(*sets))
+    queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
     if counts and not all(at for at, _ in queries):
         raise ValueError("a count needs a nonempty index set")
     out = None
@@ -412,20 +406,12 @@ def count_sym_units_many(m: int, k: int, queries) -> list[int]:
     return _query_scan(m, k, queries)
 
 
-def _dp_refusal(p, jmax):
-    """Why count_sym_dp cannot run at (p, jmax), or None when it can."""
-    if math.gcd(p, math.factorial(jmax)) != 1:  # Newton's identities divide by j <= jmax
-        return f"the power-sum DP needs p > max(J) = {jmax}, got p={p}"
-    if (2 * p) ** jmax > _DP_CELLS:
-        return (
-            f"the power-sum DP at p={p}, max(J)={jmax} needs (2p)**{jmax} cells, "
-            f"over its cap of {_DP_CELLS}"
-        )
-    return None
-
-
 def _dp_pays(p, k, jmax) -> bool:
-    """Whether count_field runs the DP: it can, and jmax < k.
+    """Whether count_field runs the DP: it can, and jmax < k.  It can where
+    p > jmax, as Newton's identities divide by every j <= jmax, and where
+    its tiled state, (2p)**jmax cells, is within _DP_CELLS; those are the
+    two conditions count_sym_dp refuses on, tested here with no refusal
+    text.
 
     The DP makes O(k p^(jmax+1)) state updates and the scan visits
     O(k p^k) tuples, so the DP's exponent is the lower iff jmax + 1 < k;
@@ -443,16 +429,15 @@ def _dp_pays(p, k, jmax) -> bool:
     index set up to jmax at the prime, where the scan's covers js only.
     Pricing both against the scan's lead at a tie waits for a cost model
     (ROADMAP item 5)."""
-    return jmax < k and _dp_refusal(p, jmax) is None
+    return jmax < k and jmax < p and (2 * p) ** jmax <= _DP_CELLS
 
 
-def count_sym_dp(p: int, k: int, js, joint):
-    """count_sym_units(p, k, js, joint) at a prime p, counted by power sums:
-    the x in F_p^k whose e_j (j in js) are not all 0 (joint) or none 0.
-    Both are read off the zero-pattern histogram of e_1..e_jmax, jmax =
-    max(js), which joint=None returns instead, as a zero query of
-    _query_scan asks for zeros and not units: hist[z] is the number of x
-    whose e_j vanish for exactly the j with bit j - 1 of z set.
+def count_sym_dp(p: int, k: int, js) -> list[int]:
+    """The zero-pattern histogram of e_1..e_jmax over F_p^k at a prime p,
+    jmax = max(js), counted by power sums: hist[z] is the number of x
+    whose e_j vanish for exactly the j with bit j - 1 of z set, 2**jmax
+    Python ints.  count_field reads off it the local count of every index
+    set within [1, jmax], in both modes.
 
     p is prime and above jmax.  The power sums P_i = sum x^i (i <= jmax)
     add over coordinates, so the number of x at each (P_1, ..., P_jmax) in
@@ -469,9 +454,13 @@ def count_sym_dp(p: int, k: int, js, joint):
     tiled state (2p)**jmax over _DP_CELLS cells, and p**k >= 2**63.
     """
     jmax = max(js)
-    reason = _dp_refusal(p, jmax)
-    if reason is not None:
-        raise ValueError(reason)
+    if p <= jmax:  # Newton's identities divide by j <= jmax
+        raise ValueError(f"the power-sum DP needs p > max(J) = {jmax}, got p={p}")
+    if (2 * p) ** jmax > _DP_CELLS:
+        raise ValueError(
+            f"the power-sum DP at p={p}, max(J)={jmax} needs (2p)**{jmax} cells, "
+            f"over its cap of {_DP_CELLS}"
+        )
     _check_int64(p, k, p * p + p)
     shape = (p,) * jmax
     points = [tuple(pow(v, i, p) for i in range(1, jmax + 1)) for v in range(p)]
@@ -511,66 +500,56 @@ def count_sym_dp(p: int, k: int, js, joint):
     totals = np.add.reduceat(grouped, starts, dtype=np.int64).tolist()
     for z, total in zip(present.tolist(), totals):
         hist[z] = total
-    if joint is None:
-        return hist
-    return pattern_units(hist, joint)[_mask(range(1, jmax + 1), js)]
+    return hist
 
 
-def pattern_units(hist, joint: bool) -> list[int]:
-    """count_sym_units(p, k, S, joint) at a prime p for every S within the
-    indices of a zero-pattern histogram, as a list indexed by the bitmask
-    of S over them: hist[z] counts the x in F_p^k whose e_j vanish for
-    exactly the j = indices[i] with bit i of z set.  At a prime a unit is
-    a nonzero value, so a joint count keeps the patterns that do not
-    contain S, p**k less the sum over the supersets of S, and an
-    individual count keeps the patterns disjoint from S, the sum over the
-    subsets of its complement.  One zeta transform, len(indices) steps,
-    gives the sum for every S; the empty S (mask 0) reads 0 joint and p**k
-    individual."""
-    sums = _zeta(hist, joint)
-    if joint:  # sums[s]: the patterns that contain s
-        return [sums[0] - v for v in sums]
-    full = len(sums) - 1  # sums[t]: the patterns within t
-    return [sums[full ^ s] for s in range(len(sums))]
+def _pattern_units(subsets, hist):
+    """Every local count a zero-pattern histogram answers, keyed
+    (frozenset(S), joint): count_sym_units(p, k, S, joint) at a prime p for
+    each nonempty S = subsets[s] and both modes, where hist[z] counts the
+    x in F_p^k whose e_j vanish for exactly the j in subsets[z].  At a
+    prime a unit is a nonzero value, so a joint count keeps the patterns
+    that do not contain S, p**k less the sum over the supersets of S, and
+    an individual count keeps the patterns disjoint from S, the sum over
+    the subsets of its complement.  One zeta transform a mode,
+    log2(len(hist)) steps, gives the sum for every S."""
+    sets = [frozenset(S) for S in subsets]
+    supersets, within = _zeta(hist, True), _zeta(hist, False)
+    full = len(hist) - 1
+    answers = {(sets[s], True): supersets[0] - supersets[s] for s in range(1, len(hist))}
+    answers.update(((sets[s], False), within[full ^ s]) for s in range(1, len(hist)))
+    return answers
 
 
-def _mask(indices, js):
-    """The bitmask over the pattern's indices of the index set js."""
-    return sum(1 << indices.index(j) for j in set(js))
-
-
-def count_field(p: int, k: int, js, joint: bool) -> tuple[int, tuple[int, ...], list[int]]:
-    """count_sym_units(p, k, js, joint) at a prime p (js nonempty), from one
-    counting pass over F_p^k, returned as (count, indices, hist) with the
-    pass's zero-pattern histogram, which pattern_units reads for every
-    other index set within indices and either mode: hist[z] counts the
-    tuples whose e_j vanish for exactly the j = indices[i] with bit i of z
-    set, 2**len(indices) bins.  The pass runs the power-sum DP where
-    _dp_pays(p, k, max(js)), that is where the DP can run and max(js) < k,
-    and its pattern covers every index in [1, max(js)], which the DP's
-    Newton rows already hold.  Else it runs the scan, whose pattern covers
-    sorted(js) only, so that it builds no extra rows: the zero counts of
-    every nonempty subset of js, one zero query each, inverted by their
-    superset sums.  Those are 2**len(js) - 1 reductions a chunk against
-    the one of a single count, so past _SCAN_PATTERN indices the scan
-    counts js alone, as count_sym_zeros (joint) or count_sym_units
-    (individual), and returns the empty pattern, indices () and hist
-    [p**k], which answers no other set."""
+def count_field(p: int, k: int, js, joint: bool) -> dict[tuple[frozenset, bool], int]:
+    """Every local count that one counting pass over F_p^k answers at a
+    prime p (js nonempty): count_sym_units(p, k, S, joint) keyed
+    (frozenset(S), joint), always with the asked (frozenset(js), joint).
+    The pass runs the power-sum DP where _dp_pays(p, k, max(js)), that is
+    where the DP can run and max(js) < k; its zero-pattern histogram over
+    [1, max(js)], which the DP's Newton rows already hold, answers every
+    nonempty S within [1, max(js)] in both modes.  Else it runs the scan,
+    whose pattern covers js only, so that it builds no extra rows: the
+    zero counts of every nonempty subset of js, one zero query each,
+    inverted by their superset sums, answer every nonempty S within js in
+    both modes.  Those are 2**len(js) - 1 reductions a chunk against the
+    one of a single count, so past _SCAN_PATTERN indices the scan counts
+    js alone, as count_sym_zeros (joint) or count_sym_units (individual),
+    and answers the asked key only."""
     jmax = max(js)
-    if _dp_pays(p, k, jmax):
-        indices = tuple(range(1, jmax + 1))
-        hist = count_sym_dp(p, k, js, None)
-        return pattern_units(hist, joint)[_mask(indices, js)], indices, hist
-    indices = tuple(sorted(set(js)))
-    if len(indices) > _SCAN_PATTERN:
+    dp = _dp_pays(p, k, jmax)
+    indices = range(1, jmax + 1) if dp else sorted(set(js))
+    if not dp and len(indices) > _SCAN_PATTERN:
         count = p**k - count_sym_zeros(p, k, js) if joint else count_sym_units(p, k, js, False)
-        return count, (), [p**k]
+        return {(frozenset(js), joint): count}
     subsets = [[]]  # subsets[s]: the indices[i] with bit i of s set
     for j in indices:
         subsets += [S + [j] for S in subsets]
-    hist = _zeta([p**k, *_query_scan(p, k, [(S, None) for S in subsets[1:]])], True, -1)
-    # the pattern covers js alone: its first bin has no e_j zero, its last every one
-    return (p**k - hist[-1] if joint else hist[0]), indices, hist
+    if dp:
+        hist = count_sym_dp(p, k, js)
+    else:
+        hist = _zeta([p**k, *_query_scan(p, k, [(S, None) for S in subsets[1:]])], True, -1)
+    return _pattern_units(subsets, hist)
 
 
 def _tally(hist, values):

@@ -23,15 +23,14 @@ count is memoized for the life of the process in _LOCAL_UNITS, keyed by
 (k, J, joint) and then by p.  A closed count charges no budget and is
 kept as it is.  A prime with no closed count charges p^k: it is kept as
 (None, p^k) until its first counting pass and as (value, p^k) after it.
-A pass returns its zero-pattern histogram, which answers every (S, mode)
-with S within the pass's indices (all of [1, max J] on the DP, J itself
-on the scan up to two indices, none past them), so it also fills each
-such entry that would need a pass of its own, as (value, p^k): one pass
-per prime serves every index set it covers.  Every read of a counted
-entry, filled or not, makes the budget check a pass makes, so a budget
-that would refuse the pass refuses the memoized count too, and one memo
-serves every budget.  A budget refusal is never memoized and fills
-nothing.  The memo has no size limit; it grows by under 100 bytes per
+A pass returns every local count it answers, keyed (S, joint) (every
+nonempty S within [1, max J] on the DP, within J on the scan up to two
+indices, J alone past them), so it also fills each such entry that would
+need a pass of its own, as (value, p^k): one pass per prime serves every
+index set it covers.  Every read of a counted entry, filled or not,
+makes the budget check a pass makes, so a budget that would refuse the
+pass refuses the memoized count too, and one memo serves every budget.
+A budget refusal is never memoized and fills nothing.  The memo has no size limit; it grows by under 100 bytes per
 distinct (k, J, mode, p) asked for or filled.
 """
 
@@ -300,24 +299,6 @@ def _nonempty_subsets(J) -> list[frozenset[int]]:
     return [frozenset(s) for r in range(1, len(J) + 1) for s in combinations(J, r)]
 
 
-def _open_sets(k: int, indices, p: int):
-    """The index sets within indices and which of them have no closed local
-    count, as three lists by bitmask s (bit i for indices[i]): the set of
-    s; open in joint mode, where the set has no closed zero count; and
-    open in individual mode, where some nonempty subset of it has none.
-    One _closed call per nonempty set, then one pass over the masks per
-    index: 2**len(indices) steps each, not one closed sum per set."""
-    n = len(indices)
-    sets = [frozenset(j for i, j in enumerate(indices) if s >> i & 1) for s in range(1 << n)]
-    joint = [False] + [_closed(S, k, p) is None for S in sets[1:]]
-    individual = list(joint)
-    for i in range(n):
-        for s in range(1 << n):
-            if s >> i & 1 and individual[s ^ 1 << i]:
-                individual[s] = True
-    return sets, joint, individual
-
-
 def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
     zero, for a checked k and J and a prime p.  First the memo entry
@@ -330,13 +311,15 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     against the budget, whether or not its count is memoized yet.  After
     the check comes the memoized count, or the one counting pass over F_p^k
     that fills it: _kernels.count_field(p, k, J, joint), which counts the
-    same tuples, in the same mode, and picks the engine.  The pass also
-    returns its zero-pattern histogram, which answers every (S, mode) with
-    S within its indices; each such entry that would need a pass of its
-    own (it is open, see _open_sets, and absent or not yet counted) is
-    filled as (value, p^k), charged as its own pass would be.  A closed
-    entry is left as it is and a counted value is never overwritten.  A
-    budget refusal is never memoized, and fills nothing."""
+    same tuples, in the same mode, and picks the engine.  The pass returns
+    every local count it answers, keyed (S, joint), and each such entry
+    that would need a pass of its own is filled as (value, p^k), charged
+    as its own pass would be: it is absent or not yet counted, and open,
+    where S has no closed zero count (joint) or some answered subset of S
+    has none (individual).  The fill asks the closed count of each answered
+    set at most once.  A closed entry is left as it is and a counted value
+    is never overwritten.  A budget refusal is never memoized, and fills
+    nothing."""
     by_prime = _LOCAL_UNITS.get((k, J, joint))
     if by_prime is None:  # setdefault: racing threads share one dict
         by_prime = _LOCAL_UNITS.setdefault((k, J, joint), {})
@@ -357,15 +340,20 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     if charge > resolve_budget(budget):  # the refusal's text is built only to refuse
         check_budget(charge, budget, f"enumerating F_{p}^{k}")
     if count is None:  # racing threads may both make the pass, with one value
-        count, indices, hist = _kernels.count_field(p, k, sorted(J), joint)
+        answers = _kernels.count_field(p, k, sorted(J), joint)
+        count = answers[J, joint]
         by_prime[p] = (count, charge)
-        sets, *open_by_mode = _open_sets(k, indices, p)
-        for mode, is_open in zip((True, False), open_by_mode):  # the sets the pass answers too
-            for S, needs_pass, value in zip(sets, is_open, _kernels.pattern_units(hist, mode)):
-                # absent or (None, p^k): a closed int or a counted value stays
-                sibling = _LOCAL_UNITS.get((k, S, mode), {}).get(p, (None, charge))
-                if needs_pass and sibling == (None, charge):
-                    _LOCAL_UNITS.setdefault((k, S, mode), {})[p] = (value, charge)
+        gaps = {S: None for S, _ in answers}  # S has no closed zero count: asked once
+        for (S, mode), value in answers.items():
+            # absent or (None, p^k): a closed int or a counted value stays
+            if _LOCAL_UNITS.get((k, S, mode), {}).get(p, (None, charge)) != (None, charge):
+                continue
+            within = [S] if mode else [T for T in gaps if T <= S]
+            for T in within:
+                if gaps[T] is None:
+                    gaps[T] = _closed(T, k, p) is None
+            if any(gaps[T] for T in within):
+                _LOCAL_UNITS.setdefault((k, S, mode), {})[p] = (value, charge)
     return count
 
 

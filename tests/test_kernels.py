@@ -3,9 +3,9 @@ pure-Python oracle, the DP against the scan, the scan's unit table against
 math.gcd, its row builder on the inner block's grid and on decoded digits
 and its decode boundaries under a small _CHUNK against the literal e_j,
 linear and quadratic forms of every tuple, the quadratic form's tiling
-under a small _CHUNK, the DP's cost rule, the zero-pattern histogram of
-either engine against the scan's unit and zero counts and the literal
-oracle, the int64 bounds the kernels enforce and the int8, int16, int32
+under a small _CHUNK, the DP's cost rule and its refusals, the local
+counts count_field answers on each route against the scan's unit and zero
+counts and the literal oracle, the int64 bounds the kernels enforce and the int8, int16, int32
 and int64 tiers of their rows."""
 
 import itertools
@@ -562,7 +562,7 @@ def test_int64_refusal_names_its_numbers():
     # 5**30 > 2**63; the DP's largest intermediate value is p**2 + p = 30
     with pytest.raises(ValueError, match=r"tuple count m\*\*k and the largest intermediate "
                                          r"value 30 must be < 2\*\*63"):
-        _kernels.count_sym_dp(5, 30, [3], True)
+        _kernels.count_sym_dp(5, 30, [3])
 
 
 @pytest.mark.parametrize(
@@ -574,8 +574,8 @@ def test_int64_refusal_names_its_numbers():
         lambda: _kernels.lincong_histogram(5, 0, [], []),
         lambda: _kernels.lincong_histograms(5, 0, [], [[1], []]),
         lambda: _kernels.quadform_histogram(5, 0, []),
-        lambda: _kernels.count_sym_dp(5, 0, [1], True),
-        lambda: _kernels.count_sym_dp(5, 0, [1], False),
+        lambda: _kernels.count_sym_dp(5, 0, [1]),
+        lambda: _kernels.count_field(5, 0, [1], False),  # the individual reading
     ],
     ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "dp",
          "dp_individual"],
@@ -598,10 +598,20 @@ DP_GRID = [
 ]
 
 
+def _read(hist, js, joint):
+    """count_sym_units(p, k, js, joint) off the DP's zero-pattern histogram
+    by its definition, with no transform: the patterns that do not hold
+    every j in js (joint), or that hold none of them (bit j - 1 for j)."""
+    mask = sum(1 << j - 1 for j in set(js))
+    return sum(n for z, n in enumerate(hist) if (z & mask != mask if joint else not z & mask))
+
+
 @pytest.mark.parametrize("p,k,J", DP_GRID, ids=[f"p{p}-k{k}-J{sorted(J)}" for p, k, J in DP_GRID])
 def test_dp_matches_oracle(p, k, J):
+    hist = _kernels.count_sym_dp(p, k, J)
+    assert len(hist) == 2 ** max(J) and all(type(n) is int for n in hist)
     for joint in (True, False):
-        assert _kernels.count_sym_dp(p, k, J, joint) == oracle.units(p, k, J, joint), joint
+        assert _read(hist, J, joint) == oracle.units(p, k, J, joint), joint
 
 
 @st.composite
@@ -619,10 +629,9 @@ def dp_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_dp_matches_scan(case):
     p, k, js = case
+    hist = _kernels.count_sym_dp(p, k, js)
     for joint in (True, False):
-        assert _kernels.count_sym_dp(p, k, js, joint) == _kernels.count_sym_units(
-            p, k, js, joint
-        ), joint
+        assert _read(hist, js, joint) == _kernels.count_sym_units(p, k, js, joint), joint
 
 
 def test_dp_counts_past_2_31():
@@ -631,8 +640,10 @@ def test_dp_counts_past_2_31():
     # joint count leaves out exactly the common zeros.
     for p, k, js in ((2, 33, [1]), (3, 21, [1]), (3, 20, [2]), (5, 14, [1, 2]), (7, 12, [2])):
         assert p**k >= 1 << 31
-        assert _kernels.count_sym_dp(p, k, js, True) == p**k - count_zeros_closed(js, k, p)
-    assert _kernels.count_sym_dp(3, 21, [1], False) == 3**21 - 3**20
+        assert _read(_kernels.count_sym_dp(p, k, js), js, True) == p**k - count_zeros_closed(
+            js, k, p
+        )
+    assert _read(_kernels.count_sym_dp(3, 21, [1]), [1], False) == 3**21 - 3**20
 
 
 @pytest.mark.parametrize(
@@ -647,9 +658,8 @@ def test_dp_counts_past_2_31():
 )
 def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
     monkeypatch.setattr(_kernels, "np", None)
-    for joint in (True, False):
-        with pytest.raises(ValueError, match=match):
-            _kernels.count_sym_dp(p, k, js, joint)
+    with pytest.raises(ValueError, match=match):
+        _kernels.count_sym_dp(p, k, js)
 
 
 @pytest.mark.parametrize(
@@ -661,7 +671,10 @@ def test_dp_refusals_before_any_allocation(monkeypatch, p, k, js, match):
         (7, 4, 3, "dp"),
         (5, 5, 4, "dp"),
         (3, 8, 3, "scan"),  # p <= jmax
-        (7, 6, 6, "scan"),  # the DP would do more work than the scan
+        (5, 8, 5, "scan"),
+        (17, 5, 4, "scan"),  # (2p)**jmax cells over the DP's cap
+        (1031, 3, 2, "scan"),
+        (7, 6, 6, "scan"),  # jmax >= k: the DP would do more work than the scan
         (7, 4, 4, "scan"),
         (7, 5, 5, "scan"),
     ],
@@ -670,13 +683,52 @@ def test_cost_rule_routes(p, k, jmax, route):
     assert ("dp" if _kernels._dp_pays(p, k, jmax) else "scan") == route
 
 
-def test_cost_rule_never_picks_a_refused_dp():
+def _dp_refuses(p, k, jmax):
+    """Whether count_sym_dp refuses (p, k, [jmax]) for p <= jmax or over
+    its tiled cap; with numpy gone from the module (monkeypatched), a call
+    past both refusals stops at its first numpy use, having allocated
+    nothing.  Its int64 refusal is not one of the two."""
+    try:
+        _kernels.count_sym_dp(p, k, [jmax])
+    except ValueError as error:
+        return "p > max" in str(error) or "cap" in str(error)
+    except AttributeError:  # numpy is None: both refusals passed
+        return False
+    raise AssertionError("the DP ran with numpy gone")
+
+
+def test_cost_rule_never_picks_a_refused_dp(monkeypatch):
+    # the rule tests the DP's two refusals without their text: it picks the
+    # DP exactly where jmax < k and the DP would not refuse
+    monkeypatch.setattr(_kernels, "np", None)
     for p in (2, 3, 5, 7, 11, 13, 31, 101, 1009, 10007):
         for jmax in range(1, 12):
             for k in range(jmax, 40):
-                if _kernels._dp_pays(p, k, jmax):
-                    assert _kernels._dp_refusal(p, jmax) is None
+                pays = _kernels._dp_pays(p, k, jmax)
+                assert pays == (jmax < k and not _dp_refuses(p, k, jmax)), (p, k, jmax)
+                if pays:
                     assert (2 * p) ** jmax <= _kernels._DP_CELLS
+
+
+@pytest.mark.parametrize(
+    "p,k,js,text",
+    [
+        (3, 8, [3], "the power-sum DP needs p > max(J) = 3, got p=3"),
+        (5, 8, [2, 5], "the power-sum DP needs p > max(J) = 5, got p=5"),
+        (17, 5, [2, 4], "the power-sum DP at p=17, max(J)=4 needs (2p)**4 cells, "
+                        "over its cap of 1048576"),
+        (1031, 3, [2], "the power-sum DP at p=1031, max(J)=2 needs (2p)**2 cells, "
+                       "over its cap of 1048576"),
+    ],
+)
+def test_dp_refusal_text(monkeypatch, p, k, js, text):
+    # _dp_pays tests these conditions with no text; the DP builds it only
+    # to refuse, in the same words
+    monkeypatch.setattr(_kernels, "np", None)
+    assert not _kernels._dp_pays(p, k, max(js))
+    with pytest.raises(ValueError) as info:
+        _kernels.count_sym_dp(p, k, js)
+    assert str(info.value) == text
 
 
 @pytest.mark.parametrize(
@@ -696,17 +748,14 @@ def test_count_field_runs_one_engine(monkeypatch, p, k, js, joint):
 
     for name in ("count_sym_dp", "_query_scan"):
         monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
-    count, indices, hist = _kernels.count_field(p, k, js, joint)
-    # either engine ends in a zero-pattern histogram, read for every query;
-    # past _SCAN_PATTERN indices the scan's is empty
+    answers = _kernels.count_field(p, k, js, joint)
+    # either engine answers by index set; past _SCAN_PATTERN indices the
+    # scan answers the asked key alone
     dp = _kernels._dp_pays(p, k, max(js))
     assert ran == ["count_sym_dp" if dp else "_query_scan"]
-    if dp:
-        assert indices == tuple(range(1, max(js) + 1))
-    else:
-        assert indices == (tuple(sorted(js)) if len(js) <= _kernels._SCAN_PATTERN else ())
-    assert len(hist) == 2 ** len(indices) and sum(hist) == p**k
-    assert count == oracle.units(p, k, js, joint)
+    route = "dp" if dp else "scan" if len(js) <= _kernels._SCAN_PATTERN else "past"
+    assert set(answers) == _covered(route, js, joint)
+    assert answers[frozenset(js), joint] == oracle.units(p, k, js, joint)
 
 
 def _every_query(p, k, indices):
@@ -714,13 +763,14 @@ def _every_query(p, k, indices):
     return [(sorted(S), joint) for S in oracle.nonempty_subsets(indices) for joint in (True, False)]
 
 
-def _readings(indices, hist, joint):
-    """pattern_units keyed by index set: every nonempty S within indices."""
-    units = _kernels.pattern_units(hist, joint)
-    return {
-        frozenset(j for i, j in enumerate(indices) if s >> i & 1): units[s]
-        for s in range(1, len(units))
-    }
+def _covered(route, js, joint):
+    """The keys count_field answers on a route: both modes of every nonempty
+    S within [1, max(js)] on the DP or within js on the scan's pattern, and
+    the asked key alone on the scan past its pattern."""
+    if route == "past":
+        return {(frozenset(js), joint)}
+    within = range(1, max(js) + 1) if route == "dp" else js
+    return {(S, mode) for S in oracle.nonempty_subsets(within) for mode in (True, False)}
 
 
 # (p, k, js, route): the DP at p > max(js) and max(js) < k; the scan where
@@ -739,37 +789,39 @@ PATTERN_CASES = [
 @pytest.mark.parametrize("p,k,js,route", PATTERN_CASES,
                          ids=[f"p{p}-k{k}-J{js}" for p, k, js, _ in PATTERN_CASES])
 def test_pattern_answers_every_subset(p, k, js, route):
-    count, indices, hist = _kernels.count_field(p, k, js, True)
     assert ("dp" if _kernels._dp_pays(p, k, max(js)) else "scan") == route
-    assert set(js) <= set(indices)
-    queries = _every_query(p, k, indices)
+    within = range(1, max(js) + 1) if route == "dp" else js
+    queries = _every_query(p, k, within)
     expected = dict(zip(
         [(frozenset(S), joint) for S, joint in queries],
         _kernels.count_sym_units_many(p, k, queries),
     ))
     for joint in (True, False):
-        readings = _readings(indices, hist, joint)
-        assert len(readings) == 2 ** len(indices) - 1
-        for S, value in readings.items():
-            assert value == expected[(S, joint)], (sorted(S), joint)
-            assert type(value) is int
+        answers = _kernels.count_field(p, k, js, joint)
+        # the route's keys exactly, the asked one among them, each value
+        # the scan's unit count, as a Python int
+        assert set(answers) == _covered(route, js, joint) == set(expected)
+        assert (frozenset(js), joint) in answers
+        assert answers == expected
+        assert all(type(value) is int for value in answers.values())
     # at a prime the zero count of S is p**k less its joint unit count
-    for S in oracle.nonempty_subsets(indices):
+    for S in oracle.nonempty_subsets(within):
         assert p**k - expected[(S, True)] == _kernels.count_sym_zeros(p, k, sorted(S))
-    assert count == expected[(frozenset(js), True)]
-    assert _kernels.count_field(p, k, js, False)[0] == expected[(frozenset(js), False)]
 
 
 @pytest.mark.parametrize("p,k,js", [(5, 4, [3]), (3, 5, [2, 3]), (3, 4, [2, 4])])
 def test_pattern_matches_the_literal_oracle(p, k, js):
-    _, indices, hist = _kernels.count_field(p, k, js, True)
-    expected = [0] * 2 ** len(indices)
-    for t in itertools.product(range(p), repeat=k):
-        expected[sum(1 << i for i, j in enumerate(indices) if oracle.esym(j, t, p) == 0)] += 1
-    assert list(hist) == expected
     for joint in (True, False):
-        for S, value in _readings(indices, hist, joint).items():
-            assert value == oracle.units(p, k, S, joint), (sorted(S), joint)
+        answers = _kernels.count_field(p, k, js, joint)
+        assert (frozenset(js), joint) in answers
+        for (S, mode), value in answers.items():
+            assert value == oracle.units(p, k, S, mode), (sorted(S), mode)
+    if _kernels._dp_pays(p, k, max(js)):  # the DP's histogram itself
+        indices = range(1, max(js) + 1)
+        expected = [0] * 2 ** len(indices)
+        for t in itertools.product(range(p), repeat=k):
+            expected[sum(1 << i for i, j in enumerate(indices) if oracle.esym(j, t, p) == 0)] += 1
+        assert _kernels.count_sym_dp(p, k, js) == expected
 
 
 @pytest.mark.parametrize("chunk,p,k,js", [(8, 3, 5, [1, 3]), (27, 3, 6, [2, 6])])
@@ -783,25 +835,25 @@ def test_pattern_under_a_small_chunk(monkeypatch, chunk, p, k, js):
 
 def test_pattern_past_2_31_on_the_dp():
     # 5**14 >= 2**31, so the DP keeps int64 counts; the closed counts of
-    # {1}, {2} and {1, 2} check every cell of the pattern
+    # {1}, {2} and {1, 2} check every answer of the pattern
     p, k = 5, 14
     assert p**k >= 1 << 31 and _kernels._dp_pays(p, k, 2)
-    count, indices, hist = _kernels.count_field(p, k, [1, 2], True)
-    assert indices == (1, 2) and sum(hist) == p**k
-    zeros = {S: count_zeros_closed(S, k, p) for S in oracle.nonempty_subsets(indices)}
-    assert count == p**k - zeros[frozenset({1, 2})]
-    assert _readings(indices, hist, True) == {S: p**k - z for S, z in zeros.items()}
-    individual = _readings(indices, hist, False)
+    assert sum(_kernels.count_sym_dp(p, k, [1, 2])) == p**k
+    zeros = {S: count_zeros_closed(S, k, p) for S in oracle.nonempty_subsets([1, 2])}
+    expected = {(S, True): p**k - z for S, z in zeros.items()}
     for S in zeros:
-        expected = sum((-1) ** (len(T) + 1) * (p**k - zeros[T]) for T in oracle.nonempty_subsets(S))
-        assert individual[S] == expected, sorted(S)
+        expected[S, False] = sum(
+            (-1) ** (len(T) + 1) * (p**k - zeros[T]) for T in oracle.nonempty_subsets(S)
+        )
+    assert set(expected) == _covered("dp", [1, 2], True)
+    assert _kernels.count_field(p, k, [1, 2], True) == expected
 
 
 @pytest.mark.parametrize("p,k,js", [(3, 7, [1, 2, 3]), (3, 6, [1, 2, 3, 4, 5])])
 @pytest.mark.parametrize("joint", [True, False])
 def test_scan_past_its_pattern_counts_js_alone(monkeypatch, p, k, js, joint):
     # past _SCAN_PATTERN indices the scan makes the one count of js, by one
-    # query, and its empty pattern answers no other set
+    # query, and answers no other set
     assert len(js) > _kernels._SCAN_PATTERN and not _kernels._dp_pays(p, k, max(js))
     queries = []
     query_scan = _kernels._query_scan
@@ -811,7 +863,7 @@ def test_scan_past_its_pattern_counts_js_alone(monkeypatch, p, k, js, joint):
         return query_scan(m, k, asked, *rest)
 
     monkeypatch.setattr(_kernels, "_query_scan", counted)
-    count, indices, hist = _kernels.count_field(p, k, js, joint)
-    assert (count, indices, hist) == (oracle.units(p, k, js, joint), (), [p**k])
+    answers = _kernels.count_field(p, k, js, joint)
+    assert set(answers) == _covered("past", js, joint)
+    assert answers == {(frozenset(js), joint): oracle.units(p, k, js, joint)}
     assert queries == [[(js, None if joint else False)]]
-    assert _kernels.pattern_units(hist, joint) == [0 if joint else p**k]

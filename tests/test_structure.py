@@ -76,6 +76,24 @@ def test_engine_choice_stays_in_kernels():
     assert lens == []
 
 
+def test_zero_pattern_layout_stays_in_kernels():
+    # count_field answers by index set: symfield reads no histogram, builds
+    # no bitmask and never names the DP, and count_field keeps its contract
+    tree = ast.parse((SRC / "symfield.py").read_text())
+    for name in ("pattern_units", "_pattern_units", "_zeta", "count_sym_dp"):
+        assert _references(tree, name) == [], name
+    bit_ops = (ast.LShift, ast.RShift, ast.BitAnd)
+    assert [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bit_ops)
+    ] == []
+    (count_field,) = [
+        node for node in ast.parse((SRC / "_kernels.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "count_field"
+    ]
+    assert [a.arg for a in count_field.args.args] == ["p", "k", "js", "joint"]
+
+
 def test_per_prime_rule_is_one_function():
     # _local_units holds the memo step and the closed sum itself, so the
     # memo is read nowhere else in symfield but at its declaration
@@ -174,7 +192,8 @@ def test_shared_facts_have_one_home():
         ("symfield.py", node.lineno) for node in trees["symfield.py"].body
         if isinstance(node, ast.ImportFrom) and node.module == "itertools"
     ]
-    # one contract for a count over F_p^k: count_sym_units's (p, k, js, joint)
+    # one contract for a count over F_p^k: count_sym_units's (p, k, js, joint);
+    # the DP returns the zero-pattern histogram of every mode, so it takes none
     functions = {
         node.name: node for node in trees["_kernels.py"].body
         if isinstance(node, ast.FunctionDef)
@@ -186,7 +205,7 @@ def test_shared_facts_have_one_home():
         for name in ("count_field", "count_sym_dp", "count_sym_units")
     } == {
         "count_field": ["p", "k", "js", "joint"],
-        "count_sym_dp": ["p", "k", "js", "joint"],
+        "count_sym_dp": ["p", "k", "js"],
         "count_sym_units": ["m", "k", "js", "joint"],
     }
     # the CLI reads the Menon weights and the modes from their homes

@@ -359,13 +359,52 @@ class TestClosedUnitsMemo:
                 assert fn(TotientSpec(6, J, mode, 7)) == expected, (sorted(J), mode)
         assert len(passes) == 1
 
-    def test_open_sets_inherit_a_subsets_gap_in_individual_mode(self):
+    def test_open_sets_inherit_a_subsets_gap_in_individual_mode(self, monkeypatch):
         # at k = 4, {4} and {3, 4} close (k is in J) and {3} does not: the
-        # individual count of {3, 4} sums over {3}, so it is open too
-        sets, joint, individual = symfield._open_sets(4, (3, 4), 5)
-        assert sets == [frozenset(), frozenset({3}), frozenset({4}), frozenset({3, 4})]
-        assert joint == [False, True, False, False]
-        assert individual == [False, True, False, True]
+        # individual count of {3, 4} sums over {3}, so it is open too.  Its
+        # one pass, a scan as k is in J, answers every nonempty S within
+        # {3, 4}; it fills {3} in both modes and leaves {4} and joint {3, 4}
+        # to their closed counts, which charge nothing
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        expected = oracle.units(5, 4, {3, 4}, joint=False)
+        assert phi(TotientSpec(4, {3, 4}, "individual", 5)) == expected
+        assert not _kernels._dp_pays(5, 4, 4) and len(passes) == 1
+        assert {
+            (tuple(sorted(S)), mode): by_prime
+            for (_, S, mode), by_prime in symfield._LOCAL_UNITS.items()
+        } == {
+            ((3, 4), False): {5: (expected, 625)},
+            ((3,), True): {5: (460, 625)},
+            ((3,), False): {5: (460, 625)},
+        }
+        assert oracle.units(5, 4, {3}, joint=True) == 460
+        for J, mode, fn in (({4}, "joint", varphi), ({4}, "individual", phi),
+                            ({3, 4}, "joint", varphi)):
+            spec = TotientSpec(4, J, mode, 5)
+            assert fn(spec, budget=0) == oracle.units(5, 4, J, joint=mode == "joint")
+        assert len(passes) == 1
+
+    def test_fill_reads_the_gaps_of_answered_subsets(self, monkeypatch):
+        # no route today answers an individual set that closes jointly but
+        # holds an open subset, other than the asked key: the DP's pattern
+        # stays below k.  A pass over {3, 4} at k = 4 asked for joint {3}
+        # stands in for a wider one; it fills individual {3, 4} through {3}
+        def wide_pass(p, k, js, joint):
+            queries = [(sorted(S), mode) for S in oracle.nonempty_subsets({3, 4})
+                       for mode in (True, False)]
+            counts = _kernels.count_sym_units_many(p, k, queries)
+            return {(frozenset(S), mode): n for (S, mode), n in zip(queries, counts)}
+
+        monkeypatch.setattr(_kernels, "count_field", wide_pass)
+        assert varphi(TotientSpec(4, {3}, "joint", 5)) == 460
+        filled = {
+            (tuple(sorted(S)), mode) for (_, S, mode), by_prime in symfield._LOCAL_UNITS.items()
+            if 5 in by_prime
+        }
+        assert filled == {((3,), True), ((3,), False), ((3, 4), False)}
+        assert symfield._LOCAL_UNITS[(4, frozenset({3, 4}), False)][5] == (
+            oracle.units(5, 4, {3, 4}, joint=False), 625
+        )
 
     def test_fill_never_overwrites_a_counted_value(self, monkeypatch):
         # a planted counted value survives a later pass that answers its set
