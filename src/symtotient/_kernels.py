@@ -3,10 +3,11 @@ for symmetric zero counts over a prime field, a power-sum DP.
 
 The walk, _scan, visits every tuple of Z_m^k a chunk of tuple indices at a
 time and yields, on request, three features per chunk: the rows e_j mod m
-(j in js), a linear form sum(c_i x_i) mod m and the quadratic form
-Q(x) = x^T A x mod m.  It is tiled: the low digits of an index form an
-inner block of at most _CHUNK tuples, built once per call, and the high
-digits, the outer prefixes, are decoded up to _CHUNK at a time.  One row
+(j in js), a linear form sum(c_i x_i) mod m and the quadratic forms
+Q(x) = x^T A x mod m of one matrix A or of several.  It is tiled: the
+low digits of an index form an inner block of at most _CHUNK tuples,
+built once per call, and the high digits, the outer prefixes, are
+decoded up to _CHUNK at a time.  One row
 builder, _rows, builds both halves a coordinate at a time: on the inner
 block coordinate d takes the column arange(m)[:, None] and the rows grow
 to an (m, m**d) grid, about m/(m-1) passes over the block in all; on the
@@ -15,6 +16,12 @@ batch of prefixes to the block: e_j by the product rule
 e_j(outer, inner) = sum_i e_i(outer) e_{j-i}(inner), linear forms by
 adding, and Q by Q(outer) + Q(inner) + sum_j L_j(outer) x_j.  Every tuple
 is visited; no integer matmul is used, which numpy runs without BLAS.
+Several forms ride one walk as the leading axis of the Q rows and of
+their cross forms L_j, so a chunk holds one value per (form, tuple), at
+most _CHUNK of them, which _scan enforces: quadform_histograms puts
+_CHUNK // m**k forms on a walk of a space that fits one chunk, and
+walks a larger space once per form.  A histogram query tallies every
+form's Q in one bincount per chunk, form f's bins at f*m.
 
 Every scan kernel is a set of queries folded in the one loop over the
 walk, _query_scan.  A zero query keeps the tuples whose e_j are all 0, by
@@ -114,8 +121,8 @@ def _low_digits(m, k):
     return low
 
 
-def _check_scan(m, k, js, coeffs=None, matrix=None):
-    """The row dtype of _scan(m, k, js, coeffs, matrix), by _check_int64
+def _check_scan(m, k, js, coeffs=None, matrices=None):
+    """The row dtype of _scan(m, k, js, coeffs, matrices), by _check_int64
     from the peak of the features asked for; it refuses first, before any
     allocation, a tuple count m**k or a peak that would reach 2**63.  The
     digits stay below m.  The e_j recurrence and the linear form stay below
@@ -124,7 +131,7 @@ def _check_scan(m, k, js, coeffs=None, matrix=None):
     _scan).  So e_j rows are int8 up to m = 10, int16 up to m = 180 and
     int32 up to m = 46340, and with max(js) = 3 on both halves int16 up to
     m = 90."""
-    peak = k * m * m if matrix is not None else m
+    peak = k * m * m if matrices is not None else m
     if js or coeffs is not None:
         terms = max(js, default=0) + 1 if 0 < _low_digits(m, k) < k else 1
         peak = max(peak, m * m + m, terms * m * m)
@@ -153,12 +160,16 @@ def _rows(m, coords, values, jmax, coeffs, s, extra, dtype):
     digit per column, of shape (1, n).  Returns (e, lin, q, forms), None
     when not asked for or over no coordinates: e_0..e_min(jmax, len(coords))
     by e_j(x, v) = e_j(x) + v e_{j-1}(x) mod m, sum(coeffs[d] x_d) mod m,
-    and Q(x) = sum_{i<=j} s_ij x_i x_j with the cross forms
-    forms[i] = L_i(x) = sum_d s_id x_d of the later coordinates and of
-    `extra`; a row not yet made is zero and costs no pass.  Only the
-    factor of v in Q is reduced, so Q and L_i stay below k*m**2."""
+    and Q(x) = sum_{i<=j} s_ij x_i x_j, built with the cross forms
+    L_i(x) = sum_d s_id x_d of the later coordinates; forms[i] = L_i(x)
+    for each i in `extra`.  A row not yet made is zero and costs no pass.
+    Only the factor of v in Q is reduced, so Q and L_i stay below k*m**2.
+    An entry s_ij is an int, for one form, or the (F, 1, 1) column of F
+    forms' entries; then Q and each L_i have the leading form axis,
+    (F, width)."""
     e = lin = q = None
     forms = {}
+    flat = (-1,)
     for d, v in zip(coords, values):
         if jmax and e is None:  # e_0 = 1, e_1 = v
             e = np.zeros((min(jmax, len(coords)) + 1, v.size), dtype=dtype)
@@ -183,10 +194,17 @@ def _rows(m, coords, values, jmax, coeffs, s, extra, dtype):
             w *= v
             if q is not None:
                 w += q
-            q = w.reshape(-1)
+            # F forms' Q and L_i are kept as (F, 1, width), which meets v on
+            # the grid as it is; one form's stay flat
+            if w.ndim > 2:
+                flat = (len(w), 1, -1)
+            q = w.reshape(flat)
             for i in (*extra, *range(d + 1, coords.stop)):  # L_i(x, v) = L_i(x) + s_id v
                 step = s[i][d] * v
-                forms[i] = (step if i not in forms else forms[i] + step).reshape(-1)
+                forms[i] = (step if i not in forms else forms[i] + step).reshape(flat)
+    if q is not None and len(flat) > 1:  # (F, 1, w) -> (F, w)
+        q = q[:, 0]
+        forms = {i: forms[i][:, 0] for i in extra}
     return e, lin, q, forms
 
 
@@ -242,14 +260,21 @@ def _join(outer, inner, part, m, cross=()):
     return _reduce(grid, m).reshape(-1)
 
 
-def _scan(m, k, js, coeffs=None, matrix=None):
+def _scan(m, k, js, coeffs=None, matrices=None):
     """The one walk over Z_m^k, a chunk of tuple indices at a time, in index
     order.  Per chunk, yield (rows, lin, q): the rows e_j mod m (j in js,
     ascending) of the tuples' base-m digits, the linear form
-    sum(coeffs[i] * x_i) mod m and the quadratic form x^T A x mod m of the
-    matrix A, each None when not asked for, in the dtype _check_scan
-    returns; it refuses first.  With s_ii = a_ii and s_ij = a_ij + a_ji,
-    Q(x) = sum_{i<=j} s_ij x_i x_j, so A need not be symmetric.
+    sum(coeffs[i] * x_i) mod m and, for a list of F matrices A_f (k by k),
+    the quadratic forms x^T A_f x mod m, each None when not asked for, in
+    the dtype _check_scan returns; it refuses first.  With s_ii = a_ii and
+    s_ij = a_ij + a_ji, Q(x) = sum_{i<=j} s_ij x_i x_j, so A need not be
+    symmetric.  One form's s_ij are ints and its Q rows are flat; F > 1
+    forms ride the walk as the leading axis of Q and of its cross forms,
+    (F, m**k), each s_ij an (F, 1, 1) column (see _rows).  A chunk then
+    holds F values per tuple, so F > 1 forms are refused with ValueError,
+    before any allocation, unless F * m**k is at most _CHUNK: they ride
+    only a walk of one chunk, and a larger space is walked a form at a
+    time.  So is a matrix that is not k by k.
 
     The low digits of an index (_low_digits of them) form the inner block,
     built once by _rows on a grid.  The outer prefixes are decoded up to
@@ -259,17 +284,27 @@ def _scan(m, k, js, coeffs=None, matrix=None):
     stays below (k - low) m**2, and with Q(inner), reduced once, and at
     most low cross terms below m**2 each, the grid stays below k*m**2.  An
     empty half adds nothing: with no low digits this is the plain scan."""
-    dtype = _check_scan(m, k, js, coeffs, matrix)
+    dtype = _check_scan(m, k, js, coeffs, matrices)
+    if matrices is not None:
+        if {len(x) for a in matrices for x in (a, *a)} - {k}:  # each matrix's and row's length
+            raise ValueError(f"a quadratic form over Z_{m}^{k} needs a {k} by {k} matrix")
+        if len(matrices) > 1 and len(matrices) * m**k > _CHUNK:
+            raise ValueError(f"{len(matrices)} forms over Z_{m}^{k} would hold more than "
+                             f"{_CHUNK} (form, tuple) values in one chunk")
     js = sorted(js)
     jmax = js[-1] if js else 0
     low = _low_digits(m, k)
     s = None
     if coeffs is not None:
         coeffs = [operator.index(c) % m for c in coeffs]
-    if matrix is not None:
+    if matrices is not None:
         index = operator.index
-        s = [[index(row[j]) % m if i == j else (index(row[j]) + index(matrix[j][i])) % m
-              for j in range(k)] for i, row in enumerate(matrix)]
+        s = [[[index(row[j]) % m if i == j else (index(row[j]) + index(a[j][i])) % m
+               for j in range(k)] for i, row in enumerate(a)] for a in matrices]
+        if len(s) == 1:  # one form: int entries, Q rows with no form axis
+            (s,) = s
+        else:  # entry (i, j) of every form as an (F, 1, 1) column
+            s = np.array(s, dtype=dtype).transpose(1, 2, 0).reshape(k, k, -1, 1, 1)
     column = np.arange(m, dtype=dtype)[:, None]
     inner, lin_in, q_in, _ = _rows(m, range(low), [column] * low, jmax, coeffs, s, (), dtype)
     q_in = None if q_in is None else _reduce(q_in, m)
@@ -343,33 +378,35 @@ def _zeta(values, supersets, sign=1):
     return sums
 
 
-def _query_scan(m, k, queries, coeffs=None, matrix=None):
+def _query_scan(m, k, queries, coeffs=None, matrices=None):
     """The one loop over _scan: one scan over the union of the index sets
     answers every query, a pair (js, joint).  joint=None keeps the tuples
     whose e_j (j in js) are all 0 mod m, joint=True those whose e_j are
     jointly coprime to m, joint=False those whose e_j are each a unit mod
-    m; an empty js keeps every tuple.  Without coeffs or matrix return per
+    m; an empty js keeps every tuple.  Without coeffs or matrices return per
     query the number of tuples kept (js nonempty); with coeffs, the
     histogram over b of the kept tuples with sum(coeffs[i] x_i) = b
-    (mod m); with matrix, of those with x^T A x = b (mod m).
+    (mod m); with F matrices, the (F, m) histograms of those with
+    x^T A_f x = b (mod m), one tally a chunk for every form.
 
     The results, and the unit table for unit queries only, are allocated
     after the scan's refusal.  Per chunk each row is read from the table
     once; rows are reduced below m, so mode="clip" only drops take's
     bounds check."""
-    counts = coeffs is None and matrix is None
+    counts = coeffs is None and matrices is None
     sets = [sorted(set(js)) for js, _ in queries]
     union = sorted(set().union(*sets))
     queries = [([union.index(j) for j in js], joint) for js, (_, joint) in zip(sets, queries)]
     if counts and not all(at for at, _ in queries):
         raise ValueError("a count needs a nonempty index set")
     out = None
-    for rows, lin, q in _scan(m, k, union, coeffs, matrix):
+    for rows, lin, q in _scan(m, k, union, coeffs, matrices):
+        values = q if lin is None else lin
         if out is None:
             units = union and any(joint is not None for _, joint in queries)
             bits = _prime_bits(m) if units else None
-            out = [0 if counts else np.zeros(m, dtype=np.int64) for _ in queries]
-        values = q if lin is None else lin
+            out = [0 if counts else np.zeros((*values.shape[:-1], m), dtype=np.int64)
+                   for _ in queries]
         taken = None if bits is None else [bits.take(row, mode="clip") for row in rows]
         for i, (at, joint) in enumerate(queries):
             acc = _fold(rows if joint is None else taken, at, joint) if at else None
@@ -556,7 +593,13 @@ def _tally(hist, values):
     """Add to hist how often each of its bins occurs in values, one chunk,
     at a cost set by the chunk and not by the histogram: bincount adds
     O(len(hist)) per call, so it runs only while len(hist) <= _CHUNK, and a
-    longer histogram takes np.unique's counts."""
+    longer histogram takes np.unique's counts.  Histograms of F forms,
+    hist (F, m) and values (F, n), are one flat histogram whose bins
+    f*m .. f*m + m - 1 are form f's, tallied by one call."""
+    if hist.ndim > 1:
+        m = hist.shape[-1]
+        values = (values + np.array(range(0, hist.size, m))[:, None]).reshape(-1)
+        hist = hist.reshape(-1)
     if hist.shape[0] <= _CHUNK:
         hist += np.bincount(values, minlength=hist.shape[0])
     else:
@@ -578,5 +621,24 @@ def lincong_histograms(m: int, k: int, coeffs, sets) -> list[np.ndarray]:
 
 def quadform_histogram(p: int, k: int, matrix) -> np.ndarray:
     """Histogram over b of tuples x in Z_p^k with x^T A x = b (mod p), a
-    histogram of the scan's Q rows (see _scan)."""
-    return _query_scan(p, k, [((), None)], None, matrix)[0]
+    histogram of the scan's Q rows (see _scan): quadform_histograms(p, k,
+    [matrix])[0], made as the one walk of its one form."""
+    return _query_scan(p, k, [((), None)], None, [matrix])[0]
+
+
+def quadform_histograms(p: int, k: int, matrices) -> list[np.ndarray]:
+    """quadform_histogram(p, k, A) for each k by k matrix A in matrices.
+    The forms ride one walk of Z_p^k as the leading axis of its Q rows, a
+    group of _CHUNK // p**k forms at a time, so a chunk holds at most
+    _CHUNK (form, tuple) values, no more than a one-form chunk; a space
+    past one chunk walks once per form.  Refuses with ValueError a matrix
+    that is not k by k, and what _check_scan refuses, each before the walk
+    that would read it allocates anything."""
+    matrices = list(matrices)
+    group = _CHUNK // p**k if 0 < k == _low_digits(p, k) else 1
+    hists = []
+    for first in range(0, len(matrices), group):
+        # one form's histogram comes with no form axis
+        hists.extend(_query_scan(p, k, [((), None)], None, matrices[first : first + group])[0]
+                     .reshape(-1, p))
+    return hists

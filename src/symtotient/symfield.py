@@ -449,3 +449,15 @@ def quadform_value_histogram(form: QuadraticForm, budget: int | None = None):
     space = form.p**form.k
     check_budget(space, budget, f"enumerating F_{form.p}^{form.k}")
     return _kernels.quadform_histogram(form.p, form.k, form.matrix)
+
+
+def _quadform_histograms(forms, budget: int | None = None) -> list:
+    """quadform_value_histogram of each form in forms, a nonempty list of
+    forms that share p and k, from one walk of F_p^k per group of forms
+    (_kernels.quadform_histograms), charged p^k once against the budget.
+    Mixed p or k is refused with ValueError before the budget check."""
+    p, k = forms[0].p, forms[0].k
+    if any((form.p, form.k) != (p, k) for form in forms):
+        raise ValueError(f"the forms must share p and k, as the first form's F_{p}^{k} does")
+    check_budget(p**k, budget, f"enumerating F_{p}^{k}")
+    return _kernels.quadform_histograms(p, k, [form.matrix for form in forms])

@@ -9,10 +9,12 @@ grid point: the one place where a grid point whose tuple space exceeds the
 active budget becomes skips with a reason, one for each group of checks
 the refused value would have fed, not one per check.  A group can hold
 several checks: 3 per family in congruence-classes, 2 per index set in
-product-forms, 2 in relation and in p2-closed's pair.  cell_quadform
-records one skip for a refused (k, p) stratum and drops that stratum's
-remaining samples with it, so its skip count understates the checks left
-undone.
+product-forms, 2 in relation and in p2-closed's pair.  ramanujan reads
+the histograms of both its index sets at once and has a group of one
+check per set.  cell_quadform reads the histograms of a (k, p) stratum's
+50 forms in one budget-checked read, and records one skip for a refused
+stratum, which drops its 50 samples, so its skip count understates the
+checks left undone.
 
 An oracle table that several cells read is enumerated once per sweep:
 run_suite opens a table store for the sweep, and each such read goes
@@ -42,13 +44,13 @@ from .symfield import (
     SymSystem,
     _bruteforce_zeros,
     _nonempty_subsets,
+    _quadform_histograms,
     closed_count_e1e2,
     closed_count_e2,
     count_zeros_mod2,
     e2_matrix,
     extend_with_ek,
     quad_form_count,
-    quadform_value_histogram,
 )
 
 # The sweep grids are pinned to the default budget; shrinking the runtime
@@ -246,20 +248,20 @@ def _random_degenerate(rng: random.Random, k: int, p: int):
 def cell_quadform(budget=None) -> CellResult:
     """Quadratic-form solution counts: per sampled form the counts over all b
     match enumeration and sum to p^k (50 forms per (k, p), 10 of them forced
-    degenerate; seeded, so the sample is reproducible)."""
+    degenerate; seeded, so the sample is reproducible).  The 50 histograms
+    of a (k, p) stratum come from one read, charged p^k once, whose walks
+    each carry as many forms as fit one chunk."""
     rng = random.Random(0x5EED)
     res = CellResult("quadform")
     for p in (3, 5, 7, 13):
         for k in range(1, 5):
             samples = [_random_symmetric(rng, k, p) for _ in range(40)]
             samples += [_random_degenerate(rng, k, p) for _ in range(10)]
-            for idx, rows in enumerate(samples):
-                form = QuadraticForm(p, rows)
-                hist = res.attempt(
-                    f"k={k} p={p}", lambda: quadform_value_histogram(form, budget=budget)
-                )
-                if hist is None:
-                    break
+            forms = [QuadraticForm(p, rows) for rows in samples]
+            hists = res.attempt(f"k={k} p={p}", lambda: _quadform_histograms(forms, budget))
+            if hists is None:
+                continue
+            for idx, (form, hist) in enumerate(zip(forms, hists)):
                 counts = [quad_form_count(form, b) for b in range(p)]
                 res.check(
                     sum(counts) == p**k and counts == [int(h) for h in hist],
@@ -473,24 +475,27 @@ def cell_ramanujan(budget=None) -> CellResult:
     exponential sum for n <= 20, k in {2, 3}, J in {{2}, {1,2}}, every m.
     The product form is g_k(1, n) c(m, n), with g_k(1, n) counted once per
     (n, k, J), so the local factors of n serve every m; the direct side
-    weighs one e_1-fiber histogram per (n, k, J) by zeta_n^(m a) for every m
-    and reduces it exactly in Z[zeta_n]."""
+    weighs the e_1-fiber histogram of (n, k, J) by zeta_n^(m a) for every m
+    and reduces it exactly in Z[zeta_n].  One enumeration per (n, k) gives
+    the histograms of both J."""
     res = CellResult("ramanujan")
-
-    def agree(n, k, J):
-        hist = cg.unit_fiber_histogram(n, k, J, budget=budget)
-        prob = cg.CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
-        g = cg.count_unit_rhs(prob, budget=budget)
-        return all(
-            g * ramanujan_sum(m, n) == cg._fiber_exponential_sum(hist, m, n) for m in range(n)
-        )
-
+    families = (frozenset({2}), frozenset({1, 2}))
     for k in (2, 3):
-        for J in (frozenset({2}), frozenset({1, 2})):
-            for n in range(1, 21):
-                ok = res.attempt(f"n={n} k={k}", lambda: agree(n, k, J))
-                if ok is None:
-                    continue
+        for n in range(1, 21):
+            probs = [cg.CongruenceProblem((1,) * k, 1, n, SymSystem(k, J, "individual"))
+                     for J in families]
+            sets = [prob.constraint.indices for prob in probs]
+            hists = res.attempt(f"n={n} k={k}",
+                                lambda: cg._solution_histograms(n, k, probs[0].coeffs, sets, budget),
+                                len(families))
+            if hists is None:
+                continue
+            for J, prob, hist in zip(families, probs, hists):
+                g = cg.count_unit_rhs(prob, budget=budget)
+                ok = all(
+                    g * ramanujan_sum(m, n) == cg._fiber_exponential_sum(hist, m, n)
+                    for m in range(n)
+                )
                 res.check(ok, f"n={n} k={k} J={sorted(J)}")
     return res
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtotient import _kernels
+from symtotient import _kernels, symfield, verify
 from symtotient.symfield import QuadraticForm, count_zeros_closed, quad_form_count
 
 
@@ -186,7 +186,7 @@ def test_scan_chunks_stay_within_chunk(m):
     # above _CHUNK the inner block is empty, so no chunk holds m tuples;
     # every feature of a chunk has the same tuples
     assert (_kernels._low_digits(m, 2) == 0) == (m > _kernels._CHUNK)
-    for rows, lin, q in itertools.islice(_kernels._scan(m, 2, [1, 2], [1, 2], [[1, 2], [3, 4]]), 4):
+    for rows, lin, q in itertools.islice(_kernels._scan(m, 2, [1, 2], [1, 2], [[[1, 2], [3, 4]]]), 4):
         assert all(row.shape[0] == lin.shape[0] == q.shape[0] <= _kernels._CHUNK for row in rows)
 
 
@@ -416,7 +416,7 @@ def test_scan_decode_boundaries(monkeypatch, chunk, m, k, js):
     coeffs = [(3 * i + 1) % m for i in range(k)]
     mat = [[(i + 2 * j + 1) % m for j in range(k)] for i in range(k)]
     # the chunks, in order, against the literal rows of every tuple
-    chunks = list(_kernels._scan(m, k, js, coeffs, mat))
+    chunks = list(_kernels._scan(m, k, js, coeffs, [mat]))
     assert all(lin.shape[0] <= chunk for _, lin, _ in chunks)
     # every row is reduced, so _fold's clipped table lookup never clips
     rows = [row for got, lin, q in chunks for row in (*got, lin, q)]
@@ -519,6 +519,135 @@ def test_quadform_histogram_matches_oracle(p, k, mat):
     assert int(got.sum()) == p**k
 
 
+def _stratum_forms(p, k, count):
+    """count matrices over Z_p^k: the zero form, a rank-one (degenerate)
+    form, a diagonal one, an asymmetric one whose cross entries a_ij + a_ji
+    vanish, then seeded full asymmetric ones with nonzero entries."""
+    rng = random.Random(p * 100 + k)
+    v = [rng.randrange(1, p) for _ in range(k)]
+    forms = [
+        [[0] * k for _ in range(k)],
+        [[v[i] * v[j] % p for j in range(k)] for i in range(k)],
+        [[rng.randrange(p) if i == j else 0 for j in range(k)] for i in range(k)],
+        [[1 if i <= j else p - 1 for j in range(k)] for i in range(k)],
+    ]
+    while len(forms) < count:
+        forms.append([[rng.randrange(1, p) for _ in range(k)] for _ in range(k)])
+    return forms[:count]
+
+
+# every (p, k) stratum of verify's quadform cell, with a form count: one
+# group of forms below one chunk, a full group and a partial one, or the
+# 13^4 space past one chunk, one tiled walk per form
+QUADFORM_STRATA = [(p, k, 6) for p in (3, 5, 7, 13) for k in range(1, 5) if p**k < 13**4]
+QUADFORM_STRATA += [(7, 4, 8), (13, 3, 9), (13, 4, 3)]
+
+
+@pytest.mark.parametrize("p,k,count", QUADFORM_STRATA)
+def test_quadform_histograms_match_one_form_and_oracle(p, k, count):
+    forms = _stratum_forms(p, k, count)
+    hists = _kernels.quadform_histograms(p, k, forms)
+    assert len(hists) == count
+    for mat, hist in zip(forms, hists):
+        assert hist.tolist() == _kernels.quadform_histogram(p, k, mat).tolist()
+        assert hist.tolist() == oracle.quadform_hist(p, k, mat), mat
+
+
+@pytest.mark.parametrize("p,k,count,walks", [
+    (7, 4, 8, 2),  # 16384 // 2401 = 6 forms a walk: 6, then a partial group of 2
+    (13, 3, 15, 3),  # 7 a walk: 7, 7, 1
+    (13, 4, 3, 3),  # past one chunk: one tiled walk per form
+    (5, 2, 1, 1),  # one form
+    (3, 1, 0, 0),  # no form, no walk
+])
+def test_quadform_histograms_group_forms_within_a_chunk(monkeypatch, p, k, count, walks):
+    # a group of forms times p**k stays within _CHUNK (form, tuple) values,
+    # so no chunk is larger than a one-form chunk
+    sizes = []
+    query_scan = _kernels._query_scan
+
+    def counted(m, k, queries, coeffs, matrices):
+        sizes.append(len(matrices))
+        for rows, lin, q in _kernels._scan(m, k, [], coeffs, matrices):
+            assert q.size <= _kernels._CHUNK
+        return query_scan(m, k, queries, coeffs, matrices)
+
+    monkeypatch.setattr(_kernels, "_query_scan", counted)
+    forms = _stratum_forms(p, k, count)
+    hists = _kernels.quadform_histograms(p, k, forms)
+    assert len(sizes) == walks and sum(sizes) == count
+    assert all(size * p**k <= _kernels._CHUNK for size in sizes) or sizes == [1] * count
+    for mat, hist in zip(forms, hists):
+        assert hist.tolist() == _kernels.quadform_histogram(p, k, mat).tolist()
+
+
+def test_walk_refuses_forms_past_one_chunk(monkeypatch):
+    # F > 1 forms ride only a walk of one chunk, F * m**k <= _CHUNK; the
+    # refusal comes before any allocation
+    monkeypatch.setattr(_kernels, "np", None)
+    eye = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for m, forms in ((7, 7), (13, 2)):  # 7 * 7**4 and 2 * 13**4 > 16384
+        with pytest.raises(ValueError, match="form, tuple"):
+            _kernels._query_scan(m, 4, [((), None)], None, [eye] * forms)
+
+
+def test_quadform_histograms_refuse_mixed_arities():
+    # every matrix must be k by k: a k = 1 form among k = 2 ones, a short
+    # row, a long one
+    square = [[1, 0], [0, 1]]
+    for odd in ([[1]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="2 by 2 matrix"):
+            _kernels.quadform_histograms(5, 2, [square, odd])
+        with pytest.raises(ValueError, match="2 by 2 matrix"):
+            _kernels.quadform_histogram(5, 2, odd)
+
+
+def test_quadform_reader_refuses_mixed_forms_before_the_budget():
+    # the reader's forms share p and k; a mix is refused before any budget
+    # check, so budget 0 does not hide it
+    f5 = QuadraticForm(5, [[1, 0], [0, 1]])
+    for other in (QuadraticForm(7, [[1, 0], [0, 1]]), QuadraticForm(5, [[1]])):
+        with pytest.raises(ValueError, match="share p and k"):
+            symfield._quadform_histograms([f5, other], budget=0)
+    hists = symfield._quadform_histograms([f5, f5], budget=25)
+    assert [h.tolist() for h in hists] == [oracle.quadform_hist(5, 2, f5.matrix)] * 2
+
+
+def test_quadform_cell_walks_once_per_group(monkeypatch):
+    # 800 forms in 16 (k, p) strata: one budget check per stratum and 82
+    # walks, ceil(50 / (_CHUNK // p**k)) per stratum that fits one chunk
+    # (2 at 5^4 and 7^3, 9 at 7^4, 8 at 13^3, 1 elsewhere) and one per form
+    # at 13^4
+    walks, checks = [], []
+    query_scan, check_budget = _kernels._query_scan, symfield.check_budget
+
+    def counted_scan(m, k, *rest):
+        walks.append((m, k))
+        return query_scan(m, k, *rest)
+
+    def counted_check(space, *rest):
+        checks.append(space)
+        return check_budget(space, *rest)
+
+    monkeypatch.setattr(_kernels, "_query_scan", counted_scan)
+    monkeypatch.setattr(symfield, "check_budget", counted_check)
+    res = verify.cell_quadform()
+    assert (res.passed, res.failed, res.skipped) == (800, 0, 0)
+    assert len(walks) == 82
+    per_stratum = {(m, k): walks.count((m, k)) for m, k in dict.fromkeys(walks)}
+    assert per_stratum == {
+        (p, k): -(-50 // (_kernels._CHUNK // p**k)) if p**k <= _kernels._CHUNK else 50
+        for p in (3, 5, 7, 13) for k in range(1, 5)
+    }
+    assert sorted(checks) == sorted(p**k for p in (3, 5, 7, 13) for k in range(1, 5))
+    # at budget 100 the 9 strata within it walk once each and the other 7
+    # are refused at their one check, each one skip
+    walks.clear()
+    checks.clear()
+    res = verify.cell_quadform(budget=100)
+    assert (res.passed, res.skipped) == (450, 7) and len(walks) == 9 and len(checks) == 16
+
+
 def test_histograms_longer_than_a_chunk():
     # k = 1 at a prime m > _CHUNK: three chunks, each tallied without a
     # bincount over all m bins
@@ -548,8 +677,10 @@ def test_quadform_histogram_above_2_21():
         lambda: _kernels.count_sym_units(3, 40, [1, 2], True),
         lambda: _kernels.lincong_histogram(2**32, 1, [1], [1]),  # m**2 + m > 2**63
         lambda: _kernels.quadform_histogram(2**31, 2, [[1, 0], [0, 1]]),  # k*p**2 = 2**63
+        lambda: _kernels.quadform_histograms(2**31, 2, [[[1, 0], [0, 1]]] * 3),
     ],
-    ids=["zeros_m2^32_k2", "zeros_m2_k63", "units_m3_k40", "lincong_m2^32_k1", "quadform_p2^31_k2"],
+    ids=["zeros_m2^32_k2", "zeros_m2_k63", "units_m3_k40", "lincong_m2^32_k1", "quadform_p2^31_k2",
+         "quadforms_p2^31_k2"],
 )
 def test_int64_bounds_refused_before_any_allocation(monkeypatch, call):
     # with numpy gone from the module, any allocation would raise another error
@@ -574,11 +705,12 @@ def test_int64_refusal_names_its_numbers():
         lambda: _kernels.lincong_histogram(5, 0, [], []),
         lambda: _kernels.lincong_histograms(5, 0, [], [[1], []]),
         lambda: _kernels.quadform_histogram(5, 0, []),
+        lambda: _kernels.quadform_histograms(5, 0, [[], []]),
         lambda: _kernels.count_sym_dp(5, 0, [1]),
         lambda: _kernels.count_field(5, 0, [1], False),  # the individual reading
     ],
-    ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "dp",
-         "dp_individual"],
+    ids=["zeros", "units", "units_many", "lincong", "lincong_many", "quadform", "quadform_many",
+         "dp", "dp_individual"],
 )
 def test_arity_below_one_refused_before_any_allocation(monkeypatch, call):
     # Z_m^0 has one empty tuple, which no tiling half holds; every kernel

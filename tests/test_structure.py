@@ -279,7 +279,8 @@ def test_one_scan_loop_for_unit_counts():
         )
 
     for name in ("count_sym_zeros", "count_sym_units", "count_sym_units_many",
-                 "lincong_histogram", "lincong_histograms", "quadform_histogram"):
+                 "lincong_histogram", "lincong_histograms", "quadform_histogram",
+                 "quadform_histograms"):
         assert reaches(name, {name}), name
     for name in ("_scan", "_fold"):
         assert {

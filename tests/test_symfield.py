@@ -230,7 +230,7 @@ class TestDispatch:
 
         kernels = (
             "count_sym_zeros", "count_sym_units", "lincong_histogram", "quadform_histogram",
-            "count_sym_dp", "count_field",
+            "quadform_histograms", "count_sym_dp", "count_field",
         )
         for name in kernels:
             monkeypatch.setattr(_kernels, name, refuse)

@@ -113,15 +113,17 @@ def test_jordan_cell_names_the_first_wrong_value(monkeypatch):
     ],
 )
 def test_one_fiber_histogram_per_grid_point(monkeypatch, cell, histograms):
+    # every histogram comes from congruence's one enumeration entry, one per
+    # index set asked of it: menon asks one set a call, ramanujan both of
+    # its sets in one call per (n, k)
     calls = []
-    build = congruence.unit_fiber_histogram
+    build = congruence._solution_histograms
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counted(n, k, coeffs, sets, budget=None):
+        calls.extend((n, k, J) for J in sets)
+        return build(n, k, coeffs, sets, budget)
 
-    for module in (congruence, totient):
-        monkeypatch.setattr(module, "unit_fiber_histogram", counted)
+    monkeypatch.setattr(congruence, "_solution_histograms", counted)
     res = cell()
     assert (res.failed, res.skipped) == (0, 0)
     assert len(calls) == histograms
@@ -176,6 +178,7 @@ def test_one_scan_per_grid_point(monkeypatch, cell, scans):
         (verify.cell_product_forms, totient, "_bruteforce_table", 3 * 50),
         (verify.cell_menon, congruence, "unit_fiber_histogram", 3 * 40),
         (verify.cell_congruence_classes, congruence, "_solution_histograms", 3 * 30),
+        (verify.cell_ramanujan, congruence, "_solution_histograms", 2 * 20),
     ],
 )
 def test_one_oracle_call_per_grid_point(monkeypatch, budget, cell, module, oracle, calls):
