@@ -20,9 +20,9 @@ number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
 lookup, then the sum of closed zero counts that stops at the first count
 with no closed form, then one budget-checked counting pass.  Every local
 count is memoized for the life of the process in _LOCAL_UNITS, keyed by
-(k, J, joint) and then by p.  A closed count charges no budget and is
-kept as it is.  A prime with no closed count charges p^k: it is kept as
-(None, p^k) until its first counting pass and as (value, p^k) after it.
+(k, J, joint) and then by p, in one of two states.  A closed count
+charges no budget and is kept as it is.  A prime with no closed count
+charges p^k and is kept, after its first counting pass, as (value, p^k).
 A pass returns every local count it answers, keyed (S, joint) (every
 nonempty S within [1, max J] on the DP, within J on the scan up to two
 indices, J alone past them), so it also fills each such entry that would
@@ -30,8 +30,9 @@ need a pass of its own, as (value, p^k): one pass per prime serves every
 index set it covers.  Every read of a counted entry, filled or not,
 makes the budget check a pass makes, so a budget that would refuse the
 pass refuses the memoized count too, and one memo serves every budget.
-A budget refusal is never memoized and fills nothing.  The memo has no size limit; it grows by under 100 bytes per
-distinct (k, J, mode, p) asked for or filled.
+A budget refusal is never memoized and fills nothing.  The memo has no
+size limit; it grows by under 100 bytes per distinct (k, J, mode, p)
+answered or filled.
 """
 
 import functools
@@ -288,9 +289,10 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
 
 
 # (k, J, joint) -> {p: closed local unit count, or (counted local unit count,
-# or None before its pass, p^k)}; one J frozenset is kept per (k, J, mode),
-# not per prime.  Unbounded: see the module docstring.
-_LOCAL_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | tuple[int | None, int]]] = {}
+# p^k)}; one J frozenset is kept per (k, J, mode), not per prime.  An open
+# prime has no entry until its first pass.  Unbounded: see the module
+# docstring.
+_LOCAL_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | tuple[int, int]]] = {}
 
 
 def _nonempty_subsets(J) -> list[frozenset[int]]:
@@ -306,20 +308,20 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     the closed zero count of J (joint), or the alternating sum of p^k minus
     the closed zero count over the nonempty subsets of J in their fixed
     order (individual), stopping at the first subset with no closed count.
-    A closed count is memoized as it is and charges nothing.  Otherwise the
-    prime is memoized as (None, p^k), and every read is charged p^k tuples
-    against the budget, whether or not its count is memoized yet.  After
-    the check comes the memoized count, or the one counting pass over F_p^k
-    that fills it: _kernels.count_field(p, k, J, joint), which counts the
-    same tuples, in the same mode, and picks the engine.  The pass returns
-    every local count it answers, keyed (S, joint), and each such entry
-    that would need a pass of its own is filled as (value, p^k), charged
-    as its own pass would be: it is absent or not yet counted, and open,
-    where S has no closed zero count (joint) or some answered subset of S
-    has none (individual).  The fill asks the closed count of each answered
-    set at most once.  A closed entry is left as it is and a counted value
-    is never overwritten.  A budget refusal is never memoized, and fills
-    nothing."""
+    A closed count is memoized as it is and charges nothing.  Otherwise
+    every read is charged p^k tuples against the budget, whether or not
+    the prime's count is memoized yet.  After the check comes the memoized
+    (value, p^k), or the one counting pass over F_p^k that makes it:
+    _kernels.count_field(p, k, J, joint), which counts the same tuples, in
+    the same mode, and picks the engine.  Nothing is stored for an open
+    prime before its pass.  The pass returns every local count it answers,
+    keyed (S, joint), and each such entry that would need a pass of its
+    own is filled as (value, p^k), charged as its own pass would be: it is
+    absent and open, where S has no closed zero count (joint) or some
+    answered subset of S has none (individual).  The fill asks the closed
+    count of each answered set at most once.  A closed entry is left as it
+    is and a counted value is never overwritten.  A budget refusal is
+    never memoized, and fills nothing."""
     by_prime = _LOCAL_UNITS.get((k, J, joint))
     if by_prime is None:  # setdefault: racing threads share one dict
         by_prime = _LOCAL_UNITS.setdefault((k, J, joint), {})
@@ -329,11 +331,11 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
         for sub in [J] if joint else _nonempty_subsets(J):
             z = _closed(sub, k, p)
             if z is None:  # one gap already sends the prime to a counting pass
-                total = None
                 break
             total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
-        # setdefault: a racing thread's counted value is not reset to None
-        entry = by_prime.setdefault(p, (None, space) if total is None else total)
+        else:  # closed: memoized as it is
+            return by_prime.setdefault(p, total)
+        entry = None, space  # open: nothing is stored before the budget check and the pass
     if isinstance(entry, int):  # a closed count, which charges nothing
         return entry
     count, charge = entry
@@ -343,16 +345,13 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
         answers = _kernels.count_field(p, k, sorted(J), joint)
         count = answers[J, joint]
         by_prime[p] = (count, charge)
-        gaps = {S: None for S, _ in answers}  # S has no closed zero count: asked once
+        # asked once a set; k and p are bound as defaults, since a closure
+        # would make them cells, built on every call, warm reads included
+        is_open = functools.cache(lambda T, k=k, p=p: _closed(T, k, p) is None)
         for (S, mode), value in answers.items():
-            # absent or (None, p^k): a closed int or a counted value stays
-            if _LOCAL_UNITS.get((k, S, mode), {}).get(p, (None, charge)) != (None, charge):
+            if p in _LOCAL_UNITS.get((k, S, mode), ()):  # a closed int or a counted value stays
                 continue
-            within = [S] if mode else [T for T in gaps if T <= S]
-            for T in within:
-                if gaps[T] is None:
-                    gaps[T] = _closed(T, k, p) is None
-            if any(gaps[T] for T in within):
+            if is_open(S) if mode else any(is_open(T) for T, _ in answers if T <= S):
                 _LOCAL_UNITS.setdefault((k, S, mode), {})[p] = (value, charge)
     return count
 

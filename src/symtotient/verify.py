@@ -62,27 +62,19 @@ GRID_CAP = DEFAULT_BUDGET
 _TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar("tables", default=None)
 
 
-def _once(key, fn):
-    """fn(), enumerated once per sweep: the first read under key stores the
-    table in the sweep's store and later reads of the sweep take it from
-    there.  Outside run_suite, fn() on every read.  A refusal raises
-    through and is not stored."""
+def _once(table, *args):
+    """table(*args), enumerated once per sweep: the first read stores the
+    table in the sweep's store, keyed by the table function and its
+    arguments, budget included, and later reads of the sweep take it from
+    there.  Outside run_suite, table(*args) on every read.  A refusal
+    raises through and is not stored."""
     store = _TABLES.get()
     if store is None:
-        return fn()
+        return table(*args)
+    key = (table, *args)
     if key not in store:
-        store[key] = fn()
+        store[key] = table(*args)
     return store[key]
-
-
-def _zeros_table(k: int, p: int, sets, budget):
-    """symfield._bruteforce_zeros(k, p, sets, budget), once per sweep."""
-    return _once(("zeros", k, p, sets, budget), lambda: _bruteforce_zeros(k, p, sets, budget))
-
-
-def _units_table(k: int, n: int, budget):
-    """totient._bruteforce_table(k, n, budget), once per sweep."""
-    return _once(("units", k, n, budget), lambda: tt._bruteforce_table(k, n, budget))
 
 
 @dataclass
@@ -149,7 +141,8 @@ _E2_SETS = (frozenset({2}), frozenset({1, 2}))
 def _closed_vs_enumeration(name: str, J, closed, budget) -> CellResult:
     res = CellResult(name)
     for k, p in _e2_grid():
-        res.compare(f"k={k} p={p}", lambda: _zeros_table(k, p, _E2_SETS, budget)[J], closed(k, p))
+        res.compare(f"k={k} p={p}", lambda: _once(_bruteforce_zeros, k, p, _E2_SETS, budget)[J],
+                    closed(k, p))
     return res
 
 
@@ -174,7 +167,7 @@ def cell_p2_closed(budget=None) -> CellResult:
         sets = [frozenset({l}) for l in range(1, min(4, k) + 1)]
         if k >= 2:
             sets.append(frozenset({1, 2}))
-        return _zeros_table(k, 2, tuple(sets), budget)
+        return _once(_bruteforce_zeros, k, 2, tuple(sets), budget)
 
     for k in range(2, 21):
         pair = res.attempt(f"k={k}", lambda: table(k))
@@ -212,7 +205,7 @@ def cell_recurrence(budget=None) -> CellResult:
             sets = tuple(J | {k} for J in bases)
             for J in bases:
                 res.compare(f"J={sorted(J)} k={k} p={p}",
-                            lambda: _zeros_table(k, p, sets, budget)[J | {k}],
+                            lambda: _once(_bruteforce_zeros, k, p, sets, budget)[J | {k}],
                             extend_with_ek(J, k, p))
             res.check(
                 extend_with_ek({2}, k, p) == _stated_sum_ek(closed_count_e2, k * p - 1, k, p),
@@ -278,7 +271,7 @@ def cell_product_forms(budget=None) -> CellResult:
     for k in (1, 2, 3):
         subsets = _nonempty_subsets(range(1, k + 1))
         for n in range(1, 51):
-            table = res.attempt(f"n={n} k={k}", lambda: _units_table(k, n, budget),
+            table = res.attempt(f"n={n} k={k}", lambda: _once(tt._bruteforce_table, k, n, budget),
                                 len(subsets))
             if table is None:
                 continue
@@ -300,7 +293,7 @@ def cell_relation(budget=None) -> CellResult:
     for p in (3, 5):
         for a in (1, 2):
             n = p**a
-            table = res.attempt(f"n={n}", lambda: _units_table(k, n, budget))
+            table = res.attempt(f"n={n}", lambda: _once(tt._bruteforce_table, k, n, budget))
             if table is None:
                 continue
             alt_joint = sum((-1) ** (len(J) + 1) * joint for J, (joint, _) in table.items())
@@ -339,13 +332,15 @@ def cell_jordan(budget=None) -> CellResult:
     (totient._product_form_range: the primes of arith's least-prime-factor
     table and the per-prime rule, once per prime), and the Euler-product
     sieve of _jordan_reference over n^k and the primes of one segmented
-    sieve, primes_in_range(2, 10^4).  Neither factors a single n."""
+    sieve, primes_in_range(2, 10^4).  Neither factors a single n.  The
+    product form runs under the cell's budget; the full set closes at every
+    prime, so it charges nothing."""
     res = CellResult("jordan")
     limit = 10_000
     primes = primes_in_range(2, limit)
     for k in range(1, 6):
         J = frozenset(range(1, k + 1))
-        pairs = zip(tt._product_form_range(k, J, True, limit, None),
+        pairs = zip(tt._product_form_range(k, J, True, limit, budget),
                     _jordan_reference(k, limit, primes), strict=True)
         bad = next((n for (n, value), (_, ref) in pairs if value != ref), None)
         res.check(bad is None, f"k={k} first mismatch n={bad}")
@@ -361,7 +356,8 @@ def cell_phi12(budget=None) -> CellResult:
     res.check(bad is None, f"toth k=2 first mismatch n={bad}")
     for k in (2, 3):
         for n in range(1, 41):
-            res.compare(f"k={k} n={n}", lambda: _units_table(k, n, budget)[frozenset({1, 2})][1],
+            res.compare(f"k={k} n={n}",
+                        lambda: _once(tt._bruteforce_table, k, n, budget)[frozenset({1, 2})][1],
                         tt.closed_phi_12(k, n))
     res.check(tt.closed_phi_12(2, 9) == 18, "spot phi_12(2,9)=18")
     return res
@@ -373,7 +369,8 @@ def cell_phi123(budget=None) -> CellResult:
     res = CellResult("phi123")
     full = frozenset({1, 2, 3})
     for n in range(1, 41):
-        res.compare(f"n={n}", lambda: _units_table(3, n, budget)[full][1], tt.closed_phi_123(n))
+        res.compare(f"n={n}", lambda: _once(tt._bruteforce_table, 3, n, budget)[full][1],
+                    tt.closed_phi_123(n))
     res.check(tt.closed_phi_123(5) == 40, "spot phi_123(5)=40")
     res.check(tt.closed_phi_123(2) == 1, "spot phi_123(2)=1")
     return res

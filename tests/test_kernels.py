@@ -101,12 +101,14 @@ def test_split_histogram_without_constraints_counts_every_tuple():
 
 # Queries answered by one scan of their union: both modes mixed,
 # overlapping sets, a repeated set and sets given unsorted.  The
-# histogram sets add the unconstrained empty set.
+# histogram sets add the unconstrained empty set, which the zero sets,
+# the nonempty ones, leave out.
 MANY_QUERIES = [
     ((2, 1), True), ((1, 2), False), ((3,), False), ((3, 1), True),
     ((2, 1), True), ((2,), False), ((3, 2, 1), False),
 ]
 MANY_SETS = [(2, 1), (3,), (), (1, 3), (2, 1), (3, 2, 1)]
+ZERO_SETS = [js for js in MANY_SETS if js]
 
 
 def _check_many_against_one_set_calls(monkeypatch, m, k):
@@ -121,13 +123,16 @@ def _check_many_against_one_set_calls(monkeypatch, m, k):
     monkeypatch.setattr(_kernels, "_scan", counted)
     units = _kernels.count_sym_units_many(m, k, MANY_QUERIES)
     hists = [h.tolist() for h in _kernels.lincong_histograms(m, k, coeffs, MANY_SETS)]
+    zeros = _kernels.count_sym_zeros_many(m, k, ZERO_SETS)
     # one scan each, over the union of the sets
-    assert scans == [(m, k, [1, 2, 3])] * 2
+    assert scans == [(m, k, [1, 2, 3])] * 3
     assert units == [_kernels.count_sym_units(m, k, js, joint) for js, joint in MANY_QUERIES]
+    assert zeros == [_kernels.count_sym_zeros(m, k, js) for js in ZERO_SETS]
     assert hists == [_kernels.lincong_histogram(m, k, coeffs, js).tolist() for js in MANY_SETS]
     if m**k <= 300:
         assert units == [oracle.units(m, k, js, joint) for js, joint in MANY_QUERIES]
         assert hists == [oracle.lincong_hist(m, k, coeffs, js) for js in MANY_SETS]
+        assert zeros == [oracle.zeros(m, k, js) for js in ZERO_SETS]
 
 
 # m = 30, 42 and 3**10 are over _CHUNK: outer prefixes are decoded

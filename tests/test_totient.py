@@ -290,6 +290,25 @@ class TestClosedUnitsMemo:
             varphi(spec, budget=100)
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("J", [{3}, {1, 3}, {2, 3}])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refused_reads_leave_no_entry(self, monkeypatch, mode, J, p):
+        # an open prime is memoized only once counted: reads refused at
+        # budget 0 and at p^k - 1 store nothing for it, and the next read
+        # that fits makes the one pass
+        spec, fn = TotientSpec(4, J, mode, p), varphi if mode == "joint" else phi
+        passes = self._count(monkeypatch, _kernels, "count_field")
+        for budget in (0, p**4 - 1):
+            with pytest.raises(BudgetExceededError, match=f"F_{p}"):
+                fn(spec, budget=budget)
+        assert p not in symfield._LOCAL_UNITS[(4, frozenset(J), mode == "joint")]
+        assert passes == []
+        assert fn(spec, budget=p**4) == oracle.units(p, 4, J, joint=mode == "joint")
+        assert len(passes) == 1
+        entries = [e for by_prime in symfield._LOCAL_UNITS.values() for e in by_prime.values()]
+        assert all(type(e) is int or list(map(type, e)) == [int, int] for e in entries)
+
     # J = {3} and every set that holds it have no closed count at k = 4
     # and odd p, and the DP's pattern at p = 7 covers [1, 3]
     OPEN_AT_4 = ({3}, {1, 3}, {2, 3}, {1, 2, 3})

@@ -1,11 +1,11 @@
 """CellResult.attempt, the one place where an over-budget point becomes a skip,
 one oracle call per grid point even when it is refused, and CellResult.compare;
-the jordan cell's windowed reference and its power to catch an error; one
-e_1-fiber histogram per grid point in the menon and ramanujan cells, one
-unit-RHS count per grid point in the ramanujan cell, and one scan of Z_n^k
-per grid point in the cells that enumerate every index set; in one sweep,
-one enumeration per shared table, no stored refusal, and every cell's
-result the same as the cell's alone."""
+the jordan cell's windowed reference, its power to catch an error and its
+budget; one e_1-fiber histogram per grid point in the menon and ramanujan
+cells, one unit-RHS count per grid point in the ramanujan cell, and one
+scan of Z_n^k per grid point in the cells that enumerate every index set;
+in one sweep, one enumeration per shared table, no stored refusal, and
+every cell's result the same as the cell's alone."""
 
 import pytest
 
@@ -102,6 +102,21 @@ def test_jordan_cell_names_the_first_wrong_value(monkeypatch):
     res = verify.cell_jordan()
     assert res.passed == 0
     assert res.failures == [f"k={k} first mismatch n={prime}" for k in range(1, 6)]
+
+
+def test_jordan_cell_passes_its_budget(monkeypatch):
+    # the product form reads the cell's budget; the full set closes at
+    # every prime, so a budget of 0 refuses nothing
+    budgets, product_form_range = [], totient._product_form_range
+
+    def seen(k, J, joint, N, budget):
+        budgets.append(budget)
+        return product_form_range(k, J, joint, N, budget)
+
+    monkeypatch.setattr(totient, "_product_form_range", seen)
+    res = verify.cell_jordan(budget=0)
+    assert (res.passed, res.failed, res.skipped) == (5, 0, 0)
+    assert budgets == [0] * 5
 
 
 @pytest.mark.parametrize(
@@ -243,20 +258,26 @@ def test_each_cell_in_a_sweep_matches_the_cell_alone(budget):
 
 def test_a_refused_table_is_not_stored(monkeypatch):
     # inside a sweep a refusal raises through _once and stores nothing, so
-    # the next read asks again; a value is stored at its first read
+    # the next read asks again; a value is stored at its first read, keyed
+    # by the table function and its arguments, budget included
     calls = []
 
-    def refused():
-        calls.append(None)
-        raise BudgetExceededError("too many tuples")
+    def table(n, budget):
+        calls.append((n, budget))
+        if budget is not None:
+            raise BudgetExceededError("too many tuples")
+        return 7 * n + len(calls)
 
     token = verify._TABLES.set({})
     try:
         for _ in range(2):
             with pytest.raises(BudgetExceededError):
-                verify._once("key", refused)
-        assert verify._once("key", lambda: 7) == verify._once("key", lambda: 8) == 7
+                verify._once(table, 1, 0)
+        assert verify._once(table, 1, None) == verify._once(table, 1, None) == 10
+        assert verify._TABLES.get() == {(table, 1, None): 10}
     finally:
         verify._TABLES.reset(token)
-    assert len(calls) == 2
-    assert verify._once("key", lambda: 8) == 8  # outside a sweep: every read runs
+    assert calls == [(1, 0), (1, 0), (1, None)]
+    # outside a sweep: every read runs
+    assert verify._once(table, 1, None) == 11
+    assert verify._once(table, 1, None) == 12
