@@ -34,39 +34,49 @@ them; several queries share one scan over the union of their index sets.
 The table costs 2 bytes per residue, at most 2 * m**k bytes, and is built
 after the refusal, for unit queries only.
 
-The zero-pattern histogram over indices i_0 < i_1 < ... counts, for each
-bitmask z, the tuples whose e_{i_b} vanish for exactly the bits b of z.
-At a prime a unit is a nonzero value, so every count_sym_units query
-(S, joint) with S within the indices is a short sum over it.  The DP
-(count_sym_dp) counts x in F_p^k by their power sums instead of visiting
-them, in O(k p^(jmax+1)) state updates against the scan's O(k p^k)
-tuples, and its Newton rows give the pattern over [1, jmax].  The scan's
-pattern over js is the inverse superset sum of the zero counts of every
-nonempty subset of js, zero queries that share one scan.  count_field
-makes one pass over F_p^k and owns the whole engine choice: the DP where
-it can run and max(js) < k, with its pattern over [1, max(js)], else the
-scan, with its pattern over js up to _SCAN_PATTERN indices and the one
-count of js past them; _dp_pays names the inputs where that rule picks
-the slower engine.  It returns every local count its pass answers, keyed
-(frozenset(S), joint), so the pattern's bitmask layout never leaves this
-module.  The scan's unit and zero kernels stay the DP's oracle.
+A counting pass over F_p^k hands its one reader, _zero_units, the zero
+count Z(S) of every subset S of its indices i_0 < i_1 < ..., listed by
+bitmask (S holds i_b for each bit b of the mask), with Z({}) = p**k.  At
+a prime a unit is a nonzero value, so every count_sym_units query
+(S, joint) with S within the indices reads off them: p**k - Z(S)
+(joint), and the inclusion-exclusion sum of (-1)**|T| Z(T) over the
+subsets T of S (individual), the identity symfield's closed route
+applies to closed zero counts.  The scan's zero counts are its zero
+queries' answers as they come back, one query for every nonempty subset
+of js, all on one scan.  The DP (count_sym_dp) counts x in F_p^k by
+their power sums instead of visiting them, in O(k p^(jmax+1)) state
+updates against the scan's O(k p^k) tuples, and its Newton rows give the
+zero-pattern histogram over [1, jmax]: for each bitmask z, the x whose
+e_j vanish for exactly the bits of z.  Its superset sums are the zero
+counts.  count_field makes one pass over F_p^k and owns the whole engine
+choice: the DP where it can run and max(js) < k, with its zero counts
+over [1, max(js)], else the scan, with its zero counts over js up to
+_SCAN_PATTERN indices and the one count of js past them; _dp_pays names
+the inputs where that rule picks the slower engine.  It returns every
+local count its pass answers, keyed (frozenset(S), joint), so the
+bitmask layout never leaves this module.  The scan's unit and zero
+kernels stay the DP's oracle.
 
 Tuple indices are int64.  Every kernel refuses with ValueError, before it
 allocates anything, a call whose tuple count m**k or largest intermediate
-value would reach 2**63.  Below that, _check_int64 picks the scan's row
-dtype with the refusal, from one peak per request (_check_scan): the
-narrowest of int8, int16, int32 and int64 that holds the peak, so a
-narrower row costs fewer bytes a pass.  The digit recurrence and the
-linear form reduce mod m at each step and stay below m**2 + m (int8 up to
-m = 10, int16 up to 180, int32 up to 46340); the product rule sums at
-most jmax + 1 terms below m**2 each (int16 up to m = 90 at jmax = 3); Q
-and its cross forms stay below k*m**2.  Every reduction of an array is
-_reduce, a -= (a // m) * m in place: numpy divides an array by a scalar
-through libdivide, while % divides each element in hardware.  The DP's
-counts are at most p**k, int32 while p**k < 2**31, and its Newton sums
-stay below p**2 + p; its pattern sums are int64, and every pattern
-reading is in Python ints.  Both engines also refuse an arity k < 1, in
-_check_int64, before they allocate.
+value would reach 2**63.  Below that, _check_int64 picks the dtype with
+the refusal, the narrowest of int8, int16, int32 and int64 that holds a
+peak, so a narrower array costs fewer bytes a pass: the scan's rows from
+one peak per request (_check_scan), and the DP's counts from p**k, the
+most any of them reaches (int8 below 2**7, int16 below 2**15, int32
+below 2**31).  The digit recurrence and the linear form reduce mod m at
+each step and stay below m**2 + m (int8 up to m = 10, int16 up to 180,
+int32 up to 46340); the product rule sums at most jmax + 1 terms below
+m**2 each (int16 up to m = 90 at jmax = 3); Q and its cross forms stay
+below k*m**2.  Every reduction of a scan array is _reduce,
+a -= (a // m) * m in place: numpy divides an array by a scalar through
+libdivide, while % divides each element in hardware.  The DP's Newton
+sums alternate in sign, so they go negative, and are reduced with %,
+whose result lies in [0, p) for either sign, where _reduce is written
+for a >= 0; they stay below p**2 + p in size, over at most p**jmax
+states a pass.  The DP's pattern sums are int64, and every zero count
+and its reading is in Python ints.  Both engines also refuse an arity
+k < 1, in _check_int64, before they allocate.
 """
 
 import operator
@@ -78,11 +88,12 @@ from .arith import factorize
 
 _CHUNK = 1 << 14  # 64 KiB per int32 row, 128 KiB per int64: small enough to stay in cache
 _INT64_LIMIT = 1 << 63
-# the row dtypes, narrowest first, each with its largest value
+# the dtypes of the scan's rows and the DP's counts, narrowest first, each
+# with its largest value
 _ROW_DTYPES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64))
 _DP_CELLS = 1 << 20  # cap on the DP's tiled state, (2p)**jmax cells: at most 8 MiB
-# the most indices whose zero pattern the scan tallies: 2**n - 1 zero
-# queries a chunk, where counting js alone takes one.  Against that one
+# the most indices for whose every subset the scan counts zeros: 2**n - 1
+# zero queries a chunk, where counting js alone takes one.  Against that one
 # count a joint pass took 1-4% longer at two indices and 31% at three
 # (count_field, best of 40-200 on a 2-vCPU VM: {3, 5} at 13^5 and 23^5,
 # {1, 3, 5} at 13^5, {2, 3, 4} at 23^4, {1, 2, 3} at 3^8).  On
@@ -99,9 +110,9 @@ def backend() -> str:
 def _check_int64(m, k, peak):
     """Refuse an arity k < 1, and Z_m^k when its tuple count m**k or
     `peak`, the kernel's largest intermediate value, would reach 2**63.
-    Otherwise return the dtype of the kernel's rows, the one place it is
-    picked: the narrowest of int8, int16, int32 and int64 whose maximum is
-    at least peak."""
+    Otherwise return the dtype of the kernel's arrays, the one place it is
+    picked for the scan's rows and the DP's counts: the narrowest of int8,
+    int16, int32 and int64 whose maximum is at least peak."""
     _arity(k)
     # m >= 2 with k >= 63 is over the limit without computing m**k
     if (m > 1 and k >= 63) or m**k >= _INT64_LIMIT or peak >= _INT64_LIMIT:
@@ -359,21 +370,21 @@ def _fold(rows, at, joint):
     return acc
 
 
-def _zeta(values, supersets, sign=1):
+def _zeta(values, supersets):
     """A new list: for every bitmask s over log2(len(values)) bits, the sum
-    of values over the masks that contain s (supersets) or lie within s,
-    one step per bit in Python ints; sign=-1 inverts that sum.  The lists
-    are short, 2**len(js) entries, where numpy's cost per call would
-    dominate."""
+    of values over the masks that contain s (supersets), or else the
+    alternating sum of (-1)**|t| values[t] over the masks t within s, one
+    step per bit in Python ints.  The lists are short, 2**len(js) entries,
+    where numpy's cost per call would dominate."""
     sums = list(values)
     bit = 1
     while bit < len(sums):
         for s in range(len(sums)):
             if s & bit:
                 if supersets:
-                    sums[s ^ bit] += sign * sums[s]
+                    sums[s ^ bit] += sums[s]
                 else:
-                    sums[s] += sign * sums[s ^ bit]
+                    sums[s] = sums[s ^ bit] - sums[s]
         bit <<= 1
     return sums
 
@@ -459,11 +470,11 @@ def _dp_pays(p, k, jmax) -> bool:
     ms), 13^4 (0.23 against 0.10 ms) and 23^4 (0.79 against 0.50 ms).  The
     other known slower DP routes, 7^6 with 5 in J (3.3 against 0.34 ms) and
     11^5 with J = {4} (1.3 against 0.34 ms), are ties too.  Up to
-    _SCAN_PATTERN indices both engines end in the same zero-pattern
+    _SCAN_PATTERN indices both engines end in the same zero-count
     reading, so no reduction is cheaper on one side; past it the scan's
     individual count is count_sym_units, the slower reduction.  And the
-    DP's pattern covers every index in [1, jmax], so it answers every
-    index set up to jmax at the prime, where the scan's covers js only.
+    DP's zero counts cover every index set within [1, jmax], so it
+    answers each of them at the prime, where the scan's cover js only.
     Pricing both against the scan's lead at a tie waits for a cost model
     (ROADMAP item 5)."""
     return jmax < k and jmax < p and (2 * p) ** jmax <= _DP_CELLS
@@ -473,8 +484,8 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
     """The zero-pattern histogram of e_1..e_jmax over F_p^k at a prime p,
     jmax = max(js), counted by power sums: hist[z] is the number of x
     whose e_j vanish for exactly the j with bit j - 1 of z set, 2**jmax
-    Python ints.  count_field reads off it the local count of every index
-    set within [1, jmax], in both modes.
+    Python ints.  count_field sums it over supersets into the zero count
+    of every index set within [1, jmax] and reads both modes off those.
 
     p is prime and above jmax.  The power sums P_i = sum x^i (i <= jmax)
     add over coordinates, so the number of x at each (P_1, ..., P_jmax) in
@@ -485,7 +496,8 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
     give e_1..e_jmax at every state, so each state has one zero pattern.
     The states of each of the 2**jmax patterns are summed in int64, with
     no float weights, after one stable sort of the p**jmax states by
-    pattern.
+    pattern.  The counts themselves are at most p**k, and _check_int64
+    picks their dtype from that peak, as it picks every scan row's.
 
     Refuses with ValueError, before it allocates anything, p <= jmax, a
     tiled state (2p)**jmax over _DP_CELLS cells, and p**k >= 2**63.
@@ -498,13 +510,12 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
             f"the power-sum DP at p={p}, max(J)={jmax} needs (2p)**{jmax} cells, "
             f"over its cap of {_DP_CELLS}"
         )
-    _check_int64(p, k, p * p + p)
+    _check_int64(p, k, p * p + p)  # refuses k >= 63 before p**k is computed
+    dtype = _check_int64(p, k, p**k)
     shape = (p,) * jmax
     points = [tuple(pow(v, i, p) for i in range(1, jmax + 1)) for v in range(p)]
     # a cyclic shift by a point reads one window of the state tiled twice per axis
     windows = [tuple(slice(p - s, 2 * p - s) for s in point) for point in points]
-    # every count is at most p**k: int32 holds them below 2**31, at half the memory
-    dtype = np.int32 if p**k < 1 << 31 else np.int64
     counts = np.zeros(shape, dtype=dtype)
     for point in points:
         counts[point] = 1
@@ -540,21 +551,20 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
     return hist
 
 
-def _pattern_units(subsets, hist):
-    """Every local count a zero-pattern histogram answers, keyed
+def _zero_units(subsets, zeros):
+    """Every local count the zero counts of a pass answer, keyed
     (frozenset(S), joint): count_sym_units(p, k, S, joint) at a prime p for
-    each nonempty S = subsets[s] and both modes, where hist[z] counts the
-    x in F_p^k whose e_j vanish for exactly the j in subsets[z].  At a
-    prime a unit is a nonzero value, so a joint count keeps the patterns
-    that do not contain S, p**k less the sum over the supersets of S, and
-    an individual count keeps the patterns disjoint from S, the sum over
-    the subsets of its complement.  One zeta transform a mode,
-    log2(len(hist)) steps, gives the sum for every S."""
+    each nonempty S = subsets[s] and both modes, where zeros[s] counts the
+    x in F_p^k whose e_j (j in subsets[s]) all vanish, zeros[0] = p**k.  At
+    a prime a unit is a nonzero value, so a joint count is
+    zeros[0] - zeros[s], and an individual count is the inclusion-exclusion
+    sum of (-1)**|T| zeros[t] over the subsets T = subsets[t] of S, as
+    symfield's closed route reads closed zero counts.  One alternating
+    zeta transform, log2(len(zeros)) steps, gives that sum for every S."""
     sets = [frozenset(S) for S in subsets]
-    supersets, within = _zeta(hist, True), _zeta(hist, False)
-    full = len(hist) - 1
-    answers = {(sets[s], True): supersets[0] - supersets[s] for s in range(1, len(hist))}
-    answers.update(((sets[s], False), within[full ^ s]) for s in range(1, len(hist)))
+    alternating = _zeta(zeros, False)
+    answers = {(sets[s], True): zeros[0] - zeros[s] for s in range(1, len(zeros))}
+    answers.update(((sets[s], False), alternating[s]) for s in range(1, len(zeros)))
     return answers
 
 
@@ -563,16 +573,17 @@ def count_field(p: int, k: int, js, joint: bool) -> dict[tuple[frozenset, bool],
     prime p (js nonempty): count_sym_units(p, k, S, joint) keyed
     (frozenset(S), joint), always with the asked (frozenset(js), joint).
     The pass runs the power-sum DP where _dp_pays(p, k, max(js)), that is
-    where the DP can run and max(js) < k; its zero-pattern histogram over
-    [1, max(js)], which the DP's Newton rows already hold, answers every
-    nonempty S within [1, max(js)] in both modes.  Else it runs the scan,
-    whose pattern covers js only, so that it builds no extra rows: the
-    zero counts of every nonempty subset of js, one zero query each,
-    inverted by their superset sums, answer every nonempty S within js in
-    both modes.  Those are 2**len(js) - 1 reductions a chunk against the
-    one of a single count, so past _SCAN_PATTERN indices the scan counts
-    js alone, as count_sym_zeros (joint) or count_sym_units (individual),
-    and answers the asked key only."""
+    where the DP can run and max(js) < k; the superset sums of its
+    zero-pattern histogram over [1, max(js)], which the DP's Newton rows
+    already hold, are the zero counts of every S within [1, max(js)].
+    Else it runs the scan, whose zero counts cover js only, so that it
+    builds no extra rows: one zero query for every nonempty subset of js,
+    their answers taken as they come back.  Either way _zero_units reads
+    every nonempty S the zero counts cover, in both modes.  The scan's
+    queries are 2**len(js) - 1 reductions a chunk against the one of a
+    single count, so past _SCAN_PATTERN indices the scan counts js alone, as
+    count_sym_zeros (joint) or count_sym_units (individual), and answers
+    the asked key only."""
     jmax = max(js)
     dp = _dp_pays(p, k, jmax)
     indices = range(1, jmax + 1) if dp else sorted(set(js))
@@ -583,10 +594,10 @@ def count_field(p: int, k: int, js, joint: bool) -> dict[tuple[frozenset, bool],
     for j in indices:
         subsets += [S + [j] for S in subsets]
     if dp:
-        hist = count_sym_dp(p, k, js)
+        zeros = _zeta(count_sym_dp(p, k, js), True)
     else:
-        hist = _zeta([p**k, *_query_scan(p, k, [(S, None) for S in subsets[1:]])], True, -1)
-    return _pattern_units(subsets, hist)
+        zeros = [p**k, *_query_scan(p, k, [(S, None) for S in subsets[1:]])]
+    return _zero_units(subsets, zeros)
 
 
 def _tally(hist, values):

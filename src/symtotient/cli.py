@@ -71,13 +71,11 @@ class OutputRecord:
 
 def parse_indices(text: str, k: int) -> frozenset[int]:
     """Parse --J: either a comma list "1,2" or the range syntax "1..k" / "2..4"
-    (the literal k expands to the arity)."""
+    (the literal k expands to the arity), read by parse_range."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo = int(lo_s)
-        hi = k if hi_s.strip() == "k" else int(hi_s)
-        return frozenset(range(lo, hi + 1))
+    lo, dots, hi = text.partition("..")
+    if dots:
+        return frozenset(parse_range(lo + dots + (str(k) if hi.strip() == "k" else hi)))
     return frozenset(int(part) for part in text.split(","))
 
 

@@ -5,8 +5,9 @@ and its decode boundaries under a small _CHUNK against the literal e_j,
 linear and quadratic forms of every tuple, the quadratic form's tiling
 under a small _CHUNK, the DP's cost rule and its refusals, the local
 counts count_field answers on each route against the scan's unit and zero
-counts and the literal oracle, the int64 bounds the kernels enforce and the int8, int16, int32
-and int64 tiers of their rows."""
+counts and the literal oracle, its zero-count reader against the closed
+route, the int64 bounds the kernels enforce and the int8, int16, int32
+and int64 tiers of the scan's rows and the DP's counts."""
 
 import itertools
 import math
@@ -920,6 +921,8 @@ PATTERN_CASES = [
     (3, 7, [1, 3], "scan"),
     (5, 5, [2, 5], "scan"),
     (17, 5, [2, 4], "scan"),  # (2 * 17)**4 cells are over the DP's cap
+    (5, 3, [2], "dp"),  # 125 tuples: the DP's counts in int8
+    (181, 2, [1], "dp"),  # 32 761 tuples: the DP's counts in int16
 ]
 
 
@@ -959,6 +962,32 @@ def test_pattern_matches_the_literal_oracle(p, k, js):
         for t in itertools.product(range(p), repeat=k):
             expected[sum(1 << i for i, j in enumerate(indices) if oracle.esym(j, t, p) == 0)] += 1
         assert _kernels.count_sym_dp(p, k, js) == expected
+
+
+# index lists whose every subset has a closed zero count
+CLOSED_READER_CASES = (
+    [(p, k, [1, 2]) for p in (3, 5, 7, 11) for k in range(2, 9)]
+    + [(p, k, [1, 2, k]) for p in (3, 5, 7, 11) for k in range(3, 9)]
+    + [(2, k, [1, 2, 3][:k]) for k in range(1, 9)]
+)
+
+
+@pytest.mark.parametrize("p,k,js", CLOSED_READER_CASES,
+                         ids=[f"p{p}-k{k}-J{js}" for p, k, js in CLOSED_READER_CASES])
+def test_zero_count_reader_matches_the_closed_route(p, k, js):
+    # handed the closed zero count of every subset of js, by bitmask as a
+    # pass hands them, the reader gives every (S, mode) the closed route of
+    # the per-prime rule gives
+    subsets = [[]]
+    for j in js:
+        subsets += [S + [j] for S in subsets]
+    zeros = [count_zeros_closed(S, k, p) for S in subsets]
+    assert zeros[0] == p**k and None not in zeros
+    answers = _kernels._zero_units(subsets, zeros)
+    assert set(answers) == _covered("scan", js, True)
+    for (S, mode), value in answers.items():
+        # budget 0: a prime with no closed count would be refused
+        assert value == symfield._local_units(k, S, p, mode, 0), (sorted(S), mode)
 
 
 @pytest.mark.parametrize("chunk,p,k,js", [(8, 3, 5, [1, 3]), (27, 3, 6, [2, 6])])

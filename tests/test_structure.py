@@ -80,7 +80,7 @@ def test_zero_pattern_layout_stays_in_kernels():
     # count_field answers by index set: symfield reads no histogram, builds
     # no bitmask and never names the DP, and count_field keeps its contract
     tree = ast.parse((SRC / "symfield.py").read_text())
-    for name in ("pattern_units", "_pattern_units", "_zeta", "count_sym_dp"):
+    for name in ("pattern_units", "_pattern_units", "_zero_units", "_zeta", "count_sym_dp"):
         assert _references(tree, name) == [], name
     bit_ops = (ast.LShift, ast.RShift, ast.BitAnd)
     assert [
