@@ -62,9 +62,10 @@ allocates anything, a call whose tuple count m**k or largest intermediate
 value would reach 2**63.  Below that, _check_int64 picks the dtype with
 the refusal, the narrowest of int8, int16, int32 and int64 that holds a
 peak, so a narrower array costs fewer bytes a pass: the scan's rows from
-one peak per request (_check_scan), and the DP's counts from p**k, the
-most any of them reaches (int8 below 2**7, int16 below 2**15, int32
-below 2**31).  The digit recurrence and the linear form reduce mod m at
+one peak per request (_check_scan), and the DP's counts from p**(k-1),
+the most any of them reaches, since every state fixes P_1 and p**(k-1)
+tuples share each P_1 (int8 up to 2**7 - 1, int16 up to 2**15 - 1, int32
+up to 2**31 - 1).  The digit recurrence and the linear form reduce mod m at
 each step and stay below m**2 + m (int8 up to m = 10, int16 up to 180,
 int32 up to 46340); the product rule sums at most jmax + 1 terms below
 m**2 each (int16 up to m = 90 at jmax = 3); Q and its cross forms stay
@@ -496,7 +497,8 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
     give e_1..e_jmax at every state, so each state has one zero pattern.
     The states of each of the 2**jmax patterns are summed in int64, with
     no float weights, after one stable sort of the p**jmax states by
-    pattern.  The counts themselves are at most p**k, and _check_int64
+    pattern.  Every state fixes P_1, and p**(k-1) tuples share each P_1,
+    so no count, partial sums included, exceeds p**(k-1); _check_int64
     picks their dtype from that peak, as it picks every scan row's.
 
     Refuses with ValueError, before it allocates anything, p <= jmax, a
@@ -511,7 +513,7 @@ def count_sym_dp(p: int, k: int, js) -> list[int]:
             f"over its cap of {_DP_CELLS}"
         )
     _check_int64(p, k, p * p + p)  # refuses k >= 63 before p**k is computed
-    dtype = _check_int64(p, k, p**k)
+    dtype = _check_int64(p, k, p ** (k - 1))
     shape = (p,) * jmax
     points = [tuple(pow(v, i, p) for i in range(1, jmax + 1)) for v in range(p)]
     # a cyclic shift by a point reads one window of the state tiled twice per axis

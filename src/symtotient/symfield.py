@@ -11,14 +11,23 @@ the full set J = {1,...,k}, and any J containing k through an
 inclusion-exclusion recurrence over zeroed coordinates.  The closed
 forms never enumerate: the recurrence builds its k prefix bases once,
 bottom-up, asking at most k - 1 closed counts, and a J with a base that
-has no closed form gets None, not a count.
+has no closed form gets None, not a count.  The dispatcher, _closed,
+never sees p, only whether p = 2: it returns a plan, the count as an
+integer combination of the leaf counts p**m, the e_2 and (e_1, e_2)
+counts at arity m, and at p = 2 the sieved sums.  It is cached per (J, k,
+p == 2), so behind count_zeros_closed and _local_units the recurrence runs
+once per set and arity, on plans, and a prime evaluates the leaves;
+extend_with_ek runs it once a call.  For J = {1, k} in individual mode the plan
+is Toth's polynomial (p-1)((p-1)^k - (-1)^k)/p.
 
 _local_units is the one per-prime rule behind count_zeros, the
 totients' product forms and the unit-right-hand-side congruences: the
 number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
 (individual).  It is one function that reads top to bottom: the memo
-lookup, then the sum of closed zero counts that stops at the first count
-with no closed form, then one budget-checked counting pass.  Every local
+lookup, then the plan of closed zero counts that stops at the first count
+with no closed form, then one budget-checked counting pass.  A plan is
+made per (k, J, mode) and p == 2, and a value per prime: _PLANS keeps the
+plan for odd p, p = 2 compiles its own on its one miss, and every local
 count is memoized for the life of the process in _LOCAL_UNITS, keyed by
 (k, J, joint) and then by p, in one of two states.  A closed count
 charges no budget and is kept as it is.  A prime with no closed count
@@ -32,7 +41,8 @@ makes the budget check a pass makes, so a budget that would refuse the
 pass refuses the memoized count too, and one memo serves every budget.
 A budget refusal is never memoized and fills nothing.  The memo has no
 size limit; it grows by under 100 bytes per distinct (k, J, mode, p)
-answered or filled.
+answered or filled, and by one plan per (k, J, mode) asked.  Racing
+threads may compile one plan twice; both compile the same plan.
 """
 
 import functools
@@ -233,29 +243,56 @@ def extend_with_ek(J, k: int, p: int) -> int | None:
     the same recurrence where m is in J, else asked of the closed-form
     dispatcher, which then has no e_m to recurse on.  So a call asks at
     most k - 1 closed base counts and enumerates nothing; the first base
-    without a closed form makes the result None.  An arity below 1, an
-    index not in [1, k-1] or a p that is not prime raises ValueError.
+    without a closed form makes the result None.  The recurrence runs on
+    plans, not on values (see _closed), and the plan is evaluated at p.
+    An arity below 1, an index not in [1, k-1] or a p that is not prime
+    raises ValueError.
     """
     J = _indices(J, k)
     if k in J:
         raise ValueError(f"k={k} must not be in J; e_k is what gets appended")
-    return _extend(J, operator.index(k), _check_prime(p))
+    p = _check_prime(p)
+    plan = _extend(J, operator.index(k), p == 2)
+    return None if plan is None else _evaluate(plan.items(), p)
 
 
-def _extend(J: frozenset, k: int, p: int) -> int | None:
-    prefix = [1]  # prefix[m] = N_m(J cut to [1, m]); N_0 = 1
+def _extend(J: frozenset, k: int, two: bool) -> dict | None:
+    prefix = [{0: 1}]  # prefix[m] = N_m(J cut to [1, m]) as a plan; N_0 = 1 = p**0
     for m in range(1, k + 1):
-        if m in J or m == k:
-            total = 0  # sum of (-1)^(j+1) C(m, j) N_(m-j), folded from j = m down to 1
-            for i in range(m):
-                total = math.comb(m, i) * prefix[i] - total
-            prefix.append(total)
+        if m in J or m == k:  # the sum of (-1)^(j+1) C(m, j) N_(m-j) over j = 1..m
+            signed = ((-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m))
+            prefix.append(_combine(zip(signed, prefix)))
         else:
-            base = _closed(frozenset(x for x in J if x < m), m, p)
+            base = _closed(frozenset(x for x in J if x < m), m, two)
             if base is None:
                 return None
             prefix.append(base)
     return prefix[k]
+
+
+def _combine(terms) -> dict:
+    """The plan sum(c * plan for c, plan in terms)."""
+    total = {}
+    for c, plan in terms:
+        for leaf, d in plan.items():
+            total[leaf] = total.get(leaf, 0) + c * d
+    return total
+
+
+def _evaluate(terms, p: int, total: int = 0) -> int:
+    """total plus the count that terms, the (leaf, coefficient) pairs of a
+    plan of _closed, stand for at the prime p: each leaf m is p**m, each
+    leaf (count, m) is count(m, p), and at p = 2, where every other leaf is
+    (J, m), count_zeros_mod2(J, m)."""
+    for leaf, c in terms:
+        if type(leaf) is int:
+            total += c * p**leaf
+        elif p == 2:
+            total += c * count_zeros_mod2(*leaf)
+        else:
+            count, m = leaf
+            total += c * count(m, p)
+    return total
 
 
 def count_zeros_closed(J, k: int, p: int) -> int | None:
@@ -265,26 +302,36 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     {1,...,k}; {1}; {2}; {1,2}; and any J containing k whose recurrence
     bases are themselves dispatchable.  An arity below 1, an index outside
     [1, k] or a p that is not prime raises ValueError; p is checked once
-    here, and the recursion runs on unchecked helpers.
+    here, and the plan of _closed is evaluated at it.
     """
-    return _closed(_indices(J, k), operator.index(k), _check_prime(p))
+    J, k, p = _indices(J, k), operator.index(k), _check_prime(p)
+    plan = _closed(J, k, p == 2)
+    return None if plan is None else _evaluate(plan.items(), p)
 
 
-def _closed(J: frozenset, k: int, p: int) -> int | None:
-    if p == 2:
-        return count_zeros_mod2(J, k)
+@functools.cache
+def _closed(J: frozenset, k: int, two: bool) -> dict | None:
+    """The closed zero count of {e_j : j in J} over F_p^k as a plan, an
+    integer combination {leaf: coefficient} that _evaluate reads at p, or
+    None.  two is p == 2, the one fact about p that the dispatch reads, so
+    the plan is made once per (J, k, two) and shared by every prime; it is
+    read, never changed.  Its leaves are p**m (written m), _count_e2(m, p)
+    and _count_e1e2(m, p) (written (count, m)), and at p = 2
+    count_zeros_mod2(J, m) (written (J, m)); no leaf is evaluated here."""
+    if two:
+        return {(J, k): 1}
     if not J:
-        return p**k
+        return {k: 1}
     if len(J) == k:  # J lies in [1, k], so this is the full set
-        return 1
+        return {0: 1}
     if J == frozenset({1}):
-        return p ** (k - 1)
+        return {k - 1: 1}
     if J == frozenset({2}):
-        return _count_e2(k, p)
+        return {(_count_e2, k): 1}
     if J == frozenset({1, 2}):
-        return _count_e1e2(k, p)
+        return {(_count_e1e2, k): 1}
     if k in J:
-        return _extend(J - {k}, k, p)
+        return _extend(J - {k}, k, two)
     return None
 
 
@@ -293,6 +340,11 @@ def _closed(J: frozenset, k: int, p: int) -> int | None:
 # prime has no entry until its first pass.  Unbounded: see the module
 # docstring.
 _LOCAL_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | tuple[int, int]]] = {}
+
+# (k, J, joint) -> the plan of the closed local unit count at odd p, as its
+# constant and its other (leaf, coefficient) pairs, or None where some zero
+# count it sums has no closed form; read in _local_units.
+_PLANS: dict[tuple[int, frozenset, bool], tuple[int, tuple] | None] = {}
 
 
 def _nonempty_subsets(J) -> list[frozenset[int]]:
@@ -307,7 +359,13 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     _LOCAL_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
     the closed zero count of J (joint), or the alternating sum of p^k minus
     the closed zero count over the nonempty subsets of J in their fixed
-    order (individual), stopping at the first subset with no closed count.
+    order (individual).  It is a plan, one integer combination of leaf
+    counts (see _closed), evaluated at p, so a cold prime costs a few leaf
+    evaluations.  The plan is compiled once per (k, J, joint) for every odd
+    p and kept in _PLANS, or None there if some subset has no closed count:
+    compiling stops at the first such subset.  Racing threads may compile
+    one plan twice, to one plan.  p = 2 compiles its own plan on its one
+    miss, since its value is memoized next.
     A closed count is memoized as it is and charges nothing.  Otherwise
     every read is charged p^k tuples against the budget, whether or not
     the prime's count is memoized yet.  After the check comes the memoized
@@ -322,20 +380,33 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
     count of each answered set at most once.  A closed entry is left as it
     is and a counted value is never overwritten.  A budget refusal is
     never memoized, and fills nothing."""
-    by_prime = _LOCAL_UNITS.get((k, J, joint))
+    key = k, J, joint
+    by_prime = _LOCAL_UNITS.get(key)
     if by_prime is None:  # setdefault: racing threads share one dict
-        by_prime = _LOCAL_UNITS.setdefault((k, J, joint), {})
+        by_prime = _LOCAL_UNITS.setdefault(key, {})
     entry = by_prime.get(p)
     if entry is None:
-        space, total = p**k, 0
-        for sub in [J] if joint else _nonempty_subsets(J):
-            z = _closed(sub, k, p)
-            if z is None:  # one gap already sends the prime to a counting pass
-                break
-            total += (1 if joint else (-1) ** (len(sub) + 1)) * (space - z)
-        else:  # closed: memoized as it is
-            return by_prime.setdefault(p, total)
-        entry = None, space  # open: nothing is stored before the budget check and the pass
+        two = p == 2
+        plan = False if two else _PLANS.get(key, False)
+        if plan is False:  # racing threads may both compile it, to one plan
+            parts = []
+            for sub in [J] if joint else _nonempty_subsets(J):
+                z = _closed(sub, k, two)
+                if z is None:  # one gap already sends the prime to a counting pass
+                    plan = None
+                    break
+                sign = 1 if joint else (-1) ** (len(sub) + 1)
+                parts += (sign, {k: 1}), (-sign, z)  # sign * (p^k - z)
+            else:
+                plan = _combine(parts)
+                # the constant p**0 starts the sum, one leaf fewer a prime
+                plan = plan.pop(0, 0), tuple(plan.items())
+            if not two:
+                _PLANS[key] = plan
+        if plan is not None:  # closed: memoized as it is
+            constant, terms = plan
+            return by_prime.setdefault(p, _evaluate(terms, p, constant))
+        entry = None, p**k  # open: nothing is stored before the budget check and the pass
     if isinstance(entry, int):  # a closed count, which charges nothing
         return entry
     count, charge = entry
@@ -345,9 +416,9 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
         answers = _kernels.count_field(p, k, sorted(J), joint)
         count = answers[J, joint]
         by_prime[p] = (count, charge)
-        # asked once a set; k and p are bound as defaults, since a closure
+        # asked once a set; k and two are bound as defaults, since a closure
         # would make them cells, built on every call, warm reads included
-        is_open = functools.cache(lambda T, k=k, p=p: _closed(T, k, p) is None)
+        is_open = functools.cache(lambda T, k=k, two=p == 2: _closed(T, k, two) is None)
         for (S, mode), value in answers.items():
             if p in _LOCAL_UNITS.get((k, S, mode), ()):  # a closed int or a counted value stays
                 continue

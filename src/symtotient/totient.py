@@ -247,7 +247,8 @@ def _menon_divisor_sum(f, n: int) -> Fraction:
     is Moebius inversion on that divisor lattice: f at every divisor, then
     one difference pass per prime p of n, g(d) -= g(d/p) for the multiples
     of p in descending d, so that g(d/p) is still the pass's input.  That
-    holds for any f, multiplicative or not."""
+    holds for any f, multiplicative or not.  phi(d) divides phi(n) for every
+    d | n, so the sum is one Fraction over phi(n), not one per divisor."""
     fac = factorize(n)
     totients = {1: 1}
     for p, a in fac:
@@ -262,4 +263,5 @@ def _menon_divisor_sum(f, n: int) -> Fraction:
         for d in order:
             if d % p == 0:
                 g[d] -= g[d // p]
-    return sum(Fraction(g[d], totients[d]) for d in order)
+    phi_n = totients[n]
+    return Fraction(sum(g[d] * (phi_n // totients[d]) for d in order), phi_n)

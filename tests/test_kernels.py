@@ -7,7 +7,8 @@ under a small _CHUNK, the DP's cost rule and its refusals, the local
 counts count_field answers on each route against the scan's unit and zero
 counts and the literal oracle, its zero-count reader against the closed
 route, the int64 bounds the kernels enforce and the int8, int16, int32
-and int64 tiers of the scan's rows and the DP's counts."""
+and int64 tiers of the scan's rows and of the DP's counts, which the
+peak p**(k-1) picks."""
 
 import itertools
 import math
@@ -923,7 +924,33 @@ PATTERN_CASES = [
     (17, 5, [2, 4], "scan"),  # (2 * 17)**4 cells are over the DP's cap
     (5, 3, [2], "dp"),  # 125 tuples: the DP's counts in int8
     (181, 2, [1], "dp"),  # 32 761 tuples: the DP's counts in int16
+    (5, 4, [2], "dp"),  # counts at most 5**3 = 125: int8
+    (181, 3, [1], "dp"),  # counts at most 181**2 = 32 761: int16
 ]
+
+
+# (p, k, js, dtype): no DP count exceeds p**(k-1), the tuples that share
+# one P_1, so that peak picks the counts' dtype at each tier's edge
+DP_TIERS = [
+    (5, 4, [2], np.int8),
+    (7, 4, [2], np.int16),
+    (181, 3, [1], np.int16),
+    (191, 3, [1], np.int32),
+]
+
+
+@pytest.mark.parametrize("p,k,js,dtype", DP_TIERS)
+def test_dp_counts_take_the_dtype_of_p_to_the_k_minus_one(monkeypatch, p, k, js, dtype):
+    picked, check = [], _kernels._check_int64
+
+    def recorded(*args):
+        picked.append(check(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(_kernels, "_check_int64", recorded)
+    hist = _kernels.count_sym_dp(p, k, js)
+    assert picked[-1] is dtype
+    assert sum(hist) == p**k and type(hist[0]) is int
 
 
 @pytest.mark.parametrize("p,k,js,route", PATTERN_CASES,

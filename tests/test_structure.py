@@ -1,8 +1,8 @@
-"""One per-prime counting rule, in symfield, for every caller, one engine
-choice, in _kernels, for every counting pass, one validity check per input
-kind, one home for each fact the library states more than once, no
-floating-point path or tolerance behind any value, and no integer matmul
-in the kernels."""
+"""One per-prime counting rule, in symfield, for every caller, with closed
+plans free of p, one engine choice, in _kernels, for every counting pass,
+one validity check per input kind, one home for each fact the library
+states more than once, no floating-point path or tolerance behind any
+value, and no integer matmul in the kernels."""
 
 import ast
 from pathlib import Path
@@ -118,6 +118,35 @@ def test_per_prime_rule_is_one_function():
         and node.func.id == "frozenset"
         and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
                 and arg.func.id == "range" for arg in node.args)
+    ] == []
+
+
+def test_closed_plans_are_free_of_p():
+    # the dispatcher sees only whether p = 2, so a plan made for one prime
+    # is right for every other: it returns leaves and never evaluates one,
+    # and the plans of local counts are read only by the per-prime rule
+    tree = ast.parse((SRC / "symfield.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [a.arg for a in functions["_closed"].args.args] == ["J", "k", "two"]
+    assert [a.arg for a in functions["_extend"].args.args] == ["J", "k", "two"]
+    for name in ("_closed", "_extend", "_combine"):
+        leaves = [
+            node.lineno for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("_count_e2", "_count_e1e2", "count_zeros_mod2", "_evaluate")
+        ]
+        assert leaves == [], name
+        assert "p" not in {
+            node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
+        }, name
+    (declared,) = [
+        node.lineno for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "_PLANS"
+    ]
+    local_units = functions["_local_units"]
+    assert [
+        line for line in _references(tree, "_PLANS")
+        if line != declared and not local_units.lineno <= line <= local_units.end_lineno
     ] == []
 
 

@@ -1,3 +1,6 @@
+import collections
+import functools
+import itertools
 import math
 
 import oracle
@@ -300,6 +303,103 @@ class TestDispatch:
         # larger arities stay closed as long as the bases dispatch
         assert count_zeros_closed({2, 7}, 7, 3) == oracle.zeros(3, 7, {2, 7})
         assert count_zeros_closed({1, 2, 6}, 6, 5) == oracle.zeros(5, 6, {1, 2, 6})
+
+
+class TestClosedPlans:
+    # a closed count is a plan, an integer combination of leaf counts made
+    # once per (k, J, mode) and evaluated at each prime
+
+    @staticmethod
+    def _plan(k, J, joint):
+        """The plan of the local count at odd p as {leaf: coefficient}, with
+        its constant, where it is not 0, at leaf 0, as p**0."""
+        symfield._local_units(k, frozenset(J), 3, joint, None)
+        constant, terms = symfield._PLANS[(k, frozenset(J), joint)]
+        return dict(terms) | ({0: constant} if constant else {})
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_toth_polynomial_is_the_plan_of_1_and_k(self, k):
+        # (p-1)((p-1)^k - (-1)^k)/p: the sum over i >= 1 of C(k, i)(-1)^(k-i)
+        # p^(i-1), times p - 1, coefficient by coefficient
+        quotient = [math.comb(k, i) * (-1) ** (k - i) for i in range(1, k + 1)]
+        toth = [-a + b for a, b in zip(quotient + [0], [0] + quotient)]
+        plan = self._plan(k, {1, k}, False)
+        assert all(type(leaf) is int for leaf in plan)
+        assert [plan.get(m, 0) for m in range(k + 1)] == toth
+        assert max(plan) == k
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_full_set_joint_plan_is_p_to_the_k_less_one(self, k):
+        assert self._plan(k, range(1, k + 1), True) == {k: 1, 0: -1}
+
+    @staticmethod
+    @functools.cache
+    def _zeros_by_value(J, k, p):
+        """The closed zero count one prime at a time, top-down: where k is in
+        J, N_k(J) = sum over j of (-1)^(j+1) C(k, j) N_(k-j)(J cut to [1, k-j])."""
+        if p == 2:
+            return count_zeros_mod2(J, k)
+        if not J:
+            return p**k
+        if len(J) == k:
+            return 1
+        if J == {1}:
+            return p ** (k - 1)
+        if J == {2}:
+            return closed_count_e2(k, p)
+        if J == {1, 2}:
+            return closed_count_e1e2(k, p)
+        if k not in J:
+            return None
+        bases = [
+            TestClosedPlans._zeros_by_value(frozenset(x for x in J if x <= k - j), k - j, p)
+            for j in range(1, k + 1)
+        ]
+        if None in bases:
+            return None
+        return sum((-1) ** (j + 1) * math.comb(k, j) * N for j, N in enumerate(bases, 1))
+
+    def test_plans_match_enumeration_at_every_prime_to_60(self):
+        # every nonempty J within [1, k], k <= 6, both modes: the closed
+        # value is the literal oracle's where p^k <= 2*10^4, the scan's up
+        # to 10^6, and everywhere the closed sum of values above
+        checked = enumerated = 0
+        for k in range(1, 7):
+            sets = oracle.nonempty_subsets(range(1, k + 1))
+            for p in primes_in_range(2, 60):
+                closed = {}
+                for J in sets:
+                    zeros = [self._zeros_by_value(S, k, p) for S in oracle.nonempty_subsets(J)]
+                    for joint in (True, False):
+                        try:
+                            value = symfield._local_units(k, J, p, joint, 0)
+                        except BudgetExceededError:
+                            assert None in (zeros[-1:] if joint else zeros), (k, sorted(J), p)
+                            continue
+                        by_value = p**k - zeros[-1] if joint else sum(
+                            (-1) ** (len(S) + 1) * (p**k - z)
+                            for S, z in zip(oracle.nonempty_subsets(J), zeros)
+                        )
+                        assert value == by_value, (k, sorted(J), p, joint)
+                        closed[J, joint] = value
+                checked += len(closed)
+                if p**k <= 2 * 10**4:
+                    hist = collections.Counter(
+                        sum(1 << j - 1 for j in range(1, k + 1) if oracle.esym(j, t, p) == 0)
+                        for t in itertools.product(range(p), repeat=k)
+                    )
+                    for (J, joint), value in closed.items():
+                        mask = sum(1 << j - 1 for j in J)
+                        kept = (lambda z: z & mask != mask) if joint else (lambda z: not z & mask)
+                        expected = sum(c for z, c in hist.items() if kept(z))
+                        assert value == expected, (k, sorted(J), p, joint)
+                elif p**k <= 10**6:
+                    queries = [(sorted(J), joint) for J, joint in closed]
+                    assert list(closed.values()) == _kernels.count_sym_units_many(p, k, queries)
+                else:
+                    continue
+                enumerated += len(closed)
+        assert (checked, enumerated) == (1648, 960)
 
 
 class TestQuadForm:

@@ -192,18 +192,19 @@ class TestPerPrimeFallback:
 
     def test_closed_counts_stop_at_the_first_gap(self, monkeypatch):
         # subsets run {1}, {2}, {3}, ...; {3} has no closed count at k = 6, so
-        # each of 3, 5 and 7 asks for three closed counts, not all 63; the
-        # scan over six indices returns no pattern, so no fill asks more
+        # the plan of J = [1, 6] asks for three closed counts, not all 63.  It
+        # is compiled once for every odd p: 3 compiles it, 5 and 7 read it.
+        # The scan over six indices returns no pattern, so no fill asks more
         asked = []
         closed = symfield._closed
 
-        def counted(sub, k, p):
-            asked.append(p)
-            return closed(sub, k, p)
+        def counted(sub, k, two):
+            asked.append((sorted(sub), k, two))
+            return closed(sub, k, two)
 
         monkeypatch.setattr(symfield, "_closed", counted)
         assert phi(TotientSpec(6, frozenset(range(1, 7)), "individual", 105)) == 785268000
-        assert asked == [3, 3, 3, 5, 5, 5, 7, 7, 7]
+        assert asked == [([1], 6, False), ([2], 6, False), ([3], 6, False)]
 
     def test_fallback_budget_error_names_the_prime(self):
         with pytest.raises(BudgetExceededError, match="F_11"):
@@ -241,7 +242,9 @@ class TestClosedUnitsMemo:
         spec = TotientSpec(6, {1, 2}, "individual", 105)
         asked = self._count(monkeypatch, symfield, "_closed")
         cold = phi(spec)
-        assert len(asked) == 9  # {1}, {2} and {1, 2} at each of 3, 5 and 7
+        # {1}, {2} and {1, 2} once, for the one plan that 3, 5 and 7 read
+        assert sorted(map(sorted, {S for S, *_ in asked})) == [[1], [1, 2], [2]]
+        assert len(asked) == 3
         asked.clear()
         assert phi(spec) == cold == closed_phi_12(6, 105)
         assert asked == []
@@ -362,9 +365,11 @@ class TestClosedUnitsMemo:
         assert [p for p, *_ in passes] == [7]
 
     def test_a_fill_asks_each_set_once(self, monkeypatch):
-        # the DP's pattern at 7^6 with J = {5} covers [1, 5]: the fill asks
-        # one closed count per nonempty set within it, 31 for both modes,
-        # not one closed sum per set and mode
+        # the DP's pattern at 7^6 with J = {5} covers [1, 5]: the plan asks
+        # for {5}, and the fill asks one closed count per nonempty set within
+        # the pattern, 31 for both modes, not one closed sum per set and
+        # mode.  The dispatcher runs once per set: the fill's {5} is cached
+        closed = symfield._closed
         asked = self._count(monkeypatch, symfield, "_closed")
         passes = self._count(monkeypatch, _kernels, "count_field")
         assert _kernels._dp_pays(7, 6, 5)
@@ -372,11 +377,13 @@ class TestClosedUnitsMemo:
         assert len(passes) == 1
         assert len(asked) == 1 + 31
         assert len({S for S, *_ in asked[1:]}) == 31
+        assert closed.cache_info().misses == 31
         for J in ({1, 5}, {3, 4}, {1, 2, 3, 4, 5}):
             for mode, fn in (("joint", varphi), ("individual", phi)):
                 expected = _kernels.count_sym_units(7, 6, sorted(J), mode == "joint")
                 assert fn(TotientSpec(6, J, mode, 7)) == expected, (sorted(J), mode)
         assert len(passes) == 1
+        assert len(asked) == 1 + 31
 
     def test_open_sets_inherit_a_subsets_gap_in_individual_mode(self, monkeypatch):
         # at k = 4, {4} and {3, 4} close (k is in J) and {3} does not: the
@@ -636,7 +643,8 @@ class TestMenonDivisorSum:
         return sum(Fraction(dirichlet_convolve_mu(f, d), euler_phi(d)) for d in divisors(n))
 
     @pytest.mark.parametrize(
-        "f", [identity, one, divisor_count, lambda n: n * n + 1], ids=["id", "one", "tau", "n2+1"]
+        "f", [identity, one, divisor_count, lambda n: n * n + 1, lambda n: Fraction(n, 3)],
+        ids=["id", "one", "tau", "n2+1", "n/3"],
     )
     def test_equals_the_textbook_sum(self, f):
         for n in range(1, 200):
