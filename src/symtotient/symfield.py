@@ -14,35 +14,33 @@ bottom-up, asking at most k - 1 closed counts, and a J with a base that
 has no closed form gets None, not a count.  The dispatcher, _closed,
 never sees p, only whether p = 2: it returns a plan, the count as an
 integer combination of the leaf counts p**m, the e_2 and (e_1, e_2)
-counts at arity m, and at p = 2 the sieved sums.  It is cached per (J, k,
-p == 2), so behind count_zeros_closed and _local_units the recurrence runs
-once per set and arity, on plans, and a prime evaluates the leaves;
-extend_with_ek runs it once a call.  For J = {1, k} in individual mode the plan
-is Toth's polynomial (p-1)((p-1)^k - (-1)^k)/p.
+counts at arity m, and at p = 2 the sieved sums, and a prime evaluates
+the leaves.  Its one costly step, the recurrence _extend, is cached per
+(J, k, p == 2), so extend_with_ek, the dispatcher and every plan share
+one recurrence.  For J = {1, k} in individual mode the plan is Toth's
+polynomial (p-1)((p-1)^k - (-1)^k)/p.
 
 _local_units is the one per-prime rule behind count_zeros, the
 totients' product forms and the unit-right-hand-side congruences: the
 number of tuples in F_p^k whose e_j are not all zero (joint) or none zero
-(individual).  It is one function that reads top to bottom: the memo
-lookup, then the plan of closed zero counts that stops at the first count
-with no closed form, then one budget-checked counting pass.  A plan is
-made per (k, J, mode) and p == 2, and a value per prime: _PLANS keeps the
-plan for odd p, p = 2 compiles its own on its one miss, and every local
-count is memoized for the life of the process in _LOCAL_UNITS, keyed by
-(k, J, joint) and then by p, in one of two states.  A closed count
-charges no budget and is kept as it is.  A prime with no closed count
-charges p^k and is kept, after its first counting pass, as (value, p^k).
-A pass returns every local count it answers, keyed (S, joint) (every
-nonempty S within [1, max J] on the DP, within J on the scan up to two
-indices, J alone past them), so it also fills each such entry that would
-need a pass of its own, as (value, p^k): one pass per prime serves every
-index set it covers.  Every read of a counted entry, filled or not,
-makes the budget check a pass makes, so a budget that would refuse the
-pass refuses the memoized count too, and one memo serves every budget.
-A budget refusal is never memoized and fills nothing.  The memo has no
-size limit; it grows by under 100 bytes per distinct (k, J, mode, p)
-answered or filled, and by one plan per (k, J, mode) asked.  Racing
-threads may compile one plan twice; both compile the same plan.
+(individual).  It reads top to bottom: memo, plan, pass, fill.  The memo,
+_LOCAL_UNITS, keeps every local count for the life of the process, keyed
+by (k, J, joint) and then by p.  On a miss the plan of the closed count,
+_unit_plan, made once per (k, J, mode, p == 2), is evaluated at p; a
+closed count charges no budget and is kept as it is.  Where there is no
+plan, the prime charges p^k and is kept, after its first counting pass,
+as (value, p^k).  A pass returns every local count it answers, keyed
+(S, joint) (every nonempty S within [1, max J] on the DP, within J on
+the scan up to two indices, J alone past them), and the fill keeps each
+such entry that is absent and has no plan, as (value, p^k): one pass per
+prime serves every index set it covers.  Every read of a counted entry,
+filled or not, makes the budget check a pass makes, so a budget that
+would refuse the pass refuses the memoized count too, and one memo
+serves every budget.  A budget refusal is never memoized and fills
+nothing.  No cache has a size limit: the memo grows by under 100 bytes
+per distinct (k, J, mode, p) answered or filled, and the plans by one per
+(k, J, mode, p == 2) and one recurrence per (J, k, p == 2) asked.
+Racing threads may compile one plan twice, to the same plan.
 """
 
 import functools
@@ -244,7 +242,8 @@ def extend_with_ek(J, k: int, p: int) -> int | None:
     dispatcher, which then has no e_m to recurse on.  So a call asks at
     most k - 1 closed base counts and enumerates nothing; the first base
     without a closed form makes the result None.  The recurrence runs on
-    plans, not on values (see _closed), and the plan is evaluated at p.
+    plans, not on values (see _closed), once per (J, k, p == 2), and the
+    plan is evaluated at p.
     An arity below 1, an index not in [1, k-1] or a p that is not prime
     raises ValueError.
     """
@@ -256,7 +255,10 @@ def extend_with_ek(J, k: int, p: int) -> int | None:
     return None if plan is None else _evaluate(plan.items(), p)
 
 
+@functools.cache
 def _extend(J: frozenset, k: int, two: bool) -> dict | None:
+    """The plan of extend_with_ek, made once per (J, k, two) and read, never
+    changed, by every prime, every plan that holds it and _closed."""
     prefix = [{0: 1}]  # prefix[m] = N_m(J cut to [1, m]) as a plan; N_0 = 1 = p**0
     for m in range(1, k + 1):
         if m in J or m == k:  # the sum of (-1)^(j+1) C(m, j) N_(m-j) over j = 1..m
@@ -309,15 +311,15 @@ def count_zeros_closed(J, k: int, p: int) -> int | None:
     return None if plan is None else _evaluate(plan.items(), p)
 
 
-@functools.cache
 def _closed(J: frozenset, k: int, two: bool) -> dict | None:
     """The closed zero count of {e_j : j in J} over F_p^k as a plan, an
     integer combination {leaf: coefficient} that _evaluate reads at p, or
     None.  two is p == 2, the one fact about p that the dispatch reads, so
-    the plan is made once per (J, k, two) and shared by every prime; it is
-    read, never changed.  Its leaves are p**m (written m), _count_e2(m, p)
-    and _count_e1e2(m, p) (written (count, m)), and at p = 2
-    count_zeros_mod2(J, m) (written (J, m)); no leaf is evaluated here."""
+    one plan serves every prime; the plan is read, never changed.  Every
+    branch but the recurrence, which _extend caches, builds one leaf.  The
+    leaves are p**m (written m), _count_e2(m, p) and _count_e1e2(m, p)
+    (written (count, m)), and at p = 2 count_zeros_mod2(J, m) (written
+    (J, m)); no leaf is evaluated here."""
     if two:
         return {(J, k): 1}
     if not J:
@@ -341,11 +343,6 @@ def _closed(J: frozenset, k: int, two: bool) -> dict | None:
 # docstring.
 _LOCAL_UNITS: dict[tuple[int, frozenset, bool], dict[int, int | tuple[int, int]]] = {}
 
-# (k, J, joint) -> the plan of the closed local unit count at odd p, as its
-# constant and its other (leaf, coefficient) pairs, or None where some zero
-# count it sums has no closed form; read in _local_units.
-_PLANS: dict[tuple[int, frozenset, bool], tuple[int, tuple] | None] = {}
-
 
 def _nonempty_subsets(J) -> list[frozenset[int]]:
     """The nonempty subsets of J, by size and then lexicographically."""
@@ -353,56 +350,51 @@ def _nonempty_subsets(J) -> list[frozenset[int]]:
     return [frozenset(s) for r in range(1, len(J) + 1) for s in combinations(J, r)]
 
 
+@functools.cache
+def _unit_plan(k: int, J: frozenset, joint: bool, two: bool) -> tuple[int, tuple] | None:
+    """The local unit count of (k, J, joint) as a plan of leaf counts (see
+    _closed), split into its constant and its other (leaf, coefficient)
+    pairs, or None where it is open.  It is p^k minus the closed zero count
+    of J (joint), or the alternating sum of p^k minus the closed zero count
+    over the nonempty subsets of J in their fixed order (individual), and
+    it is open where one of those zero counts has no closed form: compiling
+    stops at the first.  Made once per (k, J, joint, two), with two the
+    flag p == 2 as in _closed, and read, never changed, by every prime."""
+    parts = []
+    for sub in [J] if joint else _nonempty_subsets(J):
+        z = _closed(sub, k, two)
+        if z is None:  # one gap already sends the prime to a counting pass
+            return None
+        sign = 1 if joint else (-1) ** (len(sub) + 1)
+        parts += (sign, {k: 1}), (-sign, z)  # sign * (p^k - z)
+    plan = _combine(parts)
+    # the constant p**0 starts the sum, one leaf fewer a prime
+    return plan.pop(0, 0), tuple(plan.items())
+
+
 def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) -> int:
     """Tuples in F_p^k whose e_j (j in J) are not all zero (joint) or none
-    zero, for a checked k and J and a prime p.  First the memo entry
-    _LOCAL_UNITS[(k, J, joint)][p]; on a miss, the closed count: p^k minus
-    the closed zero count of J (joint), or the alternating sum of p^k minus
-    the closed zero count over the nonempty subsets of J in their fixed
-    order (individual).  It is a plan, one integer combination of leaf
-    counts (see _closed), evaluated at p, so a cold prime costs a few leaf
-    evaluations.  The plan is compiled once per (k, J, joint) for every odd
-    p and kept in _PLANS, or None there if some subset has no closed count:
-    compiling stops at the first such subset.  Racing threads may compile
-    one plan twice, to one plan.  p = 2 compiles its own plan on its one
-    miss, since its value is memoized next.
-    A closed count is memoized as it is and charges nothing.  Otherwise
-    every read is charged p^k tuples against the budget, whether or not
-    the prime's count is memoized yet.  After the check comes the memoized
-    (value, p^k), or the one counting pass over F_p^k that makes it:
-    _kernels.count_field(p, k, J, joint), which counts the same tuples, in
-    the same mode, and picks the engine.  Nothing is stored for an open
-    prime before its pass.  The pass returns every local count it answers,
-    keyed (S, joint), and each such entry that would need a pass of its
-    own is filled as (value, p^k), charged as its own pass would be: it is
-    absent and open, where S has no closed zero count (joint) or some
-    answered subset of S has none (individual).  The fill asks the closed
-    count of each answered set at most once.  A closed entry is left as it
-    is and a counted value is never overwritten.  A budget refusal is
-    never memoized, and fills nothing."""
+    zero, for a checked k and J and a prime p.  It reads top to bottom.
+    First the memo entry _LOCAL_UNITS[(k, J, joint)][p].  On a miss, the
+    plan _unit_plan(k, J, joint, p == 2), evaluated at p: a closed count,
+    memoized as it is, which charges nothing.  Otherwise, where the plan is
+    None, every read is charged p^k tuples against the budget, whether or
+    not the prime's count is memoized yet.  After the check comes the
+    memoized (value, p^k), or the one counting pass over F_p^k that makes
+    it: _kernels.count_field(p, k, J, joint), which counts the same tuples,
+    in the same mode, and picks the engine.  Nothing is stored for an open
+    prime before its pass.  Last the fill: the pass returns every local
+    count it answers, keyed (S, joint), and each such entry that is absent
+    and has no plan is filled as (value, p^k), charged as its own pass
+    would be.  A closed entry is left as it is and a counted value is never
+    overwritten.  A budget refusal is never memoized, and fills nothing."""
     key = k, J, joint
     by_prime = _LOCAL_UNITS.get(key)
     if by_prime is None:  # setdefault: racing threads share one dict
         by_prime = _LOCAL_UNITS.setdefault(key, {})
     entry = by_prime.get(p)
     if entry is None:
-        two = p == 2
-        plan = False if two else _PLANS.get(key, False)
-        if plan is False:  # racing threads may both compile it, to one plan
-            parts = []
-            for sub in [J] if joint else _nonempty_subsets(J):
-                z = _closed(sub, k, two)
-                if z is None:  # one gap already sends the prime to a counting pass
-                    plan = None
-                    break
-                sign = 1 if joint else (-1) ** (len(sub) + 1)
-                parts += (sign, {k: 1}), (-sign, z)  # sign * (p^k - z)
-            else:
-                plan = _combine(parts)
-                # the constant p**0 starts the sum, one leaf fewer a prime
-                plan = plan.pop(0, 0), tuple(plan.items())
-            if not two:
-                _PLANS[key] = plan
+        plan = _unit_plan(k, J, joint, p == 2)
         if plan is not None:  # closed: memoized as it is
             constant, terms = plan
             return by_prime.setdefault(p, _evaluate(terms, p, constant))
@@ -416,13 +408,11 @@ def _local_units(k: int, J: frozenset, p: int, joint: bool, budget: int | None) 
         answers = _kernels.count_field(p, k, sorted(J), joint)
         count = answers[J, joint]
         by_prime[p] = (count, charge)
-        # asked once a set; k and two are bound as defaults, since a closure
-        # would make them cells, built on every call, warm reads included
-        is_open = functools.cache(lambda T, k=k, two=p == 2: _closed(T, k, two) is None)
         for (S, mode), value in answers.items():
             if p in _LOCAL_UNITS.get((k, S, mode), ()):  # a closed int or a counted value stays
                 continue
-            if is_open(S) if mode else any(is_open(T) for T, _ in answers if T <= S):
+            # p is odd here: at p = 2 every zero count closes, so no pass runs
+            if _unit_plan(k, S, mode, False) is None:
                 _LOCAL_UNITS.setdefault((k, S, mode), {})[p] = (value, charge)
     return count
 

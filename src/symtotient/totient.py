@@ -17,7 +17,7 @@ Z_n^k live here too, for one spec or, from one pass, for every index set
 at once (_bruteforce_table), and so do the Menon-identity sides; the left
 side reads congruence's e_1-fiber histogram.
 
-Conventions: the value is 0 for empty J and 1 for n = 1.
+Conventions: the value is 1 for n = 1, and an empty J is refused.
 """
 
 import itertools
@@ -43,10 +43,13 @@ class TotientSpec:
     n: int
 
     def __post_init__(self):
-        # n first, then k, J and mode in SymSystem's order, without building one
+        # n first, then k, J (nonempty) and mode in SymSystem's order, without
+        # building one
         object.__setattr__(self, "n", _modulus(self.n))
         object.__setattr__(self, "k", operator.index(self.k))
         object.__setattr__(self, "J", _indices(self.J, self.k))
+        if not self.J:
+            raise ValueError("a totient needs a nonempty J")
         _mode(self.mode)
 
 
@@ -58,8 +61,6 @@ def _require_mode(spec: TotientSpec, mode: str) -> None:
 def _product_form(k: int, J: frozenset[int], joint: bool, n: int, budget: int | None) -> int:
     """The product over p^a || n of p^(k(a-1)) times the per-prime rule, for
     already validated fields; varphi and phi share it."""
-    if not J:
-        return 0
     out = 1
     for p, a in factorize(n):
         out *= p ** (k * (a - 1)) * _local_units(k, J, p, joint, budget)
@@ -83,8 +84,6 @@ def _product_form_range(k: int, J: frozenset[int], joint: bool, N: int, budget: 
     U_J(p), and every multiple of p^e, e >= 2, one more factor p^k."""
     if N >= _LPF_LIMIT:
         raise ValueError(f"range evaluation needs N < {_LPF_LIMIT}, got {N}")
-    if not J:
-        return ((n, 0) for n in range(1, N + 1))
     prime = bytes(not f for f in _LPF[2 : N + 1])
     primes = itertools.compress(range(2, N + 1), prime)
     local = [_local_units(k, J, p, joint, budget) for p in primes]
@@ -114,8 +113,6 @@ def _sieve_windows(k: int, N: int, prime: bytes, local: list[int]):
 
 def _enumerate(spec: TotientSpec, mode: str, budget: int | None) -> int:
     _require_mode(spec, mode)
-    if not spec.J:
-        return 0
     check_budget(spec.n**spec.k, budget, f"enumerating Z_{spec.n}^{spec.k}")
     return _kernels.count_sym_units(spec.n, spec.k, sorted(spec.J), joint=mode == "joint")
 

@@ -69,6 +69,15 @@ class TestTotientCommand:
         code, _, _ = run_cli(capsys, "totient", "--n", "9", "--k", "2", "--J", "5")
         assert code == 2
 
+    def test_empty_J_exits_2(self, capsys):
+        # the range 1..0 holds no index, and a totient needs one
+        code, out, err = run_cli(
+            capsys, "totient", "--n", "5", "--k", "2", "--J", "1..0",
+            "--mode", "individual", "--method", "both",
+        )
+        assert (code, out) == (2, "")
+        assert "a totient needs a nonempty J" in err
+
 
 class TestZerosCommand:
     def test_recurrence_example(self, capsys):

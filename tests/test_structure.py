@@ -123,13 +123,15 @@ def test_per_prime_rule_is_one_function():
 
 def test_closed_plans_are_free_of_p():
     # the dispatcher sees only whether p = 2, so a plan made for one prime
-    # is right for every other: it returns leaves and never evaluates one,
-    # and the plans of local counts are read only by the per-prime rule
+    # is right for every other: it returns leaves and never evaluates one.
+    # The recurrence and the plans of local counts are cached, the
+    # dispatcher, whose other branches build one leaf, is not
     tree = ast.parse((SRC / "symfield.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [a.arg for a in functions["_closed"].args.args] == ["J", "k", "two"]
     assert [a.arg for a in functions["_extend"].args.args] == ["J", "k", "two"]
-    for name in ("_closed", "_extend", "_combine"):
+    assert [a.arg for a in functions["_unit_plan"].args.args] == ["k", "J", "joint", "two"]
+    for name in ("_closed", "_extend", "_combine", "_unit_plan"):
         leaves = [
             node.lineno for node in ast.walk(functions[name])
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -139,14 +141,26 @@ def test_closed_plans_are_free_of_p():
         assert "p" not in {
             node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
         }, name
-    (declared,) = [
-        node.lineno for node in tree.body
-        if isinstance(node, ast.AnnAssign) and node.target.id == "_PLANS"
+    cached = {
+        name for name, func in functions.items()
+        for decorator in func.decorator_list
+        if isinstance(decorator, ast.Attribute) and decorator.attr in ("cache", "lru_cache")
+    }
+    assert cached == {"_extend", "_unit_plan"}
+
+
+def test_the_per_prime_rule_builds_no_closure():
+    # a lambda or a nested function in _local_units would build its cells on
+    # every call, warm reads included
+    tree = ast.parse((SRC / "symfield.py").read_text())
+    (local_units,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_local_units"
     ]
-    local_units = functions["_local_units"]
     assert [
-        line for line in _references(tree, "_PLANS")
-        if line != declared and not local_units.lineno <= line <= local_units.end_lineno
+        node.lineno for node in ast.walk(local_units)
+        if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node is not local_units
     ] == []
 
 
@@ -155,7 +169,8 @@ def test_one_validity_check_per_input_kind():
     text = "".join(sources.values())
     for message in ("modulus must be >= 1", "arity k must be >= ", "outside [1, ",
                     "p must be prime", "the Menon identity needs 1 in J",
-                    "needs a unit right-hand side", "mode must be one of"):
+                    "needs a unit right-hand side", "mode must be one of",
+                    "a totient needs a nonempty J"):
         assert text.count(message) == 1, message
     assert "_check_indices" not in text
     # the CLI parses --J from text, where int() is the parser

@@ -199,6 +199,16 @@ class TestExtendWithEk:
         assert count_zeros_closed(range(2, 61), 60, 3) == 1 + 60 * 2
         assert calls == [60, 1]
 
+    def test_a_second_prime_builds_no_recurrence(self):
+        # the recurrence is made once per (J, k, p == 2): another odd prime,
+        # and the dispatcher's k-in-J branch, evaluate the plan it made
+        extend = symfield._extend
+        assert extend_with_ek({1, 2}, 5, 3) == oracle.zeros(3, 5, {1, 2, 5})
+        misses = extend.cache_info().misses
+        assert extend_with_ek({1, 2}, 5, 5) == oracle.zeros(5, 5, {1, 2, 5})
+        assert count_zeros_closed({1, 2, 5}, 5, 7) == extend_with_ek({1, 2}, 5, 7)
+        assert extend.cache_info().misses == misses
+
 
 class TestDispatch:
     @pytest.mark.parametrize(
@@ -313,8 +323,7 @@ class TestClosedPlans:
     def _plan(k, J, joint):
         """The plan of the local count at odd p as {leaf: coefficient}, with
         its constant, where it is not 0, at leaf 0, as p**0."""
-        symfield._local_units(k, frozenset(J), 3, joint, None)
-        constant, terms = symfield._PLANS[(k, frozenset(J), joint)]
+        constant, terms = symfield._unit_plan(k, frozenset(J), joint, False)
         return dict(terms) | ({0: constant} if constant else {})
 
     @pytest.mark.parametrize("k", range(3, 10))

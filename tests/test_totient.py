@@ -55,9 +55,12 @@ class TestConventions:
         (phi_bruteforce, "individual"),
     )
 
-    def test_empty_J_is_zero(self):
+    def test_empty_J_is_refused(self):
+        # read literally, every tuple would count in individual mode and none
+        # in joint mode; the spec refuses J = {} before any route runs
         for fn, mode in self.ROUTES:
-            assert fn(TotientSpec(2, frozenset(), mode, 5)) == 0
+            with pytest.raises(ValueError, match="a totient needs a nonempty J"):
+                fn(TotientSpec(2, frozenset(), mode, 5))
 
     def test_modulus_one_is_one(self):
         for fn, mode in self.ROUTES:
@@ -365,25 +368,36 @@ class TestClosedUnitsMemo:
         assert [p for p, *_ in passes] == [7]
 
     def test_a_fill_asks_each_set_once(self, monkeypatch):
-        # the DP's pattern at 7^6 with J = {5} covers [1, 5]: the plan asks
-        # for {5}, and the fill asks one closed count per nonempty set within
-        # the pattern, 31 for both modes, not one closed sum per set and
-        # mode.  The dispatcher runs once per set: the fill's {5} is cached
-        closed = symfield._closed
+        # the DP's pattern at 7^6 with J = {5} covers [1, 5]: the asked key
+        # compiles the plan of ({5}, joint), and the fill one plan per other
+        # answered (S, mode), 62 in all over 31 sets, not one closed sum per
+        # read.  The later reads find their entries filled and ask nothing
+        unit_plan = symfield._unit_plan
         asked = self._count(monkeypatch, symfield, "_closed")
         passes = self._count(monkeypatch, _kernels, "count_field")
         assert _kernels._dp_pays(7, 6, 5)
         assert varphi(TotientSpec(6, {5}, "joint", 7)) == _kernels.count_sym_units(7, 6, [5], True)
         assert len(passes) == 1
-        assert len(asked) == 1 + 31
-        assert len({S for S, *_ in asked[1:]}) == 31
-        assert closed.cache_info().misses == 31
+        assert len({S for S, *_ in asked}) == 31
+        assert unit_plan.cache_info().misses == 62
+        asked.clear()
         for J in ({1, 5}, {3, 4}, {1, 2, 3, 4, 5}):
             for mode, fn in (("joint", varphi), ("individual", phi)):
                 expected = _kernels.count_sym_units(7, 6, sorted(J), mode == "joint")
                 assert fn(TotientSpec(6, J, mode, 7)) == expected, (sorted(J), mode)
         assert len(passes) == 1
-        assert len(asked) == 1 + 31
+        assert asked == []
+        assert unit_plan.cache_info().misses == 62
+
+    def test_the_plan_of_p_2_is_compiled_once(self, monkeypatch):
+        # p = 2 reads the cached plan as every other prime does: a second
+        # read, past a cleared memo, asks for no zero count
+        spec = TotientSpec(5, {1, 3}, "individual", 2)
+        cold = phi(spec)
+        asked = self._count(monkeypatch, symfield, "_closed")
+        symfield._LOCAL_UNITS.clear()
+        assert phi(spec) == cold == oracle.units(2, 5, {1, 3}, joint=False)
+        assert asked == []
 
     def test_open_sets_inherit_a_subsets_gap_in_individual_mode(self, monkeypatch):
         # at k = 4, {4} and {3, 4} close (k is in J) and {3} does not: the
@@ -476,11 +490,6 @@ class TestProductFormRange:
     @pytest.mark.parametrize("N, values", [(0, []), (1, [(1, 1)]), (2, [(1, 1), (2, 15)])])
     def test_smallest_ranges(self, N, values):
         assert list(_product_form_range(4, frozenset({1, 2, 3, 4}), True, N, None)) == values
-
-    def test_empty_J_is_zero(self):
-        assert list(_product_form_range(3, frozenset(), False, 6, None)) == [
-            (n, 0) for n in range(1, 7)
-        ]
 
     def test_budget_refuses_before_the_first_value(self):
         # 3^4 fits a budget of 100 and 5^4 does not: the call itself raises
